@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csp import SpatialFilterBank, fit_csp, project, trial_covariance
+from .csp import SpatialFilterBank, fit_csp, trial_covariances
 from .data import TrialSet
 from .errors import ConvergenceError, StratificationError
-from .geometry import ReferencePoint, SpdMatrix, tangent_map
+from .geometry import ReferencePoint, SpdMatrix, tangent_maps
 
 MAX_ITER = 5000
 TOL = 1e-6
@@ -181,14 +181,6 @@ class TslrModel:
                    int(d.get("n_iter", 0)), float(d.get("optimality_gap", 0.0)))
 
 
-def tangent_features(trials, bank: SpatialFilterBank,
-                     ref: ReferencePoint) -> np.ndarray:
-    """Stack tangent vectors of projected trial covariances, one row each."""
-    rows = [tangent_map(ref, trial_covariance(project(bank, t))).values
-            for t in trials]
-    return np.vstack(rows)
-
-
 def default_lambda(n_train: int) -> float:
     return 0.1 / n_train
 
@@ -217,9 +209,9 @@ def train(train_set: TrialSet, bank: SpatialFilterBank,
     if lam is None:
         lam = default_lambda(len(train_set))
 
-    covs = [trial_covariance(project(bank, t)) for t in train_set]
+    covs = trial_covariances(bank, train_set)
     ref = ReferencePoint.from_covariances(covs)
-    feats = np.vstack([tangent_map(ref, c).values for c in covs])
+    feats = tangent_maps(ref, covs)
 
     mu = feats.mean(axis=0)
     sd = feats.std(axis=0)
@@ -233,11 +225,15 @@ def train(train_set: TrialSet, bank: SpatialFilterBank,
     return TslrModel(w_raw, b_raw, lam, ref, bank, fit.n_iter, fit.gap)
 
 
+def _posteriors(model: TslrModel, covs) -> np.ndarray:
+    """Class-1 probabilities of a covariance stack, one matvec for all."""
+    z = tangent_maps(model.reference, covs) @ model.weights + model.bias
+    return np.clip(sigmoid(z), 1e-15, 1.0 - 1e-15)
+
+
 def predict_proba(model: TslrModel, cov) -> float:
     """Probability of class 1 for one projected-trial covariance."""
-    s = tangent_map(model.reference, cov).values
-    p = float(sigmoid(model.weights @ s + model.bias))
-    return float(np.clip(p, 1e-15, 1.0 - 1e-15))
+    return float(_posteriors(model, [cov])[0])
 
 
 @dataclass(frozen=True)
@@ -272,21 +268,19 @@ def evaluate(model: TslrModel, test_set: TrialSet) -> EvalReport:
     Posteriors are class-1 probabilities; a posterior of exactly 0.5
     predicts class 1. Precision is 0 when nothing is predicted positive.
     """
-    outcomes = []
-    for t in test_set:
-        p = predict_proba(model, trial_covariance(project(model.filter_bank, t)))
-        pred = 1 if p >= 0.5 else 0
-        outcomes.append(TrialOutcome(t.trial_id, t.label, pred, p))
-
-    true = np.array([o.true_label for o in outcomes])
-    pred = np.array([o.predicted_label for o in outcomes])
+    posteriors = _posteriors(
+        model, trial_covariances(model.filter_bank, test_set))
+    true = test_set.labels()
+    pred = (posteriors >= 0.5).astype(int)
+    outcomes = tuple(TrialOutcome(t.trial_id, t.label, int(c), float(p))
+                     for t, c, p in zip(test_set, pred, posteriors))
     tp = int(np.sum((pred == 1) & (true == 1)))
     fp = int(np.sum((pred == 1) & (true == 0)))
     fn = int(np.sum((pred == 0) & (true == 1)))
     accuracy = 100.0 * float(np.mean(pred == true))
     precision = 100.0 * tp / (tp + fp) if tp + fp else 0.0
     recall = 100.0 * tp / (tp + fn) if tp + fn else 0.0
-    return EvalReport(accuracy, precision, recall, tuple(outcomes))
+    return EvalReport(accuracy, precision, recall, outcomes)
 
 
 def select_relevant(report: EvalReport, threshold: float = 0.7) -> list[int]:
@@ -294,10 +288,11 @@ def select_relevant(report: EvalReport, threshold: float = 0.7) -> list[int]:
 
     A trial qualifies when its predicted label matches the true label and
     the predicted-class confidence max(p, 1-p) reaches the threshold.
-    Order follows the report.
+    Order follows the report. A threshold of 1 is rejected: posteriors
+    are clipped to at most 1 - 1e-15, so it could never be reached.
     """
-    if not 0.5 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0.5, 1], got {threshold}")
+    if not 0.5 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0.5, 1), got {threshold}")
     out = []
     for o in report.per_trial:
         conf = max(o.posterior, 1.0 - o.posterior)

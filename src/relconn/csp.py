@@ -154,13 +154,40 @@ def fit_csp(train: TrialSet, n_filters: int = 6) -> SpatialFilterBank:
     return SpatialFilterBank(w_full[keep], patterns_full[:, keep], lam[keep])
 
 
-def project(bank: SpatialFilterBank, trial: Trial) -> Trial:
-    """Apply the filter bank: projected samples are w @ x."""
+def _check_channels(bank: SpatialFilterBank, trial: Trial) -> None:
     if trial.n_channels != bank.n_channels:
         raise ValueError(
             f"trial {trial.trial_id} has {trial.n_channels} channels, "
             f"bank expects {bank.n_channels}")
+
+
+def project(bank: SpatialFilterBank, trial: Trial) -> Trial:
+    """Apply the filter bank: projected samples are w @ x."""
+    _check_channels(bank, trial)
     return Trial(bank.w @ trial.samples, trial.label, trial.trial_id)
+
+
+def _shrunk_covariances(z: np.ndarray, trial_ids) -> np.ndarray:
+    """Covariance, shrinkage and SPD check over a (k, n, T) stack of
+    projected trials; errors name the offending trial id."""
+    t = z.shape[-1]
+    if t < 2:
+        raise ValueError(f"trial {trial_ids[0]}: need at least 2 samples")
+    cov = z @ np.swapaxes(z, -1, -2) / (t - 1)
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    bad = np.flatnonzero(np.trace(cov, axis1=-2, axis2=-1) <= 0.0)
+    if bad.size:
+        raise NumericError(
+            f"trial {trial_ids[bad[0]]}: zero covariance after projection")
+    cov = shrink_covariance(cov)
+    w_min = np.linalg.eigvalsh(cov)[:, 0]
+    bad = np.flatnonzero(w_min <= 0.0)
+    if bad.size:
+        i = bad[0]
+        raise NumericError(
+            f"trial {trial_ids[i]}: covariance is not positive definite "
+            f"(smallest eigenvalue {w_min[i]:.6e})")
+    return cov
 
 
 def trial_covariance(trial: Trial) -> SpdMatrix:
@@ -170,16 +197,23 @@ def trial_covariance(trial: Trial) -> SpdMatrix:
     with the scaled identity so the result stays positive definite for
     rank-deficient trials.
     """
-    z = trial.samples
-    t = z.shape[1]
-    if t < 2:
-        raise ValueError(f"trial {trial.trial_id}: need at least 2 samples")
-    cov = z @ z.T / (t - 1)
-    cov = 0.5 * (cov + cov.T)
-    if float(np.trace(cov)) <= 0.0:
-        raise NumericError(
-            f"trial {trial.trial_id}: zero covariance after projection")
-    return SpdMatrix(shrink_covariance(cov))
+    return SpdMatrix(
+        _shrunk_covariances(trial.samples[None], [trial.trial_id])[0])
+
+
+def trial_covariances(bank: SpatialFilterBank, trials) -> np.ndarray:
+    """Project trials through the bank and take their shrunk covariances.
+
+    The stacked form of `project` followed by `trial_covariance`: each
+    trial is projected on its own, so only the small (k, n_filters, T)
+    stack is built, never a copy of the full multichannel trial set.
+    Returns a (k, n_filters, n_filters) stack of SPD matrices.
+    """
+    trials = list(trials)
+    for trial in trials:
+        _check_channels(bank, trial)
+    z = np.stack([bank.w @ trial.samples for trial in trials])
+    return _shrunk_covariances(z, [trial.trial_id for trial in trials])
 
 
 def select_channels(bank: SpatialFilterBank,

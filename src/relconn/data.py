@@ -126,6 +126,16 @@ class TrialSet:
                         self.sampling_rate_hz, self.class_names)
 
 
+def _integer(value, field: str) -> int:
+    """An integral JSON number as int; anything else is a SchemaError
+    naming the field (int() would silently truncate 1.7 to 1)."""
+    integral = (isinstance(value, int)
+                or (isinstance(value, float) and value.is_integer()))
+    if isinstance(value, bool) or not integral:
+        raise SchemaError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_trialset(manifest_path) -> TrialSet:
     """Load a trial set from a JSON manifest.
 
@@ -143,8 +153,9 @@ def load_trialset(manifest_path) -> TrialSet:
     FileNotFoundError
         If the manifest or a trial file is missing.
     SchemaError
-        On missing manifest fields or a trial file whose size does not match
-        the channels x samples geometry declared at the manifest top level.
+        On missing manifest fields, non-integer channels, samples, trial
+        ids or labels, or a trial file whose size does not match the
+        channels x samples geometry declared at the manifest top level.
     DataError
         If any trial holds non-finite values.
     """
@@ -159,8 +170,8 @@ def load_trialset(manifest_path) -> TrialSet:
     if missing:
         raise SchemaError(f"manifest missing fields: {sorted(missing)}")
 
-    n_ch = int(manifest["channels"])
-    n_sa = int(manifest["samples"])
+    n_ch = _integer(manifest["channels"], "manifest field 'channels'")
+    n_sa = _integer(manifest["samples"], "manifest field 'samples'")
     names = [str(c) for c in manifest["channel_names"]]
     if len(names) != n_ch:
         raise SchemaError(
@@ -173,14 +184,15 @@ def load_trialset(manifest_path) -> TrialSet:
         for key in ("id", "label", "file"):
             if key not in row:
                 raise SchemaError(f"trial row missing field {key!r}: {row}")
-        tid = int(row["id"])
+        tid = _integer(row["id"], "trial field 'id'")
+        label = _integer(row["label"], f"trial {tid}: field 'label'")
         path = base / row["file"]
         raw = np.fromfile(path, dtype="<f8")
         if raw.size != n_ch * n_sa:
             raise SchemaError(
                 f"trial {tid}: file {row['file']} holds {raw.size} values, "
                 f"expected {n_ch}x{n_sa}={n_ch * n_sa}")
-        trials.append(Trial(raw.reshape(n_ch, n_sa), int(row["label"]), tid))
+        trials.append(Trial(raw.reshape(n_ch, n_sa), label, tid))
 
     return TrialSet(tuple(trials), tuple(names),
                     float(manifest["sampling_rate_hz"]),

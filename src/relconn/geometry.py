@@ -5,6 +5,11 @@ A = U diag(d) U', f(A) = U diag(f(d)) U'. Eigenvalues that underflow are
 clamped at 1e-12 times the largest eigenvalue before taking logarithms;
 each clamp increments a module-level counter so pipeline reports can
 surface how often it happened.
+
+The matrix log and the tangent map work on a (k, n, n) stack in one
+batched eigendecomposition (the stacked tangent-space mapping of Barachant
+et al. 2012 under the Log-Euclidean metric of Arsigny et al. 2007); the
+single-matrix functions are the k = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import NumericError
 
@@ -45,16 +49,47 @@ def _as_matrix(m) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _check_square_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+def _as_square(m) -> np.ndarray:
+    a = _as_matrix(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NumericError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > rel_tol * scale:
+    return a
+
+
+def _as_stack(mats) -> np.ndarray:
+    a = np.array([_as_matrix(m) for m in mats], dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise NumericError(
-            f"matrix is not symmetric (max asymmetry {asym:.3e} "
-            f"over scale {scale:.3e})")
-    return 0.5 * (a + a.T)
+            f"expected a (k, n, n) stack of square matrices, got shape "
+            f"{a.shape}")
+    return a
+
+
+def _which(a: np.ndarray, i: int) -> str:
+    """Error prefix naming matrix i of a stack; empty for one matrix."""
+    return f"matrix {i}: " if a.ndim == 3 else ""
+
+
+def _transpose(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _symmetrized(a: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+    """Symmetric part of a matrix or (k, n, n) stack; every matrix must be
+    finite and symmetric up to rounding."""
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise NumericError(f"{_which(a, bad[0])}matrix has non-finite entries")
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+    asym = np.abs(a - _transpose(a)).max(axis=(-2, -1))
+    bad = np.flatnonzero(asym > rel_tol * scale)
+    if bad.size:
+        i = bad[0]
+        raise NumericError(
+            f"{_which(a, i)}matrix is not symmetric (max asymmetry "
+            f"{asym.flat[i]:.3e} over scale {scale.flat[i]:.3e})")
+    return 0.5 * (a + _transpose(a))
 
 
 @dataclass(frozen=True)
@@ -68,7 +103,7 @@ class SpdMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        a = _check_square_symmetric(_as_matrix(self.values))
+        a = _symmetrized(_as_square(self.values))
         w = np.linalg.eigvalsh(a)
         if w[0] <= 0.0:
             raise NumericError(
@@ -102,18 +137,33 @@ class TangentVector:
 
 
 def _clamped_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition with the relative eigenvalue floor applied."""
-    w, u = eigh(a)
-    w_max = float(w[-1])
-    if w_max <= 0.0:
+    """Eigendecomposition of a matrix or stack with the relative
+    eigenvalue floor applied per matrix; each clamped eigenvalue counts."""
+    w, u = np.linalg.eigh(a)
+    w_max = w[..., -1:]
+    bad = np.flatnonzero(w_max <= 0.0)
+    if bad.size:
+        i = bad[0]
         raise NumericError(
-            f"largest eigenvalue is {w_max:.6e}; matrix has no positive part")
+            f"{_which(a, i)}largest eigenvalue is {w_max.flat[i]:.6e}; "
+            f"matrix has no positive part")
     floor = EIG_CLAMP_REL * w_max
     n_clamped = int(np.count_nonzero(w < floor))
     if n_clamped:
         _record_clamps(n_clamped)
         w = np.maximum(w, floor)
     return w, u
+
+
+def _from_eigen(u: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """U diag(f(d)) U', symmetrized, for a matrix or a stack."""
+    out = (u * fw[..., None, :]) @ _transpose(u)
+    return 0.5 * (out + _transpose(out))
+
+
+def _log(a: np.ndarray) -> np.ndarray:
+    w, u = _clamped_eigh(_symmetrized(a))
+    return _from_eigen(u, np.log(w))
 
 
 def matrix_log(m) -> np.ndarray:
@@ -131,26 +181,35 @@ def matrix_log(m) -> np.ndarray:
     ndarray
         Real symmetric matrix log(m).
     """
-    a = _check_square_symmetric(_as_matrix(m))
-    w, u = _clamped_eigh(a)
-    out = (u * np.log(w)) @ u.T
-    return 0.5 * (out + out.T)
+    return _log(_as_square(m))
+
+
+def matrix_logs(mats) -> np.ndarray:
+    """Matrix logarithms of k SPD matrices in one batched eigensolve.
+
+    Parameters
+    ----------
+    mats : (k, n, n) ndarray or sequence of SpdMatrix / ndarray
+        Same checks, floor and clamp counting as `matrix_log`; an error
+        names the index of the offending matrix.
+
+    Returns
+    -------
+    ndarray, shape (k, n, n)
+    """
+    return _log(_as_stack(mats))
 
 
 def matrix_exp(m) -> SpdMatrix:
     """Matrix exponential of a real symmetric matrix (always SPD)."""
-    a = _check_square_symmetric(_as_matrix(m))
-    w, u = eigh(a)
-    out = (u * np.exp(w)) @ u.T
-    return SpdMatrix(0.5 * (out + out.T))
+    w, u = np.linalg.eigh(_symmetrized(_as_square(m)))
+    return SpdMatrix(_from_eigen(u, np.exp(w)))
 
 
 def inv_sqrtm(m) -> np.ndarray:
     """Inverse matrix square root of an SPD matrix."""
-    a = _check_square_symmetric(_as_matrix(m))
-    w, u = _clamped_eigh(a)
-    out = (u / np.sqrt(w)) @ u.T
-    return 0.5 * (out + out.T)
+    w, u = _clamped_eigh(_symmetrized(_as_square(m)))
+    return _from_eigen(u, 1.0 / np.sqrt(w))
 
 
 def logeuclidean_distance(a, b) -> float:
@@ -167,12 +226,12 @@ def logeuclidean_mean(mats) -> SpdMatrix:
     """LogEuclidean mean: exp of the average of matrix logs.
 
     Minimizes the sum of squared LogEuclidean distances to the inputs.
+    `mats` is a (k, n, n) stack or a sequence of matrices.
     """
     mats = list(mats)
     if not mats:
         raise ValueError("need at least one matrix")
-    logs = [matrix_log(m) for m in mats]
-    return matrix_exp(np.mean(logs, axis=0))
+    return matrix_exp(np.mean(matrix_logs(mats), axis=0))
 
 
 def vectorize_symmetric(sym: np.ndarray) -> np.ndarray:
@@ -181,13 +240,12 @@ def vectorize_symmetric(sym: np.ndarray) -> np.ndarray:
     Diagonal entries keep weight 1, strictly upper entries are scaled by
     sqrt(2), and the upper triangle is read in row-major order. With these
     weights the Euclidean norm of the vector equals the Frobenius norm of
-    the matrix.
+    the matrix. A (k, n, n) stack gives one row per matrix.
     """
     sym = np.asarray(sym, dtype=np.float64)
-    n = sym.shape[0]
-    idx = np.triu_indices(n)
-    weights = (np.sqrt(2.0) * np.triu(np.ones((n, n)), 1) + np.eye(n))[idx]
-    return weights * sym[idx]
+    rows, cols = np.triu_indices(sym.shape[-1])
+    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    return weights * sym[..., rows, cols]
 
 
 @dataclass(frozen=True)
@@ -198,7 +256,7 @@ class ReferencePoint:
     inv_sqrt: np.ndarray
 
     def __post_init__(self):
-        s = _check_square_symmetric(np.asarray(self.inv_sqrt, dtype=np.float64))
+        s = _symmetrized(_as_square(self.inv_sqrt))
         s.setflags(write=False)
         object.__setattr__(self, "inv_sqrt", s)
         n = self.mean.dim
@@ -222,6 +280,14 @@ class ReferencePoint:
         return self.mean.dim
 
 
+def _whitened_log_vectors(ref: ReferencePoint, a: np.ndarray) -> np.ndarray:
+    if a.shape[-2:] != ref.mean.values.shape:
+        raise ValueError(
+            f"dimension mismatch: reference is {ref.dim}x{ref.dim}, "
+            f"input is {a.shape[-2:]}")
+    return vectorize_symmetric(_log(ref.inv_sqrt @ a @ ref.inv_sqrt))
+
+
 def tangent_map(ref: ReferencePoint, m) -> TangentVector:
     """Map an SPD matrix to the tangent space at a reference point.
 
@@ -241,18 +307,24 @@ def tangent_map(ref: ReferencePoint, m) -> TangentVector:
     TangentVector
         Feature vector of length n(n+1)/2.
     """
-    a = _as_matrix(m)
-    if a.shape != ref.mean.values.shape:
-        raise ValueError(
-            f"dimension mismatch: reference is {ref.dim}x{ref.dim}, "
-            f"input is {a.shape}")
-    whitened = ref.inv_sqrt @ a @ ref.inv_sqrt
-    logw = matrix_log(whitened)
-    return TangentVector(vectorize_symmetric(logw), ref.dim)
+    return TangentVector(_whitened_log_vectors(ref, _as_matrix(m)), ref.dim)
+
+
+def tangent_maps(ref: ReferencePoint, mats) -> np.ndarray:
+    """Tangent vectors of k SPD matrices at one reference, one row each.
+
+    The stacked form of `tangent_map`: one batched whitening and matrix
+    log for the whole (k, n, n) stack. Returns shape (k, n(n+1)/2).
+    """
+    return _whitened_log_vectors(ref, _as_stack(mats))
 
 
 def shrink_covariance(sigma: np.ndarray, gamma: float = SHRINKAGE_GAMMA) -> np.ndarray:
-    """Blend a covariance with a scaled identity: (1-g)*S + g*(tr(S)/n)*I."""
+    """Blend a covariance with a scaled identity: (1-g)*S + g*(tr(S)/n)*I.
+
+    A (k, n, n) stack is shrunk matrix by matrix.
+    """
     sigma = np.asarray(sigma, dtype=np.float64)
-    n = sigma.shape[0]
-    return (1.0 - gamma) * sigma + gamma * (np.trace(sigma) / n) * np.eye(n)
+    n = sigma.shape[-1]
+    tr = np.trace(sigma, axis1=-2, axis2=-1)[..., None, None]
+    return (1.0 - gamma) * sigma + gamma * (tr / n) * np.eye(n)

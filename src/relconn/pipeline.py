@@ -5,6 +5,10 @@ output directory and reads its inputs back from the artifacts of earlier
 stages, so deleting downstream files and rerunning a single stage
 reproduces them byte for byte. All JSON is written with sorted keys and
 no timestamps; identical configuration and data give identical bytes.
+
+`run_pipeline` loads and band-passes the recording once and hands the
+preprocessed train/test split to every stage that reads trials. A stage
+run on its own (one CLI subcommand) loads and band-passes for itself.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import geometry
 from .classify import (TslrModel, EvalReport, TrialOutcome, cross_validate,
                        evaluate, select_relevant, train)
-from .csp import (SpatialFilterBank, fit_csp, project, select_channels,
-                  trial_covariance)
+from .csp import (SpatialFilterBank, fit_csp, select_channels,
+                  trial_covariances)
 from .data import TrialSet, load_trialset, split_train_test
 from .errors import SchemaError
 from .filters import (FilterSpec, apply_filter, concat_band_outputs,
@@ -99,9 +105,10 @@ class PipelineConfig:
         if self.n_filters < 2 or self.n_filters % 2 != 0:
             raise ValueError(
                 f"n_filters must be a positive even number, got {self.n_filters}")
-        if not 0.5 < self.posterior_threshold <= 1.0:
+        # posteriors are clipped below 1, so a threshold of 1 selects nothing
+        if not 0.5 < self.posterior_threshold < 1.0:
             raise ValueError(
-                f"posterior_threshold must be in (0.5, 1], "
+                f"posterior_threshold must be in (0.5, 1), "
                 f"got {self.posterior_threshold}")
         if not 0.0 < self.top_edge_fraction <= 1.0:
             raise ValueError(
@@ -231,7 +238,11 @@ def preprocess(cfg: PipelineConfig, ts: TrialSet) -> TrialSet:
     return ts.replace_trials(out)
 
 
-def _load_split(cfg: PipelineConfig) -> tuple[TrialSet, TrialSet]:
+Split = tuple[TrialSet, TrialSet]
+
+
+def _load_split(cfg: PipelineConfig) -> Split:
+    """Load, band-pass and epoch the manifest; split into (train, test)."""
     ts = load_trialset(cfg.manifest)
     ts = preprocess(cfg, ts)
     return split_train_test(ts, cfg.resolved_n_train(len(ts)))
@@ -247,11 +258,15 @@ def _unique_node_names(picks) -> list[str]:
     return names
 
 
-def stage_fit_csp(cfg: PipelineConfig) -> Path:
+def stage_fit_csp(cfg: PipelineConfig, split: Split | None = None) -> Path:
     """Fit the spatial filters on the training split; write the bank and
-    the per-filter selected channels."""
+    the per-filter selected channels.
+
+    `split` is the preprocessed (train, test) pair from `_load_split`;
+    every stage that reads trials loads it itself when it is not given.
+    """
     with _stage("fit-csp"):
-        train_set, _ = _load_split(cfg)
+        train_set, _ = split or _load_split(cfg)
         bank = fit_csp(train_set, cfg.n_filters)
         picks = select_channels(bank, train_set.channel_names)
         path = cfg.out_path("filter_bank")
@@ -272,10 +287,10 @@ def _load_bank(cfg: PipelineConfig) -> tuple[SpatialFilterBank, list[str]]:
     return SpatialFilterBank.from_dict(d["filter_bank"]), d["node_names"]
 
 
-def stage_train(cfg: PipelineConfig) -> Path:
+def stage_train(cfg: PipelineConfig, split: Split | None = None) -> Path:
     """Train the tangent-space model on the training split only."""
     with _stage("train"):
-        train_set, _ = _load_split(cfg)
+        train_set, _ = split or _load_split(cfg)
         bank, _ = _load_bank(cfg)
         model = train(train_set, bank, cfg.lam)
         path = cfg.out_path("model")
@@ -283,11 +298,11 @@ def stage_train(cfg: PipelineConfig) -> Path:
         return path
 
 
-def stage_cv(cfg: PipelineConfig) -> Path:
+def stage_cv(cfg: PipelineConfig, split: Split | None = None) -> Path:
     """Stratified k-fold cross-validation on the training split; filters
     and reference are refit inside each fold."""
     with _stage("cv"):
-        train_set, _ = _load_split(cfg)
+        train_set, _ = split or _load_split(cfg)
         mean, std = cross_validate(train_set, cfg.k_folds, cfg.lam,
                                    cfg.n_filters, cfg.seed)
         path = cfg.out_path("cv_summary")
@@ -302,11 +317,11 @@ def stage_cv(cfg: PipelineConfig) -> Path:
         return path
 
 
-def stage_evaluate(cfg: PipelineConfig) -> Path:
+def stage_evaluate(cfg: PipelineConfig, split: Split | None = None) -> Path:
     """Score the model on the held-out split; write aggregates plus the
     per-trial outcome table."""
     with _stage("evaluate"):
-        _, test_set = _load_split(cfg)
+        _, test_set = split or _load_split(cfg)
         model = TslrModel.from_dict(_read_json(cfg.out_path("model")))
         report = evaluate(model, test_set)
         path = cfg.out_path("eval_report")
@@ -345,28 +360,31 @@ def stage_select(cfg: PipelineConfig) -> Path:
         return path
 
 
-def stage_graph(cfg: PipelineConfig) -> list[Path]:
+def stage_graph(cfg: PipelineConfig,
+                split: Split | None = None) -> list[Path]:
     """Build per-class connectivity graphs from the held-out trials, once
     from all of them and once from the selected subset, and write the
     node-metric table."""
     with _stage("graph"):
-        _, test_set = _load_split(cfg)
+        _, test_set = split or _load_split(cfg)
         bank, node_names = _load_bank(cfg)
         selected = set(_read_json(cfg.out_path("selected_trials"))["selected_ids"])
 
-        covs = {t.trial_id: trial_covariance(project(bank, t))
-                for t in test_set}
+        covs = trial_covariances(bank, test_set)
+        labels = test_set.labels()
+        is_selected = np.array([t.trial_id in selected for t in test_set])
         paths = []
         metric_rows = []
         for class_index in (0, 1):
-            all_ids = [t.trial_id for t in test_set if t.label == class_index]
-            sel_ids = [tid for tid in all_ids if tid in selected]
-            for condition, ids in (("all", all_ids), ("selected", sel_ids)):
-                if not ids:
+            in_class = labels == class_index
+            for condition, rows in (("all", in_class),
+                                    ("selected", in_class & is_selected)):
+                n_trials = int(np.count_nonzero(rows))
+                if not n_trials:
                     raise ValueError(
                         f"no {condition} trials for class {class_index}; "
                         f"cannot build a graph")
-                graph = build_graph([covs[tid] for tid in ids], node_names)
+                graph = build_graph(covs[rows], node_names)
                 key = f"graph_{condition}_class{class_index}"
                 path = cfg.out_path(key)
                 _write_json(path, {
@@ -374,7 +392,7 @@ def stage_graph(cfg: PipelineConfig) -> list[Path]:
                     "condition": condition,
                     "class_index": class_index,
                     "class_name": test_set.class_names[class_index],
-                    "n_trials": len(ids),
+                    "n_trials": n_trials,
                 })
                 paths.append(path)
                 metrics = NodeMetrics.from_graph(graph)
@@ -420,11 +438,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     """Run every stage in order; returns artifact name -> path."""
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     geometry.reset_clamp_events()
-    stage_fit_csp(cfg)
-    stage_train(cfg)
-    stage_cv(cfg)
-    stage_evaluate(cfg)
+    # fit-csp is the first stage to read trials, so load errors keep its name
+    with _stage("fit-csp"):
+        split = _load_split(cfg)
+    stage_fit_csp(cfg, split)
+    stage_train(cfg, split)
+    stage_cv(cfg, split)
+    stage_evaluate(cfg, split)
     stage_select(cfg)
-    stage_graph(cfg)
+    stage_graph(cfg, split)
     stage_report(cfg)
     return {name: cfg.out_path(name) for name in ARTIFACTS}

@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from relconn.csp import (SpatialFilterBank, class_mean_covariances, fit_csp,
-                         project, select_channels, trial_covariance)
+                         project, select_channels, trial_covariance,
+                         trial_covariances)
+from relconn.errors import NumericError
 from relconn.data import Trial, TrialSet
 
 
@@ -197,6 +199,27 @@ class TestProjectAndCovariance:
     def test_trial_covariance_needs_samples(self):
         with pytest.raises(ValueError, match="at least 2"):
             trial_covariance(Trial(np.ones((2, 1)), 0, 0))
+
+    def test_stacked_covariances_match_projected_loop(self):
+        rng = np.random.default_rng(15)
+        bank = SpatialFilterBank(rng.standard_normal((2, 4)),
+                                 rng.standard_normal((4, 2)),
+                                 np.array([0.8, 0.2]))
+        trials = [Trial(rng.standard_normal((4, 50)), i % 2, 10 + i)
+                  for i in range(7)]
+        stacked = trial_covariances(bank, trials)
+        looped = [trial_covariance(project(bank, t)).values for t in trials]
+        assert stacked.shape == (7, 2, 2)
+        assert_allclose(stacked, looped, rtol=1e-12, atol=0.0)
+
+    def test_stacked_errors_name_the_trial(self):
+        bank = SpatialFilterBank(np.eye(2), np.eye(2), np.array([0.6, 0.4]))
+        trials = [Trial(np.ones((2, 5)), 0, 3), Trial(np.zeros((2, 5)), 1, 17)]
+        with pytest.raises(NumericError,
+                           match="trial 17: zero covariance after projection"):
+            trial_covariances(bank, trials)
+        with pytest.raises(ValueError, match="trial 9 has 3 channels"):
+            trial_covariances(bank, [Trial(np.ones((3, 5)), 0, 9)])
 
 
 class TestSelectChannels:

@@ -124,6 +124,30 @@ class TestManifestRoundTrip:
         with pytest.raises(SchemaError, match="channel_names"):
             load_trialset(manifest)
 
+    @pytest.mark.parametrize("field, value", [
+        ("label", 1.7), ("id", 2.5), ("label", "1"), ("label", True),
+        ("channels", 3.5), ("samples", 8.25),
+    ])
+    def test_non_integer_field_rejected(self, tmp_path, field, value):
+        manifest = save_trialset(make_set(), tmp_path)
+        d = json.loads(manifest.read_text())
+        if field in ("label", "id"):
+            d["trials"][1][field] = value
+        else:
+            d[field] = value
+        manifest.write_text(json.dumps(d))
+        with pytest.raises(SchemaError, match=f"'{field}' must be an integer"):
+            load_trialset(manifest)
+
+    def test_integral_float_fields_accepted(self, tmp_path):
+        ts = make_set()
+        manifest = save_trialset(ts, tmp_path)
+        d = json.loads(manifest.read_text())
+        d["channels"] = float(d["channels"])
+        d["trials"][1]["label"] = 1.0
+        manifest.write_text(json.dumps(d))
+        assert load_trialset(manifest).labels().tolist() == ts.labels().tolist()
+
     def test_trial_row_missing_key(self, tmp_path):
         manifest = save_trialset(make_set(), tmp_path)
         d = json.loads(manifest.read_text())

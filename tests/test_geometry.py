@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import logm
 
@@ -10,8 +11,8 @@ from relconn.errors import NumericError
 from relconn.geometry import (ReferencePoint, SpdMatrix, TangentVector,
                               inv_sqrtm, logeuclidean_distance,
                               logeuclidean_mean, matrix_exp, matrix_log,
-                              shrink_covariance, tangent_map,
-                              vectorize_symmetric)
+                              matrix_logs, shrink_covariance, tangent_map,
+                              tangent_maps, vectorize_symmetric)
 
 
 def random_spd(rng, n, spread=2.0):
@@ -237,3 +238,86 @@ class TestShrinkage:
         s = np.diag([1.0, 2.0])
         assert_allclose(shrink_covariance(s), s, rtol=1e-5)
         assert not np.array_equal(shrink_covariance(s), s)
+
+
+def spd_stack(seed, k, n, log10_cond, n_tiny=0):
+    """k random n x n SPD matrices with condition numbers up to
+    10**log10_cond and random overall scale; the n_tiny smallest
+    eigenvalues of each sit below the clamp floor."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(k):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eigs = 10.0 ** (-log10_cond * rng.uniform(0.0, 1.0, n))
+        eigs[0] = 1.0
+        eigs[1:1 + n_tiny] = 10.0 ** -rng.uniform(13.0, 15.0, n_tiny)
+        m = (q * (eigs * 10.0 ** rng.uniform(-3.0, 3.0))) @ q.T
+        out.append(0.5 * (m + m.T))
+    return np.array(out)
+
+
+def assert_rows_close(stacked, looped, rel=1e-12):
+    for s, ref in zip(stacked, looped):
+        scale = max(float(np.linalg.norm(ref)), 1e-300)
+        assert np.linalg.norm(s - ref) <= rel * scale
+
+
+stacks = dict(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 12),
+              n=st.integers(1, 6), log10_cond=st.floats(0.0, 10.0))
+
+
+class TestStackedGeometry:
+    """The stacked log and tangent map against a loop over single
+    matrices."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(**stacks)
+    def test_matrix_logs_match_loop(self, seed, k, n, log10_cond):
+        mats = spd_stack(seed, k, n, log10_cond)
+        stacked = matrix_logs(mats)
+        assert stacked.shape == (k, n, n)
+        assert_rows_close(stacked, [matrix_log(m) for m in mats])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(**stacks)
+    def test_tangent_maps_match_loop(self, seed, k, n, log10_cond):
+        mats = spd_stack(seed, k, n, log10_cond)
+        # a reference as conditioned as a mean of shrunk covariances; the
+        # stack itself spans the full conditioning range
+        ref = ReferencePoint.from_mean(
+            SpdMatrix(random_spd(np.random.default_rng(seed), n)))
+        stacked = tangent_maps(ref, mats)
+        assert stacked.shape == (k, n * (n + 1) // 2)
+        assert_rows_close(stacked, [tangent_map(ref, m).values for m in mats])
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 12),
+           n=st.integers(2, 6), data=st.data())
+    def test_clamp_count_is_per_matrix_sum(self, seed, k, n, data):
+        n_tiny = data.draw(st.integers(1, n - 1))
+        mats = spd_stack(seed, k, n, 6.0, n_tiny)
+        per_matrix = 0
+        for m in mats:
+            geometry.reset_clamp_events()
+            matrix_log(m)
+            per_matrix += geometry.clamp_event_count()
+        geometry.reset_clamp_events()
+        matrix_logs(mats)
+        assert geometry.clamp_event_count() == per_matrix == k * n_tiny
+        geometry.reset_clamp_events()
+
+    def test_stack_errors_name_the_matrix(self):
+        mats = np.array([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]])
+        with pytest.raises(NumericError, match="matrix 1: .*not symmetric"):
+            matrix_logs(mats)
+        with pytest.raises(NumericError, match="matrix 0: .*no positive"):
+            matrix_logs([-np.eye(2), np.eye(2)])
+        with pytest.raises(NumericError, match="non-finite"):
+            matrix_log(np.full((2, 2), np.nan))
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(NumericError, match="stack"):
+            matrix_logs(np.eye(3))
+        ref = ReferencePoint.from_mean(SpdMatrix(np.eye(3)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            tangent_maps(ref, [np.eye(2)])

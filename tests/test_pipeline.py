@@ -9,7 +9,21 @@ from relconn.data import Trial, TrialSet, load_trialset, save_trialset
 from relconn.errors import SchemaError
 from relconn.fixtures import FixtureSpec, generate_fixture
 from relconn.pipeline import (ARTIFACTS, PipelineConfig, preprocess,
-                              run_pipeline, stage_fit_csp, stage_train)
+                              run_pipeline, stage_cv, stage_evaluate,
+                              stage_fit_csp, stage_graph, stage_report,
+                              stage_select, stage_train)
+
+# the stage that writes each artifact
+WRITER = {
+    "filter_bank": stage_fit_csp, "selected_channels": stage_fit_csp,
+    "model": stage_train, "cv_summary": stage_cv,
+    "eval_report": stage_evaluate, "eval_per_trial": stage_evaluate,
+    "selected_trials": stage_select,
+    "graph_all_class0": stage_graph, "graph_all_class1": stage_graph,
+    "graph_selected_class0": stage_graph,
+    "graph_selected_class1": stage_graph, "node_metrics": stage_graph,
+    "separability": stage_report,
+}
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +72,7 @@ class TestConfigValidation:
         dict(posterior_threshold=1.5),
         dict(top_edge_fraction=0.0),
         dict(lam=-1.0),
+        dict(posterior_threshold=1.0),
     ])
     def test_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
@@ -194,11 +209,14 @@ class TestRunDeterminism:
 
 
 class TestStageIsolation:
-    def test_train_stage_rebuilds_from_artifacts(self, completed_run):
+    @pytest.mark.parametrize("name", list(ARTIFACTS))
+    def test_stage_rerun_rebuilds_artifact(self, completed_run, name):
+        # the full run hands its preprocessed split to the stages; a stage
+        # run on its own loads for itself and must write the same bytes
         cfg, blobs = completed_run
-        cfg.out_path("model").unlink()
-        stage_train(cfg)
-        assert cfg.out_path("model").read_bytes() == blobs["model"]
+        cfg.out_path(name).unlink()
+        WRITER[name](cfg)
+        assert artifact_bytes(cfg) == blobs
 
     def test_model_ignores_test_split_labels(self, dataset, tmp_path):
         # flipping every held-out label must not change the fitted model
