@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from relconn.data import Trial
+from relconn.data import TrialSet
 from relconn.filters import (FilterSpec, apply_filter, design_bandpass,
                              magnitude_db, write_response_csv)
 
@@ -23,13 +23,14 @@ print("elliptic (dB):    ", "  ".join(f"{m:7.2f}" for m in magnitude_db(ellip, p
 t = np.arange(int(4 * fs)) / fs
 clean = np.sin(2 * np.pi * 10.0 * t)
 noisy = clean + 2.0 * np.sin(2 * np.pi * 45.0 * t)
-trial = Trial(noisy[None, :], 0, 0)
+# a set of one trial: samples are (trials, channels, samples)
+trial = TrialSet(noisy[None, None, :], [0], [0], ("cz",), fs)
 filtered = apply_filter(ellip, trial)
 
 # compare steady-state power after the filter settles
 settle = slice(int(fs), None)
 power_in = float(np.mean(noisy[settle] ** 2))
-power_out = float(np.mean(filtered.samples[0, settle] ** 2))
+power_out = float(np.mean(filtered.samples[0, 0, settle] ** 2))
 print(f"\npower before filtering: {power_in:.3f}")
 print(f"power after 8-12 Hz elliptic: {power_out:.3f} (clean tone is 0.5)")
 

@@ -3,8 +3,8 @@ how well the learned directions match the planted ones."""
 
 import numpy as np
 
-from relconn.csp import fit_csp, project, select_channels, trial_covariance
-from relconn.data import Trial, TrialSet
+from relconn.csp import fit_csp, select_channels, trial_covariances
+from relconn.data import ScatterSet, TrialSet
 
 rng = np.random.default_rng(7)
 n_ch, n_samp = 6, 400
@@ -16,15 +16,15 @@ var0 = np.geomspace(6.0, 0.4, n_ch)
 cov = {0: mixing @ np.diag(var0) @ mixing.T,
        1: mixing @ np.diag(var0[::-1]) @ mixing.T}
 
-trials = []
-for i in range(80):
-    label = i % 2
-    samples = np.linalg.cholesky(cov[label]) @ rng.standard_normal((n_ch, n_samp))
-    trials.append(Trial(samples, label, i))
+labels = np.arange(80) % 2
+samples = np.stack([np.linalg.cholesky(cov[label])
+                    @ rng.standard_normal((n_ch, n_samp)) for label in labels])
 names = tuple(f"ch{i + 1:02d}" for i in range(n_ch))
-ts = TrialSet(tuple(trials), names, 200.0, ("left", "right"))
+ts = TrialSet(samples, labels, np.arange(80), names, 200.0, ("left", "right"))
 
-bank = fit_csp(ts, n_filters=6)
+# CSP and the classifier see a trial only through its scatter matrix x x'
+scatter = ScatterSet.from_trials(ts)
+bank = fit_csp(scatter, n_filters=6)
 print("eigenvalues (class-0 variance share per filter):")
 print("  ", np.round(bank.eigenvalues, 3))
 
@@ -38,6 +38,6 @@ print("\nchannel with the largest pattern coefficient per filter:")
 for idx, name in picked:
     print(f"   filter -> {name} (index {idx})")
 
-z = project(bank, ts.trials[0])
-print(f"\nprojected trial shape: {z.samples.shape}, "
-      f"covariance trace {np.trace(trial_covariance(z).values):.4f}")
+covs = trial_covariances(bank, scatter)
+print(f"\nprojected covariances: {covs.shape}, "
+      f"first trace {np.trace(covs[0]):.4f}")

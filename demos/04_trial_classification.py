@@ -5,12 +5,13 @@ import numpy as np
 
 from relconn.classify import cross_validate, evaluate, select_relevant, train
 from relconn.csp import fit_csp
-from relconn.data import split_train_test
+from relconn.data import ScatterSet, split_train_test
 from relconn.fixtures import FixtureSpec, synthesize_trialset
 
 spec = FixtureSpec(n_per_class=60, duration_s=0.5)
 ts, truth = synthesize_trialset(spec, seed=19)
-train_set, test_set = split_train_test(ts, truth["n_train"])
+train_set, test_set = split_train_test(ScatterSet.from_trials(ts),
+                                       truth["n_train"])
 print(f"{len(train_set)} training and {len(test_set)} held-out trials, "
       f"{len(truth['irrelevant_ids'])} planted irrelevant overall")
 
@@ -34,6 +35,6 @@ print(f"\nselected {len(kept)}/{len(test_set)} trials at threshold 0.7; "
       f"{kept_bad} of them are planted irrelevant")
 
 # the discarded trials sit near the decision boundary
-discarded = [o for o in report.per_trial if o.trial_id not in set(kept)]
-conf = [max(o.posterior, 1 - o.posterior) for o in discarded]
-print(f"mean confidence among discarded trials: {np.mean(conf):.3f}")
+p = report.posteriors[~np.isin(report.trial_ids, kept)]
+print(f"mean confidence among discarded trials: "
+      f"{np.mean(np.maximum(p, 1 - p)):.3f}")

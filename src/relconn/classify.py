@@ -1,9 +1,10 @@
 """Tangent-space logistic regression with an L1 penalty.
 
-Training projects trials through a spatial filter bank, computes shrunk
-sample covariances, maps them to the tangent space at the LogEuclidean mean
-of the training covariances, and fits a sparse logistic model by proximal
-gradient descent (soft-thresholding) with a backtracking line search.
+Training projects each trial's channel scatter matrix through a spatial
+filter bank into a shrunk sample covariance, maps the covariances to the
+tangent space at their LogEuclidean mean, and fits a sparse logistic model
+by proximal gradient descent (soft-thresholding) with a backtracking line
+search.
 
 Features are standardized per dimension before the solver runs; the learned
 coefficients are folded back so the stored model operates on raw tangent
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csp import SpatialFilterBank, fit_csp, trial_covariances
-from .data import TrialSet
+from .data import ScatterSet
 from .errors import ConvergenceError, StratificationError
 from .geometry import ReferencePoint, SpdMatrix, tangent_maps
 
@@ -185,14 +186,14 @@ def default_lambda(n_train: int) -> float:
     return 0.1 / n_train
 
 
-def train(train_set: TrialSet, bank: SpatialFilterBank,
+def train(train_set: ScatterSet, bank: SpatialFilterBank,
           lam: float | None = None, max_iter: int = MAX_ITER,
           tol: float = TOL) -> TslrModel:
     """Fit the tangent-space model on a training set.
 
     Parameters
     ----------
-    train_set : TrialSet
+    train_set : ScatterSet
         Two-class training trials (both classes present).
     bank : SpatialFilterBank
         Fitted spatial filters for these channels.
@@ -203,7 +204,7 @@ def train(train_set: TrialSet, bank: SpatialFilterBank,
     -------
     TslrModel
     """
-    labels = train_set.labels()
+    labels = train_set.labels
     if set(labels.tolist()) != {0, 1}:
         raise ValueError("training set must contain both classes")
     if lam is None:
@@ -225,62 +226,48 @@ def train(train_set: TrialSet, bank: SpatialFilterBank,
     return TslrModel(w_raw, b_raw, lam, ref, bank, fit.n_iter, fit.gap)
 
 
-def _posteriors(model: TslrModel, covs) -> np.ndarray:
-    """Class-1 probabilities of a covariance stack, one matvec for all."""
-    z = tangent_maps(model.reference, covs) @ model.weights + model.bias
-    return np.clip(sigmoid(z), 1e-15, 1.0 - 1e-15)
-
-
-def predict_proba(model: TslrModel, cov) -> float:
-    """Probability of class 1 for one projected-trial covariance."""
-    return float(_posteriors(model, [cov])[0])
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    trial_id: int
-    true_label: int
-    predicted_label: int
-    posterior: float
-
-
 @dataclass(frozen=True)
 class EvalReport:
-    """Aggregate metrics in percent plus a per-trial outcome table."""
+    """Aggregate metrics in percent plus per-trial outcome columns, one
+    entry per evaluated trial in evaluation order."""
 
     accuracy: float
     precision: float
     recall: float
-    per_trial: tuple[TrialOutcome, ...]
+    trial_ids: np.ndarray
+    true_labels: np.ndarray
+    predicted_labels: np.ndarray
+    posteriors: np.ndarray
 
     def to_dict(self) -> dict:
         return {"accuracy": self.accuracy, "precision": self.precision,
-                "recall": self.recall, "n_trials": len(self.per_trial)}
+                "recall": self.recall, "n_trials": len(self.trial_ids)}
 
     def per_trial_rows(self) -> list[tuple[int, int, int, float]]:
-        return [(o.trial_id, o.true_label, o.predicted_label, o.posterior)
-                for o in self.per_trial]
+        return list(zip(self.trial_ids.tolist(), self.true_labels.tolist(),
+                        self.predicted_labels.tolist(),
+                        self.posteriors.tolist()))
 
 
-def evaluate(model: TslrModel, test_set: TrialSet) -> EvalReport:
+def evaluate(model: TslrModel, test_set: ScatterSet) -> EvalReport:
     """Score a model on held-out trials.
 
     Posteriors are class-1 probabilities; a posterior of exactly 0.5
     predicts class 1. Precision is 0 when nothing is predicted positive.
     """
-    posteriors = _posteriors(
-        model, trial_covariances(model.filter_bank, test_set))
-    true = test_set.labels()
+    covs = trial_covariances(model.filter_bank, test_set)
+    z = tangent_maps(model.reference, covs) @ model.weights + model.bias
+    posteriors = np.clip(sigmoid(z), 1e-15, 1.0 - 1e-15)
+    true = test_set.labels
     pred = (posteriors >= 0.5).astype(int)
-    outcomes = tuple(TrialOutcome(t.trial_id, t.label, int(c), float(p))
-                     for t, c, p in zip(test_set, pred, posteriors))
     tp = int(np.sum((pred == 1) & (true == 1)))
     fp = int(np.sum((pred == 1) & (true == 0)))
     fn = int(np.sum((pred == 0) & (true == 1)))
     accuracy = 100.0 * float(np.mean(pred == true))
     precision = 100.0 * tp / (tp + fp) if tp + fp else 0.0
     recall = 100.0 * tp / (tp + fn) if tp + fn else 0.0
-    return EvalReport(accuracy, precision, recall, outcomes)
+    return EvalReport(accuracy, precision, recall, test_set.ids, true, pred,
+                      posteriors)
 
 
 def select_relevant(report: EvalReport, threshold: float = 0.7) -> list[int]:
@@ -293,12 +280,10 @@ def select_relevant(report: EvalReport, threshold: float = 0.7) -> list[int]:
     """
     if not 0.5 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0.5, 1), got {threshold}")
-    out = []
-    for o in report.per_trial:
-        conf = max(o.posterior, 1.0 - o.posterior)
-        if o.predicted_label == o.true_label and conf >= threshold:
-            out.append(o.trial_id)
-    return out
+    p = report.posteriors
+    keep = ((report.predicted_labels == report.true_labels)
+            & (np.maximum(p, 1.0 - p) >= threshold))
+    return report.trial_ids[keep].tolist()
 
 
 def stratified_folds(labels: np.ndarray, k: int, seed: int = 42) -> list[np.ndarray]:
@@ -317,16 +302,15 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int = 42) -> list[np.ndar
             f"class counts {counts} cannot stratify into {k} folds; every "
             f"fold needs both classes")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold_of = np.empty(len(labels), dtype=int)
     for c in (0, 1):
         idx = np.flatnonzero(labels == c)
         rng.shuffle(idx)
-        for pos, i in enumerate(idx):
-            folds[pos % k].append(int(i))
-    return [np.array(sorted(f), dtype=int) for f in folds]
+        fold_of[idx] = np.arange(idx.size) % k
+    return [np.flatnonzero(fold_of == f) for f in range(k)]
 
 
-def cross_validate(train_set: TrialSet, k: int = 10,
+def cross_validate(train_set: ScatterSet, k: int = 10,
                    lam: float | None = None, n_filters: int = 6,
                    seed: int = 42) -> tuple[float, float]:
     """Stratified k-fold accuracy (mean, std in percent).
@@ -335,16 +319,12 @@ def cross_validate(train_set: TrialSet, k: int = 10,
     training fold, so no information from a held-out fold leaks into its
     model. Fold assignment is deterministic for a given seed.
     """
-    labels = train_set.labels()
-    folds = stratified_folds(labels, k, seed)
+    folds = stratified_folds(train_set.labels, k, seed)
     accuracies = []
     for held_out in folds:
-        mask = np.ones(len(train_set), dtype=bool)
-        mask[held_out] = False
-        fold_train = train_set.replace_trials(
-            [train_set.trials[i] for i in np.flatnonzero(mask)])
-        fold_test = train_set.replace_trials(
-            [train_set.trials[i] for i in held_out])
+        fold_train = train_set.subset(
+            np.delete(np.arange(len(train_set)), held_out))
+        fold_test = train_set.subset(held_out)
         bank = fit_csp(fold_train, n_filters)
         model = train(fold_train, bank, lam)
         accuracies.append(evaluate(model, fold_test).accuracy)

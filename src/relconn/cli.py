@@ -39,20 +39,10 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> pl.PipelineConfig:
-    return pl.PipelineConfig.from_file(
-        args.config,
-        manifest=args.manifest,
-        out_dir=args.out_dir,
-        seed=args.seed,
-        lam=args.lam,
-        k_folds=args.k_folds,
-        posterior_threshold=args.posterior_threshold,
-        top_edge_fraction=args.top_edge_fraction,
-        n_train=args.n_train,
-        n_filters=args.n_filters,
-        band_mode=args.band_mode,
-        dataset_kind=args.dataset_kind,
-    )
+    # every option but --config is named after the config field it sets
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("command", "config")}
+    return pl.PipelineConfig.from_file(args.config, **overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .data import Trial, TrialSet
+from .data import ScatterSet
 from .errors import NumericError
 from .geometry import SpdMatrix, shrink_covariance
 
@@ -87,39 +87,38 @@ class SpatialFilterBank:
                    np.array(d["eigenvalues"], dtype=np.float64))
 
 
-def _normalized_trial_covariance(samples: np.ndarray) -> np.ndarray:
-    cov = samples @ samples.T
-    tr = float(np.trace(cov))
-    if tr <= 0.0:
-        raise NumericError("trial has zero power; cannot normalize covariance")
-    return cov / tr
-
-
-def class_mean_covariances(train: TrialSet) -> tuple[SpdMatrix, SpdMatrix]:
+def class_mean_covariances(train: ScatterSet) -> tuple[SpdMatrix, SpdMatrix]:
     """Trace-normalized class-mean covariances of a training set.
 
-    Per-trial covariances are normalized by their trace and averaged within
-    each class, so each class mean has unit trace. Shrinkage toward the
-    scaled identity keeps the means usable when trials are rank deficient.
+    Each trial's scatter matrix is divided by its trace and the results are
+    averaged within each class, so each class mean has unit trace.
+    Shrinkage toward the scaled identity keeps the means usable when trials
+    are rank deficient.
     """
+    s = train.matrices
+    tr = np.trace(s, axis1=1, axis2=2)
+    bad = np.flatnonzero(tr <= 0.0)
+    if bad.size:
+        raise NumericError(f"trial {train.ids[bad[0]]}: zero power; cannot "
+                           f"normalize its covariance")
     means = []
     for label in (0, 1):
-        trials = train.of_class(label)
-        if len(trials) < 2:
+        in_class = train.labels == label
+        count = int(np.count_nonzero(in_class))
+        if count < 2:
             raise ValueError(
-                f"class {label} has {len(trials)} trials; need at least 2")
-        covs = [_normalized_trial_covariance(t.samples) for t in trials]
-        mean = shrink_covariance(np.mean(covs, axis=0))
-        means.append(SpdMatrix(mean))
+                f"class {label} has {count} trials; need at least 2")
+        normalized = s[in_class] / tr[in_class, None, None]
+        means.append(SpdMatrix(shrink_covariance(normalized.mean(axis=0))))
     return means[0], means[1]
 
 
-def fit_csp(train: TrialSet, n_filters: int = 6) -> SpatialFilterBank:
+def fit_csp(train: ScatterSet, n_filters: int = 6) -> SpatialFilterBank:
     """Fit spatial filters on a two-class training set.
 
     Parameters
     ----------
-    train : TrialSet
+    train : ScatterSet
         Must contain at least two trials of each class.
     n_filters : int
         Even number of filters to keep; half from each eigenvalue extreme.
@@ -154,66 +153,36 @@ def fit_csp(train: TrialSet, n_filters: int = 6) -> SpatialFilterBank:
     return SpatialFilterBank(w_full[keep], patterns_full[:, keep], lam[keep])
 
 
-def _check_channels(bank: SpatialFilterBank, trial: Trial) -> None:
-    if trial.n_channels != bank.n_channels:
+def trial_covariances(bank: SpatialFilterBank, s: ScatterSet) -> np.ndarray:
+    """Shrunk sample covariances of the trials projected through the bank.
+
+    For scatter matrix S over T samples this is W S W' / (T - 1), the
+    covariance of the projected signal W x, symmetrized and blended with
+    the scaled identity so it stays positive definite for rank-deficient
+    trials. Returns a (k, n_filters, n_filters) stack of SPD matrices;
+    errors name the offending trial id.
+    """
+    if s.n_channels != bank.n_channels:
+        raise ValueError(f"trials have {s.n_channels} channels, bank "
+                         f"expects {bank.n_channels}")
+    if s.n_samples < 2:
         raise ValueError(
-            f"trial {trial.trial_id} has {trial.n_channels} channels, "
-            f"bank expects {bank.n_channels}")
-
-
-def project(bank: SpatialFilterBank, trial: Trial) -> Trial:
-    """Apply the filter bank: projected samples are w @ x."""
-    _check_channels(bank, trial)
-    return Trial(bank.w @ trial.samples, trial.label, trial.trial_id)
-
-
-def _shrunk_covariances(z: np.ndarray, trial_ids) -> np.ndarray:
-    """Covariance, shrinkage and SPD check over a (k, n, T) stack of
-    projected trials; errors name the offending trial id."""
-    t = z.shape[-1]
-    if t < 2:
-        raise ValueError(f"trial {trial_ids[0]}: need at least 2 samples")
-    cov = z @ np.swapaxes(z, -1, -2) / (t - 1)
+            f"need at least 2 samples per trial, got {s.n_samples}")
+    cov = bank.w @ s.matrices @ bank.w.T / (s.n_samples - 1)
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     bad = np.flatnonzero(np.trace(cov, axis1=-2, axis2=-1) <= 0.0)
     if bad.size:
         raise NumericError(
-            f"trial {trial_ids[bad[0]]}: zero covariance after projection")
+            f"trial {s.ids[bad[0]]}: zero covariance after projection")
     cov = shrink_covariance(cov)
     w_min = np.linalg.eigvalsh(cov)[:, 0]
     bad = np.flatnonzero(w_min <= 0.0)
     if bad.size:
         i = bad[0]
         raise NumericError(
-            f"trial {trial_ids[i]}: covariance is not positive definite "
+            f"trial {s.ids[i]}: covariance is not positive definite "
             f"(smallest eigenvalue {w_min[i]:.6e})")
     return cov
-
-
-def trial_covariance(trial: Trial) -> SpdMatrix:
-    """Sample covariance of a projected trial with shrinkage applied.
-
-    Computes z @ z' / (T - 1) over the T samples, symmetrizes, and blends
-    with the scaled identity so the result stays positive definite for
-    rank-deficient trials.
-    """
-    return SpdMatrix(
-        _shrunk_covariances(trial.samples[None], [trial.trial_id])[0])
-
-
-def trial_covariances(bank: SpatialFilterBank, trials) -> np.ndarray:
-    """Project trials through the bank and take their shrunk covariances.
-
-    The stacked form of `project` followed by `trial_covariance`: each
-    trial is projected on its own, so only the small (k, n_filters, T)
-    stack is built, never a copy of the full multichannel trial set.
-    Returns a (k, n_filters, n_filters) stack of SPD matrices.
-    """
-    trials = list(trials)
-    for trial in trials:
-        _check_channels(bank, trial)
-    z = np.stack([bank.w @ trial.samples for trial in trials])
-    return _shrunk_covariances(z, [trial.trial_id for trial in trials])
 
 
 def select_channels(bank: SpatialFilterBank,

@@ -1,4 +1,13 @@
-"""Trial containers and on-disk dataset format.
+"""Stacked trial containers and the on-disk dataset format.
+
+A `TrialSet` holds the raw samples of every trial in one read-only
+(n_trials, n_channels, n_samples) array, with label and id vectors. It
+lives from load through the band-pass. After that every layer uses a trial
+only through its channel scatter matrix S = x x', so preprocessing turns
+the samples into a `ScatterSet`: one (n_trials, n_channels, n_channels)
+stack plus the number of samples each matrix sums over. Both containers
+are validated once, at construction; `subset` and the filter outputs are
+derived from validated data and skip the checks.
 
 A dataset is a JSON manifest next to one raw binary file per trial.  The
 manifest carries the shared geometry (channel count, samples per trial,
@@ -9,8 +18,9 @@ samples of one trial as little-endian float64, row-major, channels x samples.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,107 +33,154 @@ _MANIFEST_KEYS = {"channels", "samples", "channel_names", "sampling_rate_hz",
                   "class_names", "trials"}
 
 
-def _as_float64(samples) -> np.ndarray:
-    arr = np.ascontiguousarray(samples, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-@dataclass(frozen=True)
-class Trial:
-    """One trial of multichannel samples.
+def _derived(obj, **fields):
+    """A copy of a validated container with some array fields replaced,
+    without validating again: the new arrays derive from validated ones."""
+    new = copy.copy(obj)
+    new.__dict__.update({k: _readonly(v) for k, v in fields.items()})
+    return new
 
-    Parameters
-    ----------
-    samples : ndarray, shape (n_channels, n_samples)
-        Float64 sample matrix. Stored read-only.
-    label : int
-        Class label, 0 or 1.
-    trial_id : int
-        Identifier unique within its set.
-    """
 
-    samples: np.ndarray
-    label: int
-    trial_id: int
+def _names(names, what: str, count: int) -> tuple[str, ...]:
+    if (not isinstance(names, (list, tuple))
+            or not all(isinstance(s, str) for s in names)):
+        raise SchemaError(f"{what} must be a list of strings, got {names!r}")
+    if len(names) != count:
+        raise SchemaError(f"{what} has {len(names)} entries, expected {count}")
+    return tuple(names)
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _as_float64(self.samples))
-        if self.samples.ndim != 2:
+
+class _TrialStack:
+    """What both trial containers share. `_stack` names the float64 array,
+    stored read-only, whose first axis runs over trials and second over
+    channels. Integer `labels` (0 or 1) and unique integer `ids` run along
+    the same first axis; `channel_names` name the channels and
+    `class_names` the two classes."""
+
+    _stack: str
+
+    def _validate(self) -> None:
+        """Check and store the shared fields, once."""
+        # a view, so a caller's own array keeps its write flag
+        a = np.ascontiguousarray(getattr(self, self._stack),
+                                 dtype=np.float64).view()
+        if a.ndim != 3 or not len(a):
+            raise DataError(f"{self._stack} must be a non-empty 3-D stack "
+                            f"(trials x channels x ...), got shape {a.shape}")
+        n = len(a)
+        labels, ids = np.asarray(self.labels), np.asarray(self.ids)
+        if labels.shape != (n,) or ids.shape != (n,):
+            raise SchemaError(
+                f"need one label and one id per trial: {n} trials, labels "
+                f"shape {labels.shape}, ids shape {ids.shape}")
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise SchemaError(
+                f"trial ids must be integers, got dtype {ids.dtype}")
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
+        if bad.size:
+            raise SchemaError(f"trial {ids[bad[0]]}: label must be 0 or 1, "
+                              f"got {labels[bad[0]].item()!r}")
+        uniq, counts = np.unique(ids, return_counts=True)
+        if np.any(counts > 1):
+            raise SchemaError(f"duplicate trial id {uniq[counts > 1][0]}")
+        bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
+        if bad.size:
             raise DataError(
-                f"trial {self.trial_id}: samples must be 2-D "
-                f"(channels x samples), got shape {self.samples.shape}")
-        if self.label not in (0, 1):
-            raise SchemaError(
-                f"trial {self.trial_id}: label must be 0 or 1, got {self.label!r}")
-        if not np.isfinite(self.samples).all():
-            raise DataError(f"trial {self.trial_id}: non-finite sample values")
-
-    @property
-    def n_channels(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[1]
-
-
-@dataclass(frozen=True)
-class TrialSet:
-    """An ordered collection of trials with shared geometry."""
-
-    trials: tuple[Trial, ...]
-    channel_names: tuple[str, ...]
-    sampling_rate_hz: float
-    class_names: tuple[str, str] = ("class0", "class1")
-
-    def __post_init__(self):
-        object.__setattr__(self, "trials", tuple(self.trials))
-        object.__setattr__(self, "channel_names", tuple(self.channel_names))
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-        if self.sampling_rate_hz <= 0:
-            raise SchemaError(
-                f"sampling_rate_hz must be positive, got {self.sampling_rate_hz}")
-        if len(self.class_names) != 2:
-            raise SchemaError("exactly two class names are required")
-        if not self.trials:
-            raise DataError("trial set is empty")
-        n_ch = len(self.channel_names)
-        n_sa = self.trials[0].n_samples
-        seen_ids = set()
-        for t in self.trials:
-            if t.n_channels != n_ch:
-                raise SchemaError(
-                    f"trial {t.trial_id}: expected {n_ch} channels, "
-                    f"got {t.n_channels}")
-            if t.n_samples != n_sa:
-                raise SchemaError(
-                    f"trial {t.trial_id}: expected {n_sa} samples, "
-                    f"got {t.n_samples}")
-            if t.trial_id in seen_ids:
-                raise SchemaError(f"duplicate trial id {t.trial_id}")
-            seen_ids.add(t.trial_id)
+                f"trial {ids[bad[0]]}: non-finite values in {self._stack}")
+        for name, value in (
+                (self._stack, _readonly(a)),
+                ("labels", _readonly(labels.astype(np.int64))),
+                ("ids", _readonly(ids.astype(np.int64))),
+                ("channel_names",
+                 _names(self.channel_names, "channel_names", a.shape[1])),
+                ("class_names", _names(self.class_names, "class_names", 2))):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.trials)
-
-    def __iter__(self):
-        return iter(self.trials)
+        return len(self.ids)
 
     @property
     def n_channels(self) -> int:
         return len(self.channel_names)
 
-    def labels(self) -> np.ndarray:
-        return np.array([t.label for t in self.trials], dtype=int)
+    def subset(self, index):
+        """The trials picked by a slice, index array or boolean mask, in
+        that order. A slice gives views."""
+        return _derived(self, labels=self.labels[index], ids=self.ids[index],
+                        **{self._stack: getattr(self, self._stack)[index]})
 
-    def of_class(self, label: int) -> list[Trial]:
-        return [t for t in self.trials if t.label == label]
 
-    def replace_trials(self, trials) -> "TrialSet":
-        """Same metadata, new trial list (used after filtering/epoching)."""
-        return TrialSet(tuple(trials), self.channel_names,
-                        self.sampling_rate_hz, self.class_names)
+@dataclass(frozen=True)
+class TrialSet(_TrialStack):
+    """Raw samples, shape (n_trials, n_channels, n_samples), of an ordered
+    set of trials sampled at one rate."""
+
+    _stack = "samples"
+    samples: np.ndarray
+    labels: np.ndarray
+    ids: np.ndarray
+    channel_names: tuple[str, ...]
+    sampling_rate_hz: float
+    class_names: tuple[str, str] = ("class0", "class1")
+
+    def __post_init__(self):
+        if not self.sampling_rate_hz > 0:
+            raise SchemaError(
+                f"sampling_rate_hz must be positive, got {self.sampling_rate_hz}")
+        self._validate()
+
+    @property
+    def n_samples(self) -> int:
+        return self.samples.shape[2]
+
+
+@dataclass(frozen=True)
+class ScatterSet(_TrialStack):
+    """Channel scatter matrices S = x x' of epoched trials, shape
+    (n_trials, n_channels, n_channels). Each sums over n_samples samples,
+    so a trial's sample covariance is S / (n_samples - 1)."""
+
+    _stack = "matrices"
+    matrices: np.ndarray
+    n_samples: int
+    labels: np.ndarray
+    ids: np.ndarray
+    channel_names: tuple[str, ...]
+    class_names: tuple[str, str] = ("class0", "class1")
+
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise DataError(f"n_samples must be >= 1, got {self.n_samples}")
+        shape = np.shape(self.matrices)
+        if len(shape) != 3 or shape[1] != shape[2]:
+            raise DataError(f"matrices must be (trials x channels x "
+                            f"channels), got shape {shape}")
+        self._validate()
+
+    @classmethod
+    def from_trials(cls, ts: TrialSet) -> "ScatterSet":
+        """Scatter matrices of the trials' samples as they are."""
+        x = ts.samples
+        return cls(x @ np.swapaxes(x, 1, 2), ts.n_samples, ts.labels, ts.ids,
+                   ts.channel_names, ts.class_names)
+
+
+def _read_json(path) -> dict:
+    """The JSON object a file holds; invalid JSON or another JSON value is
+    a SchemaError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            value = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"{path} is not valid JSON: {e}") from e
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path} must hold a JSON object")
+    return value
 
 
 def _integer(value, field: str) -> int:
@@ -134,6 +191,14 @@ def _integer(value, field: str) -> int:
     if isinstance(value, bool) or not integral:
         raise SchemaError(f"{field} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(value, field: str) -> float:
+    """A JSON number (not a bool) as float; anything else is a SchemaError
+    naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{field} must be a number, got {value!r}")
+    return float(value)
 
 
 def load_trialset(manifest_path) -> TrialSet:
@@ -153,50 +218,52 @@ def load_trialset(manifest_path) -> TrialSet:
     FileNotFoundError
         If the manifest or a trial file is missing.
     SchemaError
-        On missing manifest fields, non-integer channels, samples, trial
-        ids or labels, or a trial file whose size does not match the
-        channels x samples geometry declared at the manifest top level.
+        On missing or mistyped manifest fields, non-integer channels,
+        samples, trial ids or labels, labels outside {0, 1}, duplicate ids,
+        or a trial file whose size does not match the channels x samples
+        geometry declared at the manifest top level.
     DataError
-        If any trial holds non-finite values.
+        If the set is empty or any trial holds non-finite values.
     """
     manifest_path = Path(manifest_path)
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"manifest is not valid JSON: {e}") from e
-
+    manifest = _read_json(manifest_path)
     missing = _MANIFEST_KEYS - set(manifest)
     if missing:
         raise SchemaError(f"manifest missing fields: {sorted(missing)}")
 
     n_ch = _integer(manifest["channels"], "manifest field 'channels'")
     n_sa = _integer(manifest["samples"], "manifest field 'samples'")
-    names = [str(c) for c in manifest["channel_names"]]
-    if len(names) != n_ch:
+    if n_ch < 1 or n_sa < 1:
         raise SchemaError(
-            f"channel_names has {len(names)} entries, manifest says "
-            f"channels={n_ch}")
+            f"channels and samples must be >= 1, got {n_ch} and {n_sa}")
+    rate = _number(manifest["sampling_rate_hz"],
+                   "manifest field 'sampling_rate_hz'")
+    rows = manifest["trials"]
+    if not isinstance(rows, list) or not rows:
+        raise SchemaError("manifest field 'trials' must be a non-empty list")
 
-    base = manifest_path.parent
-    trials = []
-    for row in manifest["trials"]:
+    samples = np.empty((len(rows), n_ch, n_sa))
+    labels = np.empty(len(rows), dtype=np.int64)
+    ids = np.empty(len(rows), dtype=np.int64)
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise SchemaError(f"trial row {i} must be an object, got {row!r}")
         for key in ("id", "label", "file"):
             if key not in row:
-                raise SchemaError(f"trial row missing field {key!r}: {row}")
-        tid = _integer(row["id"], "trial field 'id'")
-        label = _integer(row["label"], f"trial {tid}: field 'label'")
-        path = base / row["file"]
-        raw = np.fromfile(path, dtype="<f8")
+                raise SchemaError(f"trial row {i} missing field {key!r}")
+        ids[i] = tid = _integer(row["id"], "trial field 'id'")
+        labels[i] = _integer(row["label"], f"trial {tid}: field 'label'")
+        if not isinstance(row["file"], str):
+            raise SchemaError(f"trial {tid}: field 'file' must be a string")
+        raw = np.fromfile(manifest_path.parent / row["file"], dtype="<f8")
         if raw.size != n_ch * n_sa:
             raise SchemaError(
                 f"trial {tid}: file {row['file']} holds {raw.size} values, "
                 f"expected {n_ch}x{n_sa}={n_ch * n_sa}")
-        trials.append(Trial(raw.reshape(n_ch, n_sa), label, tid))
+        samples[i] = raw.reshape(n_ch, n_sa)
 
-    return TrialSet(tuple(trials), tuple(names),
-                    float(manifest["sampling_rate_hz"]),
-                    tuple(str(c) for c in manifest["class_names"]))
+    return TrialSet(samples, labels, ids, manifest["channel_names"], rate,
+                    manifest["class_names"])
 
 
 def save_trialset(ts: TrialSet, out_dir) -> Path:
@@ -210,15 +277,14 @@ def save_trialset(ts: TrialSet, out_dir) -> Path:
     trial_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for t in ts.trials:
-        rel = f"trials/trial_{t.trial_id:05d}.bin"
-        data = np.ascontiguousarray(t.samples, dtype="<f8")
-        (out_dir / rel).write_bytes(data.tobytes())
-        rows.append({"id": t.trial_id, "label": t.label, "file": rel})
+    for tid, label, x in zip(ts.ids.tolist(), ts.labels.tolist(), ts.samples):
+        rel = f"trials/trial_{tid:05d}.bin"
+        (out_dir / rel).write_bytes(np.ascontiguousarray(x, "<f8").tobytes())
+        rows.append({"id": tid, "label": label, "file": rel})
 
     manifest = {
         "channels": ts.n_channels,
-        "samples": ts.trials[0].n_samples,
+        "samples": ts.n_samples,
         "channel_names": list(ts.channel_names),
         "sampling_rate_hz": ts.sampling_rate_hz,
         "class_names": list(ts.class_names),
@@ -231,11 +297,10 @@ def save_trialset(ts: TrialSet, out_dir) -> Path:
     return manifest_path
 
 
-def split_train_test(ts: TrialSet, n_train: int) -> tuple[TrialSet, TrialSet]:
-    """Split in manifest order: first n_train trials train, rest test."""
+def split_train_test(ts, n_train: int):
+    """Split a TrialSet or ScatterSet in order: the first n_train trials
+    train, the rest test."""
     if not 0 < n_train < len(ts):
         raise ValueError(
             f"n_train must be in (0, {len(ts)}), got {n_train}")
-    train = ts.replace_trials(ts.trials[:n_train])
-    test = ts.replace_trials(ts.trials[n_train:])
-    return train, test
+    return ts.subset(slice(None, n_train)), ts.subset(slice(n_train, None))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .data import Trial
+from .data import TrialSet, _derived
 from .errors import FilterDesignError, NumericError
 
 FAMILIES = ("butterworth", "elliptic")
@@ -131,15 +131,16 @@ def design_bandpass(spec: FilterSpec) -> SosFilter:
     return SosFilter(sos, spec)
 
 
-def apply_filter(filt: SosFilter, trial: Trial) -> Trial:
-    """Filter every channel of a trial causally (zero initial conditions)."""
-    # sosfilt wants writable buffers; sections and samples are stored read-only
-    out = signal.sosfilt(np.array(filt.sections), np.array(trial.samples),
-                         axis=1)
-    if not np.isfinite(out).all():
+def apply_filter(filt: SosFilter, ts: TrialSet) -> TrialSet:
+    """Filter every channel of every trial causally (zero initial
+    conditions), in one call over the whole stack."""
+    # sosfilt wants writable sections; they are stored read-only
+    out = signal.sosfilt(np.array(filt.sections), ts.samples, axis=-1)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+    if bad.size:
         raise NumericError(
-            f"trial {trial.trial_id}: filter output is non-finite")
-    return Trial(out, trial.label, trial.trial_id)
+            f"trial {ts.ids[bad[0]]}: filter output is non-finite")
+    return _derived(ts, samples=out)
 
 
 def frequency_response(filt: SosFilter, freqs_hz) -> np.ndarray:
@@ -166,43 +167,27 @@ def response_grid(filt: SosFilter, n_points: int = 1024) -> tuple[np.ndarray, np
     return freqs, magnitude_db(filt, freqs)
 
 
-def extract_epoch(trial: Trial, onset_s: float, duration_s: float,
-                  sampling_rate_hz: float) -> Trial:
-    """Cut a fixed-length window out of a trial.
+def extract_epoch(ts: TrialSet, onset_s: float,
+                  duration_s: float) -> TrialSet:
+    """Cut a fixed-length window out of every trial; returns a view.
 
     The window starts at round(onset_s * fs) and spans
-    round(duration_s * fs) samples.
+    round(duration_s * fs) samples, fs being the set's sampling rate.
     """
     if duration_s <= 0:
         raise ValueError(f"duration_s must be positive, got {duration_s}")
     if onset_s < 0:
         raise ValueError(f"onset_s must be >= 0, got {onset_s}")
-    start = int(round(onset_s * sampling_rate_hz))
-    length = int(round(duration_s * sampling_rate_hz))
+    start = int(round(onset_s * ts.sampling_rate_hz))
+    length = int(round(duration_s * ts.sampling_rate_hz))
     if length < 1:
         raise ValueError("epoch window is empty at this sampling rate")
     stop = start + length
-    if stop > trial.n_samples:
+    if stop > ts.n_samples:
         raise ValueError(
-            f"trial {trial.trial_id}: epoch [{start}, {stop}) exceeds "
-            f"{trial.n_samples} samples")
-    return Trial(trial.samples[:, start:stop], trial.label, trial.trial_id)
-
-
-def concat_band_outputs(trials: list[Trial]) -> Trial:
-    """Join several filtered copies of one trial along the time axis.
-
-    Used by the concatenated-band mode: the sample covariance of the joined
-    signal equals the average of the per-band covariances.
-    """
-    if not trials:
-        raise ValueError("need at least one band output")
-    first = trials[0]
-    if any(t.trial_id != first.trial_id or t.label != first.label
-           for t in trials):
-        raise ValueError("band outputs must come from the same trial")
-    joined = np.concatenate([t.samples for t in trials], axis=1)
-    return Trial(joined, first.label, first.trial_id)
+            f"epoch [{start}, {stop}) exceeds the {ts.n_samples} samples "
+            f"per trial")
+    return _derived(ts, samples=ts.samples[:, :, start:stop])
 
 
 def write_response_csv(filt: SosFilter, path, n_points: int = 1024) -> None:

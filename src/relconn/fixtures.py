@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Trial, TrialSet, save_trialset
+from .data import TrialSet, save_trialset
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def synthesize_trialset(spec: FixtureSpec, seed: int) -> tuple[TrialSet, dict]:
             chol_cache[key] = np.linalg.cholesky(cov)
         return chol_cache[key] @ rng.standard_normal((spec.n_channels, n_samples))
 
-    trials = []
+    samples = np.empty((n_total, spec.n_channels, n_samples))
     for tid in range(n_total):
         label = int(labels[tid])
         in_validation = tid >= n_train
@@ -198,11 +198,11 @@ def synthesize_trialset(spec: FixtureSpec, seed: int) -> tuple[TrialSet, dict]:
             cov = (a0 if label == 0 else a1) + noise
             if in_validation:
                 cov = cov + (shift0 if label == 0 else shift1)
-        trials.append(Trial(draw(cov), label, tid))
+        samples[tid] = draw(cov)
 
     channel_names = tuple(f"ch{i + 1:02d}" for i in range(spec.n_channels))
-    ts = TrialSet(tuple(trials), channel_names, spec.sampling_rate_hz,
-                  spec.class_names)
+    ts = TrialSet(samples, labels, np.arange(n_total), channel_names,
+                  spec.sampling_rate_hz, spec.class_names)
     truth = {
         "seed": seed,
         "n_train": n_train,

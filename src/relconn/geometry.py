@@ -2,9 +2,7 @@
 
 All matrix functions go through the symmetric eigendecomposition: for
 A = U diag(d) U', f(A) = U diag(f(d)) U'. Eigenvalues that underflow are
-clamped at 1e-12 times the largest eigenvalue before taking logarithms;
-each clamp increments a module-level counter so pipeline reports can
-surface how often it happened.
+floored at 1e-12 times the largest eigenvalue before taking logarithms.
 
 The matrix log and the tangent map work on a (k, n, n) stack in one
 batched eigendecomposition (the stacked tangent-space mapping of Barachant
@@ -25,24 +23,6 @@ EIG_CLAMP_REL = 1e-12
 
 # shrinkage weight used on every covariance consumed downstream
 SHRINKAGE_GAMMA = 1e-6
-
-_clamp_events = 0
-
-
-def clamp_event_count() -> int:
-    """Number of eigenvalue clamps since the last reset (diagnostic)."""
-    return _clamp_events
-
-
-def reset_clamp_events() -> None:
-    global _clamp_events
-    _clamp_events = 0
-
-
-def _record_clamps(n: int) -> None:
-    global _clamp_events
-    _clamp_events += n
-
 
 def _as_matrix(m) -> np.ndarray:
     values = getattr(m, "values", m)
@@ -138,7 +118,7 @@ class TangentVector:
 
 def _clamped_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a matrix or stack with the relative
-    eigenvalue floor applied per matrix; each clamped eigenvalue counts."""
+    eigenvalue floor applied per matrix."""
     w, u = np.linalg.eigh(a)
     w_max = w[..., -1:]
     bad = np.flatnonzero(w_max <= 0.0)
@@ -147,12 +127,7 @@ def _clamped_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(
             f"{_which(a, i)}largest eigenvalue is {w_max.flat[i]:.6e}; "
             f"matrix has no positive part")
-    floor = EIG_CLAMP_REL * w_max
-    n_clamped = int(np.count_nonzero(w < floor))
-    if n_clamped:
-        _record_clamps(n_clamped)
-        w = np.maximum(w, floor)
-    return w, u
+    return np.maximum(w, EIG_CLAMP_REL * w_max), u
 
 
 def _from_eigen(u: np.ndarray, fw: np.ndarray) -> np.ndarray:
@@ -173,7 +148,7 @@ def matrix_log(m) -> np.ndarray:
     ----------
     m : SpdMatrix or ndarray
         Symmetric positive definite input. Eigenvalues below the relative
-        floor are clamped (counted) rather than rejected; an input with no
+        floor are clamped rather than rejected; an input with no
         positive eigenvalue at all raises NumericError.
 
     Returns
@@ -190,7 +165,7 @@ def matrix_logs(mats) -> np.ndarray:
     Parameters
     ----------
     mats : (k, n, n) ndarray or sequence of SpdMatrix / ndarray
-        Same checks, floor and clamp counting as `matrix_log`; an error
+        Same checks and floor as `matrix_log`; an error
         names the index of the offending matrix.
 
     Returns

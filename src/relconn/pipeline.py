@@ -6,9 +6,12 @@ stages, so deleting downstream files and rerunning a single stage
 reproduces them byte for byte. All JSON is written with sorted keys and
 no timestamps; identical configuration and data give identical bytes.
 
-`run_pipeline` loads and band-passes the recording once and hands the
-preprocessed train/test split to every stage that reads trials. A stage
-run on its own (one CLI subcommand) loads and band-passes for itself.
+Preprocessing band-passes the raw samples, cuts the epoch window and
+reduces every trial to its channel scatter matrix S = x x'; every later
+stage works on that `ScatterSet` only. `run_pipeline` loads and
+preprocesses the recording once and hands the train/test split to every
+stage that reads trials. A stage run on its own (one CLI subcommand) loads
+and preprocesses for itself.
 """
 
 from __future__ import annotations
@@ -16,20 +19,19 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import geometry
-from .classify import (TslrModel, EvalReport, TrialOutcome, cross_validate,
-                       evaluate, select_relevant, train)
+from .classify import (TslrModel, EvalReport, cross_validate, evaluate,
+                       select_relevant, train)
 from .csp import (SpatialFilterBank, fit_csp, select_channels,
                   trial_covariances)
-from .data import TrialSet, load_trialset, split_train_test
+from .data import (ScatterSet, TrialSet, _integer, _number, _read_json,
+                   load_trialset, split_train_test)
 from .errors import SchemaError
-from .filters import (FilterSpec, apply_filter, concat_band_outputs,
-                      design_bandpass, extract_epoch)
+from .filters import FilterSpec, apply_filter, design_bandpass, extract_epoch
 from .graphs import ConnectivityGraph, NodeMetrics, build_graph, separability
 
 DATASET_KINDS = ("errp", "motor_imagery")
@@ -61,9 +63,48 @@ ARTIFACTS = {
     "separability": "80_separability.json",
 }
 
-_CONFIG_KEYS = {"dataset_kind", "manifest", "out_dir", "n_train", "n_filters",
-                "lambda", "k_folds", "posterior_threshold",
-                "top_edge_fraction", "seed", "band_mode", "filter", "epoch"}
+
+def _text(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _pair(value, field: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise SchemaError(f"{field} must be a list of two numbers, got {value!r}")
+    return tuple(_number(v, f"each entry of {field}") for v in value)
+
+
+_FILTER_KEYS = {"family": _text, "order": _integer, "band_hz": _pair,
+                "passband_ripple_db": _number, "stopband_atten_db": _number}
+
+
+def _filter(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{field} must be an object, got {value!r}")
+    for key, check in _FILTER_KEYS.items():
+        if key in value:
+            check(value[key], f"config key 'filter.{key}'")
+    return value
+
+
+# config key -> (PipelineConfig field, JSON type check)
+_CONFIG_KEYS = {
+    "dataset_kind": ("dataset_kind", _text),
+    "manifest": ("manifest", _text),
+    "out_dir": ("out_dir", _text),
+    "n_train": ("n_train", _integer),
+    "n_filters": ("n_filters", _integer),
+    "lambda": ("lam", _number),
+    "k_folds": ("k_folds", _integer),
+    "posterior_threshold": ("posterior_threshold", _number),
+    "top_edge_fraction": ("top_edge_fraction", _number),
+    "seed": ("seed", _integer),
+    "band_mode": ("band_mode", _text),
+    "filter": ("filter_override", _filter),
+    "epoch": ("epoch_override", _pair),
+}
 
 
 @dataclass(frozen=True)
@@ -114,8 +155,9 @@ class PipelineConfig:
             raise ValueError(
                 f"top_edge_fraction must be in (0, 1], "
                 f"got {self.top_edge_fraction}")
-        if self.lam is not None and self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        # with no penalty the solver never converges on separable folds
+        if self.lam is not None and not self.lam > 0:
+            raise ValueError(f"lambda must be > 0, got {self.lam}")
         if self.n_train is not None and self.n_train < 1:
             raise ValueError(f"n_train must be >= 1, got {self.n_train}")
         if self.epoch_override is not None:
@@ -124,29 +166,16 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"config is not valid JSON: {e}") from e
-        unknown = set(raw) - _CONFIG_KEYS
+        raw = _read_json(path)
+        unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
             raise SchemaError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {
-            "dataset_kind": raw.get("dataset_kind", "errp"),
-            "manifest": raw.get("manifest", ""),
-            "out_dir": raw.get("out_dir", ""),
-            "n_train": raw.get("n_train"),
-            "n_filters": raw.get("n_filters", 6),
-            "lam": raw.get("lambda"),
-            "k_folds": raw.get("k_folds", 10),
-            "posterior_threshold": raw.get("posterior_threshold", 0.7),
-            "top_edge_fraction": raw.get("top_edge_fraction", 0.1),
-            "seed": raw.get("seed", 42),
-            "band_mode": raw.get("band_mode", "single"),
-            "filter_override": raw.get("filter"),
-            "epoch_override": tuple(raw["epoch"]) if raw.get("epoch") else None,
-        }
+        kwargs = {"dataset_kind": "errp", "manifest": "", "out_dir": ""}
+        for key, value in raw.items():
+            field, check = _CONFIG_KEYS[key]
+            # null stands for an absent key
+            if value is not None:
+                kwargs[field] = check(value, f"config key {key!r}")
         for key, value in overrides.items():
             if value is not None:
                 kwargs[key] = value
@@ -156,10 +185,6 @@ class PipelineConfig:
         if not cfg.out_dir:
             raise SchemaError("config must name an out_dir")
         return cfg
-
-    def with_overrides(self, **overrides) -> "PipelineConfig":
-        supplied = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **supplied)
 
     def filter_specs(self, sampling_rate_hz: float) -> list[FilterSpec]:
         family, order, bands = _KIND_FILTERS[self.dataset_kind]
@@ -209,11 +234,6 @@ def _write_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
-def _read_json(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -224,28 +244,38 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
                              for v in row])
 
 
-def preprocess(cfg: PipelineConfig, ts: TrialSet) -> TrialSet:
-    """Band-pass filter every trial, cut the epoch window, and (in concat
-    mode) join the band outputs along time."""
-    specs = cfg.filter_specs(ts.sampling_rate_hz)
-    filts = [design_bandpass(s) for s in specs]
+# trials band-passed at a time: bounds the filtered copy held in memory
+CHUNK_TRIALS = 64
+
+
+def preprocess(cfg: PipelineConfig, ts: TrialSet) -> ScatterSet:
+    """Band-pass every trial, cut the epoch window and keep each trial's
+    scatter matrix x x'.
+
+    In concat mode the band outputs are joined along time; the scatter
+    matrix of the joined signal is the sum of the per-band scatter
+    matrices, so that sum is what is kept, without building the join.
+    """
+    filts = [design_bandpass(s)
+             for s in cfg.filter_specs(ts.sampling_rate_hz)]
     onset, duration = cfg.epoch_window()
-    out = []
-    for t in ts:
-        bands = [extract_epoch(apply_filter(f, t), onset, duration,
-                               ts.sampling_rate_hz) for f in filts]
-        out.append(bands[0] if len(bands) == 1 else concat_band_outputs(bands))
-    return ts.replace_trials(out)
+    scatter = np.zeros((len(ts), ts.n_channels, ts.n_channels))
+    for start in range(0, len(ts), CHUNK_TRIALS):
+        chunk = ts.subset(slice(start, start + CHUNK_TRIALS))
+        for filt in filts:
+            x = extract_epoch(apply_filter(filt, chunk), onset, duration).samples
+            scatter[start:start + len(chunk)] += x @ np.swapaxes(x, 1, 2)
+    return ScatterSet(scatter, len(filts) * x.shape[2], ts.labels, ts.ids,
+                      ts.channel_names, ts.class_names)
 
 
-Split = tuple[TrialSet, TrialSet]
+Split = tuple[ScatterSet, ScatterSet]
 
 
 def _load_split(cfg: PipelineConfig) -> Split:
-    """Load, band-pass and epoch the manifest; split into (train, test)."""
-    ts = load_trialset(cfg.manifest)
-    ts = preprocess(cfg, ts)
-    return split_train_test(ts, cfg.resolved_n_train(len(ts)))
+    """Load and preprocess the manifest; split into (train, test)."""
+    scatter = preprocess(cfg, load_trialset(cfg.manifest))
+    return split_train_test(scatter, cfg.resolved_n_train(len(scatter)))
 
 
 def _unique_node_names(picks) -> list[str]:
@@ -334,28 +364,33 @@ def stage_evaluate(cfg: PipelineConfig, split: Split | None = None) -> Path:
 
 def _load_report(cfg: PipelineConfig) -> EvalReport:
     aggregates = _read_json(cfg.out_path("eval_report"))
-    outcomes = []
-    with open(cfg.out_path("eval_per_trial"), "r", encoding="utf-8",
-              newline="") as fh:
-        for row in csv.DictReader(fh):
-            outcomes.append(TrialOutcome(
-                int(row["trial_id"]), int(row["true_label"]),
-                int(row["predicted_label"]), float(row["posterior"])))
+    # columns trial_id, true_label, predicted_label, posterior; float
+    # parsing reads back the repr'd posteriors exactly
+    table = np.loadtxt(cfg.out_path("eval_per_trial"), delimiter=",",
+                       skiprows=1, ndmin=2)
+    ids, true, pred = table[:, :3].astype(int).T
     return EvalReport(aggregates["accuracy"], aggregates["precision"],
-                      aggregates["recall"], tuple(outcomes))
+                      aggregates["recall"], ids, true, pred, table[:, 3])
 
 
 def stage_select(cfg: PipelineConfig) -> Path:
-    """Filter the evaluated trials down to confident, correct ones."""
+    """Filter the evaluated trials down to confident, correct ones; both
+    classes must keep at least one trial, or no graph can be built."""
     with _stage("select"):
         report = _load_report(cfg)
         ids = select_relevant(report, cfg.posterior_threshold)
+        selected_labels = report.true_labels[np.isin(report.trial_ids, ids)]
+        per_class = np.bincount(selected_labels, minlength=2).tolist()
+        if min(per_class) == 0:
+            raise ValueError(
+                f"threshold {cfg.posterior_threshold} leaves a class with no "
+                f"selected trial (selected per class: {per_class})")
         path = cfg.out_path("selected_trials")
         _write_json(path, {
             "threshold": cfg.posterior_threshold,
             "selected_ids": ids,
             "n_selected": len(ids),
-            "n_evaluated": len(report.per_trial),
+            "n_evaluated": len(report.trial_ids),
         })
         return path
 
@@ -368,15 +403,14 @@ def stage_graph(cfg: PipelineConfig,
     with _stage("graph"):
         _, test_set = split or _load_split(cfg)
         bank, node_names = _load_bank(cfg)
-        selected = set(_read_json(cfg.out_path("selected_trials"))["selected_ids"])
+        selected = _read_json(cfg.out_path("selected_trials"))["selected_ids"]
 
         covs = trial_covariances(bank, test_set)
-        labels = test_set.labels()
-        is_selected = np.array([t.trial_id in selected for t in test_set])
+        is_selected = np.isin(test_set.ids, selected)
         paths = []
         metric_rows = []
         for class_index in (0, 1):
-            in_class = labels == class_index
+            in_class = test_set.labels == class_index
             for condition, rows in (("all", in_class),
                                     ("selected", in_class & is_selected)):
                 n_trials = int(np.count_nonzero(rows))
@@ -429,7 +463,6 @@ def stage_report(cfg: PipelineConfig) -> Path:
             "selected": metrics["selected"],
             "improved": improved,
             "n_improved": sum(improved.values()),
-            "eig_clamp_events": geometry.clamp_event_count(),
         })
         return path
 
@@ -437,7 +470,6 @@ def stage_report(cfg: PipelineConfig) -> Path:
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     """Run every stage in order; returns artifact name -> path."""
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    geometry.reset_clamp_events()
     # fit-csp is the first stage to read trials, so load errors keep its name
     with _stage("fit-csp"):
         split = _load_split(cfg)

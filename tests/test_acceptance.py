@@ -22,7 +22,7 @@ import graph_oracle
 from relconn.classify import (cross_validate, evaluate, fit_l1_logistic,
                               logistic_grad, logistic_loss, train)
 from relconn.csp import class_mean_covariances, fit_csp
-from relconn.data import Trial, TrialSet
+from relconn.data import ScatterSet, TrialSet
 from relconn.filters import (FilterSpec, design_bandpass, frequency_response,
                              magnitude_db)
 from relconn.fixtures import FixtureSpec, generate_fixture
@@ -148,12 +148,12 @@ class TestFilterRecoveryGate:
             q, _ = np.linalg.qr(rng.standard_normal((t_samp, n)))
             return np.linalg.cholesky(cov) @ (np.sqrt(t_samp) * q.T)
 
-        trials = []
+        samples = []
         for i in range(20):
-            trials.append(Trial(cov_samples(c0), 0, 2 * i))
-            trials.append(Trial(cov_samples(c1), 1, 2 * i + 1))
-        ts = TrialSet(tuple(trials), tuple(f"ch{i}" for i in range(n)),
-                      100.0, ("a", "b"))
+            samples += [cov_samples(c0), cov_samples(c1)]
+        ts = ScatterSet.from_trials(TrialSet(
+            np.stack(samples), np.arange(40) % 2, np.arange(40),
+            tuple(f"ch{i}" for i in range(n)), 100.0, ("a", "b")))
         bank = fit_csp(ts, n_filters=n)
 
         cos = np.abs(bank.w @ mixing) / np.linalg.norm(bank.w, axis=1)[:, None]
@@ -272,18 +272,20 @@ class TestClassifierGate:
         scales = {0: np.sqrt(np.geomspace(6.0, 0.5, n)),
                   1: np.sqrt(np.geomspace(6.0, 0.5, n)[::-1])}
 
+        names = tuple(f"ch{i}" for i in range(n))
+
         def make(count, start):
-            trials = []
+            samples = []
             for i in range(count):
                 label = i % 2
-                samples = (scales[label][:, None]
-                           * rng.standard_normal((n, 200)))
-                trials.append(Trial(samples, label, start + i))
-            return tuple(trials)
+                samples.append(scales[label][:, None]
+                               * rng.standard_normal((n, 200)))
+            return ScatterSet.from_trials(TrialSet(
+                np.stack(samples), np.arange(count) % 2,
+                start + np.arange(count), names, 100.0, ("a", "b")))
 
-        names = tuple(f"ch{i}" for i in range(n))
-        train_set = TrialSet(make(200, 0), names, 100.0, ("a", "b"))
-        test_set = TrialSet(make(80, 200), names, 100.0, ("a", "b"))
+        train_set = make(200, 0)
+        test_set = make(80, 200)
         bank = fit_csp(train_set, n_filters=n)
         model = train(train_set, bank)
         report = evaluate(model, test_set)
@@ -295,20 +297,18 @@ class TestClassifierGate:
         t0 = time.monotonic()
         rng = np.random.default_rng(24)
         scale = {0: np.sqrt([2.0, 0.5]), 1: np.sqrt([0.5, 2.0])}
-        trials = tuple(
-            Trial(scale[i % 2][:, None] * rng.standard_normal((2, 60)),
-                  i % 2, i)
-            for i in range(48))
-        base = TrialSet(trials, ("a", "b"), 100.0, ("x", "y"))
-        labels = np.array([t.label for t in base])
+        base = ScatterSet.from_trials(TrialSet(
+            np.stack([scale[i % 2][:, None] * rng.standard_normal((2, 60))
+                      for i in range(48)]),
+            np.arange(48) % 2, np.arange(48), ("a", "b"), 100.0, ("x", "y")))
+        labels = base.labels
 
         means = []
         for rep in range(20):
             permuted = labels[rng.permutation(len(labels))]
-            shuffled = [Trial(t.samples, int(permuted[i]), t.trial_id)
-                        for i, t in enumerate(base)]
-            mean, _ = cross_validate(base.replace_trials(shuffled), k=4,
-                                     n_filters=2, seed=rep)
+            shuffled = ScatterSet(base.matrices, base.n_samples, permuted,
+                                  base.ids, base.channel_names)
+            mean, _ = cross_validate(shuffled, k=4, n_filters=2, seed=rep)
             means.append(mean)
         grand = float(np.mean(means))
         assert 40.0 <= grand <= 60.0

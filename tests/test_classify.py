@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from relconn.classify import (EvalReport, TrialOutcome, TslrModel,
+from relconn.classify import (EvalReport, TslrModel,
                               cross_validate, evaluate, fit_l1_logistic,
-                              logistic_grad, logistic_loss, predict_proba,
+                              logistic_grad, logistic_loss,
                               select_relevant, sigmoid, soft_threshold,
                               stratified_folds, train)
-from relconn.csp import SpatialFilterBank, fit_csp, trial_covariance
-from relconn.data import Trial, TrialSet
+from relconn.csp import SpatialFilterBank, fit_csp
+from relconn.data import ScatterSet, TrialSet
 from relconn.errors import ConvergenceError, StratificationError
 from relconn.geometry import ReferencePoint, SpdMatrix
 
@@ -142,11 +142,15 @@ def bias_only_model(bias):
     return TslrModel(np.zeros(3), bias, 0.1, ref, identity_bank())
 
 
+def scatter_set(samples, labels, ids=None):
+    ids = np.arange(len(labels)) if ids is None else ids
+    return ScatterSet.from_trials(
+        TrialSet(samples, labels, ids, ("a", "b"), 100.0))
+
+
 def labeled_set(labels, seed=0):
     rng = np.random.default_rng(seed)
-    trials = [Trial(rng.standard_normal((2, 30)), lab, i)
-              for i, lab in enumerate(labels)]
-    return TrialSet(tuple(trials), ("a", "b"), 100.0)
+    return scatter_set(rng.standard_normal((len(labels), 2, 30)), labels)
 
 
 class TestEvaluate:
@@ -158,9 +162,10 @@ class TestEvaluate:
         assert report.accuracy == pytest.approx(75.0)
         assert report.precision == pytest.approx(75.0)
         assert report.recall == pytest.approx(100.0)
-        for o in report.per_trial:
-            assert o.predicted_label == 1
-            assert o.posterior == pytest.approx(0.9, rel=1e-9)
+        assert report.predicted_labels.tolist() == [1, 1, 1, 1]
+        assert_allclose(report.posteriors, 0.9, rtol=1e-9)
+        assert report.trial_ids.tolist() == [0, 1, 2, 3]
+        assert report.true_labels.tolist() == [1, 1, 0, 1]
 
     def test_percent_metrics_all_negative(self):
         report = evaluate(bias_only_model(-np.log(9.0)),
@@ -171,17 +176,16 @@ class TestEvaluate:
 
     def test_posterior_half_predicts_class_one(self):
         report = evaluate(bias_only_model(0.0), labeled_set([0, 1]))
-        assert [o.predicted_label for o in report.per_trial] == [1, 1]
+        assert report.predicted_labels.tolist() == [1, 1]
 
 
 class TestSelectRelevant:
     def report(self):
-        rows = [TrialOutcome(1, 1, 1, 0.90),
-                TrialOutcome(2, 1, 1, 0.69),
-                TrialOutcome(3, 0, 0, 0.30),
-                TrialOutcome(4, 0, 1, 0.95),
-                TrialOutcome(5, 1, 1, 0.70)]
-        return EvalReport(60.0, 75.0, 100.0, tuple(rows))
+        return EvalReport(60.0, 75.0, 100.0,
+                          trial_ids=np.array([1, 2, 3, 4, 5]),
+                          true_labels=np.array([1, 1, 0, 0, 1]),
+                          predicted_labels=np.array([1, 1, 0, 1, 1]),
+                          posteriors=np.array([0.90, 0.69, 0.30, 0.95, 0.70]))
 
     def test_confident_correct_only(self):
         # 2 misses the confidence bar, 4 is wrong, 5 sits exactly on it
@@ -198,19 +202,15 @@ class TestTrainPredict:
     def make_sets(self, seed=8, n_per_class=20):
         rng = np.random.default_rng(seed)
         covs = {0: np.diag([4.0, 1.0]), 1: np.diag([1.0, 4.0])}
-        trials = []
-        tid = 0
+        samples, labels = [], []
         for label in (0, 1):
             chol = np.linalg.cholesky(covs[label])
             for _ in range(n_per_class):
-                samples = chol @ rng.standard_normal((2, 60))
-                trials.append(Trial(samples, label, tid))
-                tid += 1
-        ts = TrialSet(tuple(trials), ("a", "b"), 100.0)
-        order = rng.permutation(len(ts))
-        return ts.replace_trials(
-            [Trial(ts.trials[i].samples, ts.trials[i].label, n)
-             for n, i in enumerate(order)])
+                samples.append(chol @ rng.standard_normal((2, 60)))
+                labels.append(label)
+        order = rng.permutation(len(samples))
+        return scatter_set(np.stack(samples)[order],
+                           np.array(labels)[order])
 
     def test_separable_classes_learned(self):
         train_set = self.make_sets(seed=8)
@@ -232,18 +232,15 @@ class TestTrainPredict:
     def test_round_trip_preserves_predictions(self):
         model = train(self.make_sets(), identity_bank())
         back = TslrModel.from_dict(model.to_dict())
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            a = rng.standard_normal((2, 40))
-            cov = trial_covariance(Trial(a, 0, 0))
-            assert predict_proba(back, cov) == pytest.approx(
-                predict_proba(model, cov), abs=1e-12)
+        test_set = labeled_set([0, 1] * 5, seed=10)
+        assert_allclose(evaluate(back, test_set).posteriors,
+                        evaluate(model, test_set).posteriors,
+                        rtol=0.0, atol=1e-12)
 
     def test_probabilities_clipped(self):
-        model = bias_only_model(1e4)
-        cov = SpdMatrix(np.eye(2))
-        p = predict_proba(model, cov)
-        assert 0.0 < p < 1.0
+        for bias in (1e4, -1e4):
+            p = evaluate(bias_only_model(bias), labeled_set([0, 1])).posteriors
+            assert np.all((0.0 < p) & (p < 1.0))
 
 
 class TestStratifiedFolds:
@@ -283,13 +280,12 @@ class TestStratifiedFolds:
 class TestCrossValidate:
     def make_set(self, seed=12):
         rng = np.random.default_rng(seed)
-        trials = []
+        samples = []
         for tid in range(24):
             label = tid % 2
             scale = np.diag([2.0, 0.5]) if label == 0 else np.diag([0.5, 2.0])
-            trials.append(Trial(scale @ rng.standard_normal((2, 40)),
-                                label, tid))
-        return TrialSet(tuple(trials), ("a", "b"), 100.0)
+            samples.append(scale @ rng.standard_normal((2, 40)))
+        return scatter_set(np.stack(samples), np.arange(24) % 2)
 
     def test_deterministic_and_sane(self):
         ts = self.make_set()

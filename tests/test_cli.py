@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relconn.cli import main
-from relconn.data import Trial, TrialSet, save_trialset
+from relconn.data import TrialSet, save_trialset
 from relconn.filters import FilterSpec, design_bandpass, write_response_csv
 from relconn.pipeline import ARTIFACTS
 
@@ -123,9 +123,8 @@ class TestExitCodes:
 
     def test_numeric_failure_exits_three(self, tmp_path, capsys):
         # all-zero trials have no covariance; the csp stage must flag it
-        trials = tuple(
-            Trial(np.zeros((2, 128)), i % 2, i) for i in range(8))
-        ts = TrialSet(trials, ("c1", "c2"), 100.0, ("a", "b"))
+        ts = TrialSet(np.zeros((8, 2, 128)), np.arange(8) % 2, np.arange(8),
+                      ("c1", "c2"), 100.0, ("a", "b"))
         manifest = save_trialset(ts, tmp_path / "zeros")
 
         cfg = write_config(tmp_path / "cfg.json", manifest, tmp_path / "out",
@@ -133,6 +132,52 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "error: stage fit-csp:" in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("k_folds", "3", "'k_folds' must be an integer"),
+        ("k_folds", True, "'k_folds' must be an integer"),
+        ("seed", 1.5, "'seed' must be an integer"),
+        ("n_train", None, None),
+        ("posterior_threshold", "0.8", "'posterior_threshold' must be a "
+                                       "number"),
+        ("lambda", 0, "lambda must be > 0"),
+        ("epoch", 5, "'epoch' must be a list of two numbers"),
+        ("epoch", [0.0, "1"], "each entry of config key 'epoch' must be a "
+                              "number"),
+        ("filter", [], "'filter' must be an object"),
+        ("filter", {"band_hz": 5}, "'filter.band_hz' must be a list"),
+        ("filter", {"order": "5"}, "'filter.order' must be an integer"),
+        ("dataset_kind", 1, "'dataset_kind' must be a string"),
+        ("band_mode", 2, "'band_mode' must be a string"),
+    ])
+    def test_config_value_checked_up_front(self, dataset, tmp_path, capsys,
+                                           key, value, message):
+        # the wrong type is named before any stage runs; null is the same
+        # as leaving the key out
+        cfg = write_config(tmp_path / "cfg.json", dataset, tmp_path / "out",
+                           **{key: value})
+        code = main(["fit-csp", "--config", str(cfg)])
+        if message is None:
+            assert code == 0
+            return
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_select_without_a_class_exits_two(self, tmp_path, capsys):
+        # on the default (S) fixture nothing reaches this confidence, so
+        # select stops, with the per-class counts, before graph runs
+        manifest = tmp_path / "s" / "manifest.json"
+        assert main(["fixture", "--out", str(manifest.parent)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"manifest": str(manifest),
+                                   "out_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(cfg),
+                     "--threshold", "0.999999"]) == 2
+        assert ("error: stage select: threshold 0.999999 leaves a class "
+                "with no selected trial (selected per class: [0, 0])"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out" / ARTIFACTS["selected_trials"]).exists()
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit):

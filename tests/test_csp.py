@@ -5,22 +5,29 @@ import pytest
 from numpy.testing import assert_allclose
 
 from relconn.csp import (SpatialFilterBank, class_mean_covariances, fit_csp,
-                         project, select_channels, trial_covariance,
-                         trial_covariances)
+                         select_channels, trial_covariances)
+from relconn.data import ScatterSet, TrialSet
 from relconn.errors import NumericError
-from relconn.data import Trial, TrialSet
+from relconn.geometry import shrink_covariance
+
+
+def scatter_set(samples, labels=None, ids=None):
+    """Scatter matrices of a list of same-shaped channels x samples trials."""
+    n = len(samples)
+    labels = np.arange(n) % 2 if labels is None else labels
+    ids = np.arange(n) if ids is None else ids
+    n_ch = np.shape(samples[0])[0]
+    return ScatterSet.from_trials(TrialSet(
+        np.stack(samples), labels, ids, tuple(f"c{i}" for i in range(n_ch)),
+        100.0))
 
 
 def trialset_from_samples(per_class_samples):
     """Build a set from lists of per-class sample matrices."""
-    trials = []
-    tid = 0
-    for label, samples_list in enumerate(per_class_samples):
-        for samples in samples_list:
-            trials.append(Trial(samples, label, tid))
-            tid += 1
-    n_ch = trials[0].n_channels
-    return TrialSet(tuple(trials), tuple(f"c{i}" for i in range(n_ch)), 100.0)
+    samples = [x for group in per_class_samples for x in group]
+    labels = [label for label, group in enumerate(per_class_samples)
+              for _ in group]
+    return scatter_set(samples, labels)
 
 
 def exact_cov_samples(cov, n_samples, rng):
@@ -140,8 +147,8 @@ class TestFitInvariants:
 
     def test_label_swap_complements_eigenvalues(self):
         ts = self.make(11)
-        swapped = ts.replace_trials(
-            [Trial(t.samples, 1 - t.label, t.trial_id) for t in ts])
+        swapped = ScatterSet(ts.matrices, ts.n_samples, 1 - ts.labels, ts.ids,
+                             ts.channel_names)
         lam = fit_csp(ts, 4).eigenvalues
         lam_swapped = fit_csp(swapped, 4).eigenvalues
         # same filters picked from the opposite ends of the spectrum
@@ -176,50 +183,61 @@ class TestPlantedRecovery:
 
 
 class TestProjectAndCovariance:
+    @staticmethod
+    def shrunk(z):
+        """Reference: covariance of the projected samples z, as computed
+        before scatter matrices, symmetrized and shrunk."""
+        cov = z @ z.T / (z.shape[1] - 1)
+        return shrink_covariance(0.5 * (cov + cov.T))
+
     def test_project_applies_filters(self):
         bank = SpatialFilterBank(np.array([[1.0, 1.0], [1.0, -1.0]]),
                                  np.array([[0.5, 0.5], [0.5, -0.5]]).T,
                                  np.array([0.7, 0.3]))
-        t = Trial(np.array([[1.0, 2.0, 3.0], [1.0, 0.0, -1.0]]), 1, 3)
-        out = project(bank, t)
-        assert_allclose(out.samples, [[2.0, 2.0, 2.0], [0.0, 2.0, 4.0]])
-        assert out.trial_id == 3 and out.label == 1
+        x = np.array([[1.0, 2.0, 3.0], [1.0, 0.0, -1.0]])
+        (cov,) = trial_covariances(bank, scatter_set([x]))
+        # the bank maps x to w @ x = [[2, 2, 2], [0, 2, 4]]
+        z = np.array([[2.0, 2.0, 2.0], [0.0, 2.0, 4.0]])
+        assert_allclose(cov, self.shrunk(z), rtol=1e-14)
 
     def test_project_channel_mismatch(self):
         bank = SpatialFilterBank(np.eye(2), np.eye(2), np.array([0.6, 0.4]))
-        with pytest.raises(ValueError, match="channels"):
-            project(bank, Trial(np.zeros((3, 5)), 0, 0))
+        with pytest.raises(ValueError, match="3 channels, bank expects 2"):
+            trial_covariances(bank, scatter_set([np.ones((3, 5))]))
 
     def test_trial_covariance_hand_value(self):
         z = np.array([[1.0, 0.0, -1.0], [2.0, 1.0, 0.0]])
-        cov = trial_covariance(Trial(z, 0, 0)).values
+        bank = SpatialFilterBank(np.eye(2), np.eye(2), np.array([0.6, 0.4]))
+        (cov,) = trial_covariances(bank, scatter_set([z]))
         # z z' / (T - 1) with T = 3, before the tiny shrinkage blend
         assert_allclose(cov, [[1.0, 1.0], [1.0, 2.5]], atol=1e-5)
 
     def test_trial_covariance_needs_samples(self):
+        bank = SpatialFilterBank(np.eye(2), np.eye(2), np.array([0.6, 0.4]))
         with pytest.raises(ValueError, match="at least 2"):
-            trial_covariance(Trial(np.ones((2, 1)), 0, 0))
+            trial_covariances(bank, scatter_set([np.ones((2, 1))]))
 
     def test_stacked_covariances_match_projected_loop(self):
         rng = np.random.default_rng(15)
         bank = SpatialFilterBank(rng.standard_normal((2, 4)),
                                  rng.standard_normal((4, 2)),
                                  np.array([0.8, 0.2]))
-        trials = [Trial(rng.standard_normal((4, 50)), i % 2, 10 + i)
-                  for i in range(7)]
-        stacked = trial_covariances(bank, trials)
-        looped = [trial_covariance(project(bank, t)).values for t in trials]
+        samples = [rng.standard_normal((4, 50)) for _ in range(7)]
+        stacked = trial_covariances(bank, scatter_set(samples))
+        looped = [self.shrunk(bank.w @ x) for x in samples]
         assert stacked.shape == (7, 2, 2)
+        # W S W' and (W x)(W x)' round differently, in the last bits only
         assert_allclose(stacked, looped, rtol=1e-12, atol=0.0)
 
     def test_stacked_errors_name_the_trial(self):
         bank = SpatialFilterBank(np.eye(2), np.eye(2), np.array([0.6, 0.4]))
-        trials = [Trial(np.ones((2, 5)), 0, 3), Trial(np.zeros((2, 5)), 1, 17)]
+        s = scatter_set([np.ones((2, 5)), np.zeros((2, 5))], ids=[3, 17])
         with pytest.raises(NumericError,
                            match="trial 17: zero covariance after projection"):
-            trial_covariances(bank, trials)
-        with pytest.raises(ValueError, match="trial 9 has 3 channels"):
-            trial_covariances(bank, [Trial(np.ones((3, 5)), 0, 9)])
+            trial_covariances(bank, s)
+        with pytest.raises(NumericError, match="trial 17: zero power"):
+            class_mean_covariances(scatter_set(
+                [np.ones((2, 5))] * 3 + [np.zeros((2, 5))], ids=[3, 5, 9, 17]))
 
 
 class TestSelectChannels:

@@ -1,78 +1,138 @@
 """Trial containers, manifest IO, and the train/test split."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose
 
-from relconn.data import (MANIFEST_NAME, Trial, TrialSet, load_trialset,
-                          save_trialset, split_train_test)
+from relconn.data import (_MANIFEST_KEYS, MANIFEST_NAME, ScatterSet, TrialSet,
+                          load_trialset, save_trialset, split_train_test)
 from relconn.errors import DataError, SchemaError
 
 
 def make_set(n_trials=6, n_channels=3, n_samples=8, seed=0):
     rng = np.random.default_rng(seed)
-    trials = [Trial(rng.standard_normal((n_channels, n_samples)), i % 2, i)
-              for i in range(n_trials)]
+    samples = rng.standard_normal((n_trials, n_channels, n_samples))
     names = tuple(f"ch{i}" for i in range(n_channels))
-    return TrialSet(tuple(trials), names, 128.0)
+    return TrialSet(samples, np.arange(n_trials) % 2, np.arange(n_trials),
+                    names, 128.0)
+
+
+def one_trial(samples, label=0, trial_id=0, names=("a", "b")):
+    return TrialSet(np.asarray(samples)[None], [label], [trial_id], names,
+                    100.0)
 
 
 class TestTrial:
+    """Per-trial rules, checked once when a set is built."""
+
     def test_samples_stored_float64_readonly(self):
-        t = Trial([[1, 2], [3, 4]], 0, 7)
+        t = one_trial([[1, 2], [3, 4]], trial_id=7)
         assert t.samples.dtype == np.float64
         assert not t.samples.flags.writeable
         assert t.n_channels == 2 and t.n_samples == 2
+        assert t.ids.tolist() == [7] and not t.ids.flags.writeable
 
     def test_rejects_non_2d(self):
-        with pytest.raises(DataError, match="trial 3"):
-            Trial(np.zeros(5), 0, 3)
+        # every trial is channels x samples, so the stack must be 3-D
+        with pytest.raises(DataError, match="3-D"):
+            TrialSet(np.zeros((2, 5)), [0, 1], [3, 4], ("a", "b"), 100.0)
 
     def test_rejects_bad_label(self):
-        with pytest.raises(SchemaError, match="label"):
-            Trial(np.zeros((2, 2)), 2, 0)
+        with pytest.raises(SchemaError, match="trial 4: label must be 0 or 1"):
+            TrialSet(np.zeros((2, 2, 2)), [0, 2], [3, 4], ("a", "b"), 100.0)
 
     def test_rejects_non_finite(self):
-        bad = np.zeros((2, 2))
-        bad[1, 1] = np.nan
-        with pytest.raises(DataError, match="non-finite"):
-            Trial(bad, 0, 9)
+        bad = np.zeros((3, 2, 2))
+        bad[1, 1, 1] = np.nan
+        with pytest.raises(DataError, match="trial 9: non-finite"):
+            TrialSet(bad, [0, 1, 0], [8, 9, 10], ("a", "b"), 100.0)
 
 
 class TestTrialSet:
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            TrialSet((), ("a", "b"), 100.0)
+            TrialSet(np.zeros((0, 2, 4)), [], [], ("a", "b"), 100.0)
 
-    def test_geometry_mismatch_names_trial(self):
-        good = Trial(np.zeros((2, 4)), 0, 0)
-        bad = Trial(np.zeros((3, 4)), 1, 1)
+    def test_geometry_mismatch_names_trial(self, tmp_path):
+        # a trial file holding another channel count is caught at load
+        manifest = save_trialset(make_set(), tmp_path)
+        (tmp_path / "trials" / "trial_00001.bin").write_bytes(
+            np.zeros((4, 8)).tobytes())
         with pytest.raises(SchemaError, match="trial 1"):
-            TrialSet((good, bad), ("a", "b"), 100.0)
+            load_trialset(manifest)
+        with pytest.raises(SchemaError, match="channel_names"):
+            TrialSet(np.zeros((2, 3, 4)), [0, 1], [0, 1], ("a", "b"), 100.0)
 
-    def test_sample_count_mismatch(self):
-        good = Trial(np.zeros((2, 4)), 0, 0)
-        bad = Trial(np.zeros((2, 5)), 1, 1)
+    def test_sample_count_mismatch(self, tmp_path):
+        manifest = save_trialset(make_set(), tmp_path)
+        (tmp_path / "trials" / "trial_00001.bin").write_bytes(
+            np.zeros((3, 9)).tobytes())
         with pytest.raises(SchemaError, match="trial 1"):
-            TrialSet((good, bad), ("a", "b"), 100.0)
+            load_trialset(manifest)
 
     def test_duplicate_ids(self):
-        t = Trial(np.zeros((2, 4)), 0, 5)
-        u = Trial(np.ones((2, 4)), 1, 5)
-        with pytest.raises(SchemaError, match="duplicate"):
-            TrialSet((t, u), ("a", "b"), 100.0)
+        with pytest.raises(SchemaError, match="duplicate trial id 5"):
+            TrialSet(np.zeros((2, 2, 4)), [0, 1], [5, 5], ("a", "b"), 100.0)
 
     def test_bad_sampling_rate(self):
-        t = Trial(np.zeros((2, 4)), 0, 0)
         with pytest.raises(SchemaError, match="sampling_rate_hz"):
-            TrialSet((t,), ("a", "b"), 0.0)
+            TrialSet(np.zeros((1, 2, 4)), [0], [0], ("a", "b"), 0.0)
 
     def test_labels_and_of_class(self):
         ts = make_set(n_trials=5)
-        assert ts.labels().tolist() == [0, 1, 0, 1, 0]
-        assert [t.trial_id for t in ts.of_class(1)] == [1, 3]
+        assert ts.labels.tolist() == [0, 1, 0, 1, 0]
+        assert ts.ids[ts.labels == 1].tolist() == [1, 3]
         assert len(ts) == 5 and ts.n_channels == 3
+
+    def test_subset_keeps_order_and_metadata(self):
+        ts = make_set(n_trials=5)
+        sub = ts.subset(np.array([4, 1]))
+        assert sub.ids.tolist() == [4, 1] and sub.labels.tolist() == [0, 1]
+        assert np.array_equal(sub.samples, ts.samples[[4, 1]])
+        assert not sub.samples.flags.writeable
+        assert sub.channel_names == ts.channel_names
+        assert sub.sampling_rate_hz == ts.sampling_rate_hz
+
+    def test_callers_array_stays_writable(self):
+        samples = np.zeros((1, 2, 3))
+        one_trial(samples[0])
+        TrialSet(samples, [0], [0], ("a", "b"), 100.0)
+        assert samples.flags.writeable
+
+
+class TestScatterSet:
+    def test_from_trials_is_x_xt(self):
+        ts = make_set(n_trials=4)
+        s = ScatterSet.from_trials(ts)
+        for i in range(4):
+            x = ts.samples[i]
+            assert_allclose(s.matrices[i], x @ x.T, rtol=1e-14)
+        assert s.n_samples == ts.n_samples
+        assert s.ids.tolist() == ts.ids.tolist()
+        assert s.labels.tolist() == ts.labels.tolist()
+        assert s.channel_names == ts.channel_names
+        assert not s.matrices.flags.writeable
+
+    def test_subset(self):
+        s = ScatterSet.from_trials(make_set(n_trials=5))
+        sub = s.subset(s.labels == 0)
+        assert sub.ids.tolist() == [0, 2, 4] and len(sub) == 3
+        assert np.array_equal(sub.matrices, s.matrices[[0, 2, 4]])
+        assert sub.n_samples == s.n_samples
+
+    @pytest.mark.parametrize("matrices, error, match", [
+        (np.zeros((2, 3, 2)), DataError, "channels x channels"),
+        (np.zeros((2, 3, 3)), SchemaError, "channel_names"),
+        (np.full((2, 2, 2), np.inf), DataError, "trial 0: non-finite"),
+    ])
+    def test_validated(self, matrices, error, match):
+        with pytest.raises(error, match=match):
+            ScatterSet(matrices, 4, [0, 1], [0, 1], ("a", "b"))
 
 
 class TestManifestRoundTrip:
@@ -84,10 +144,10 @@ class TestManifestRoundTrip:
         assert back.channel_names == ts.channel_names
         assert back.sampling_rate_hz == ts.sampling_rate_hz
         assert back.class_names == ts.class_names
-        for a, b in zip(ts, back):
-            assert a.trial_id == b.trial_id and a.label == b.label
-            # raw little-endian float64 on disk, so equality is exact
-            assert np.array_equal(a.samples, b.samples)
+        assert back.ids.tolist() == ts.ids.tolist()
+        assert back.labels.tolist() == ts.labels.tolist()
+        # raw little-endian float64 on disk, so equality is exact
+        assert np.array_equal(back.samples, ts.samples)
 
     def test_missing_manifest_field(self, tmp_path):
         manifest = save_trialset(make_set(), tmp_path)
@@ -146,7 +206,7 @@ class TestManifestRoundTrip:
         d["channels"] = float(d["channels"])
         d["trials"][1]["label"] = 1.0
         manifest.write_text(json.dumps(d))
-        assert load_trialset(manifest).labels().tolist() == ts.labels().tolist()
+        assert load_trialset(manifest).labels.tolist() == ts.labels.tolist()
 
     def test_trial_row_missing_key(self, tmp_path):
         manifest = save_trialset(make_set(), tmp_path)
@@ -161,8 +221,8 @@ class TestSplit:
     def test_order_preserved(self):
         ts = make_set(n_trials=10)
         train, test = split_train_test(ts, 7)
-        assert [t.trial_id for t in train] == list(range(7))
-        assert [t.trial_id for t in test] == [7, 8, 9]
+        assert train.ids.tolist() == list(range(7))
+        assert test.ids.tolist() == [7, 8, 9]
         assert train.channel_names == ts.channel_names
 
     @pytest.mark.parametrize("n_train", [0, 10, 11, -1])
@@ -170,3 +230,107 @@ class TestSplit:
         ts = make_set(n_trials=10)
         with pytest.raises(ValueError, match="n_train"):
             split_train_test(ts, n_train)
+
+
+# values no manifest field takes; sampling_rate_hz also takes any float
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.floats().filter(lambda v: not v.is_integer()),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def manifest_faults(draw):
+    """A fault to plant in a saved 3-trial set: (kind, target, value)."""
+    kind = draw(st.sampled_from(
+        ["drop", "retype", "drop_row_key", "retype_row_key", "bad_row",
+         "integral_float", "duplicate_id", "resize_file", "non_finite"]))
+    row = draw(st.integers(0, 2))
+    if kind == "drop":
+        return kind, draw(st.sampled_from(sorted(_MANIFEST_KEYS))), None
+    if kind == "retype":
+        key = draw(st.sampled_from(sorted(_MANIFEST_KEYS)))
+        junk = _JUNK.filter(lambda v: not (key == "sampling_rate_hz"
+                                            and isinstance(v, float)
+                                            and v > 0))
+        return kind, key, draw(junk)
+    if kind == "integral_float":
+        return kind, (row, draw(st.sampled_from(["id", "label"]))), None
+    if kind in ("drop_row_key", "retype_row_key"):
+        key = draw(st.sampled_from(["id", "label", "file"]))
+        value = draw(_JUNK | st.sampled_from([2, -1]))
+        if key == "file" and isinstance(value, str):
+            value = None    # a missing file has its own test
+        return kind, (row, key), value
+    if kind == "bad_row":
+        return kind, row, draw(_JUNK)
+    if kind == "duplicate_id":
+        return kind, row, draw(st.integers(0, 2).filter(lambda r: r != row))
+    if kind == "resize_file":
+        return kind, row, draw(st.integers(-24, 3).filter(bool))
+    return kind, row, draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+class TestManifestFuzz:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(fault=manifest_faults())
+    def test_loads_or_names_the_problem(self, fault):
+        kind, target, value = fault
+        ts = make_set(n_trials=3, n_channels=2, n_samples=3, seed=4)
+        with tempfile.TemporaryDirectory() as root:
+            manifest = save_trialset(ts, root)
+            d = json.loads(manifest.read_text())
+            rows = d["trials"]
+            expect = None          # message fragment; None means loadable
+            if kind == "drop":
+                del d[target]
+                expect = target
+            elif kind == "retype":
+                d[target] = value
+                # a list of non-objects fails on its first row
+                expect = "trial" if target == "trials" else target
+            elif kind == "drop_row_key":
+                i, key = target
+                del rows[i][key]
+                expect = f"trial row {i} missing field {key!r}"
+            elif kind == "retype_row_key":
+                i, key = target
+                rows[i][key] = value
+                expect = key
+                if key == "label" and value in (2, -1):
+                    expect = f"trial {i}: label must be 0 or 1"
+                # an integral id is accepted unless it repeats another id
+                if key == "id" and value in (2, -1):
+                    expect = ("duplicate trial id 2" if value == 2 and i != 2
+                              else None)
+            elif kind == "integral_float":
+                i, key = target
+                rows[i][key] = float(rows[i][key])
+            elif kind == "bad_row":
+                rows[target] = value
+                expect = f"trial row {target}"
+            elif kind == "duplicate_id":
+                rows[target]["id"] = rows[value]["id"]
+                expect = f"duplicate trial id {rows[value]['id']}"
+            else:
+                path = Path(root) / rows[target]["file"]
+                x = np.fromfile(path, dtype="<f8")
+                if kind == "resize_file":
+                    x = x[:value] if value < 0 else np.concatenate(
+                        [x, np.zeros(value)])
+                else:
+                    x[1] = value
+                path.write_bytes(x.astype("<f8").tobytes())
+                expect = f"trial {target}"
+            manifest.write_text(json.dumps(d))
+
+            if expect is None:
+                back = load_trialset(manifest)
+                assert np.array_equal(back.samples, ts.samples)
+                assert back.labels.tolist() == ts.labels.tolist()
+                assert back.ids.tolist() == [r["id"] for r in rows]
+                return
+            with pytest.raises((SchemaError, DataError)) as err:
+                load_trialset(manifest)
+            assert expect in str(err.value)

@@ -5,14 +5,23 @@ import pytest
 from numpy.testing import assert_allclose
 
 from filter_oracle import butterworth_magnitude, elliptic_magnitude_fn
-from relconn.data import Trial
-from relconn.errors import FilterDesignError
+from relconn.data import TrialSet
+from relconn.errors import FilterDesignError, NumericError
 from relconn.filters import (FilterSpec, SosFilter, apply_filter,
-                             concat_band_outputs, design_bandpass,
-                             extract_epoch, frequency_response, magnitude_db,
-                             response_grid, write_response_csv)
+                             design_bandpass, extract_epoch,
+                             frequency_response, magnitude_db, response_grid,
+                             write_response_csv)
+from relconn.pipeline import PipelineConfig, preprocess
 
 FS = 512.0
+
+
+def stack(*trials, fs=FS, ids=None):
+    """A set of same-shaped channels x samples trials, labels alternating."""
+    n = len(trials)
+    ids = list(range(n)) if ids is None else ids
+    return TrialSet(np.stack(trials), np.arange(n) % 2, ids,
+                    tuple(f"c{i}" for i in range(np.shape(trials[0])[0])), fs)
 
 
 def grid(lo=0.02):
@@ -110,7 +119,7 @@ class TestApply:
         filt = design_bandpass(FilterSpec("butterworth", 3, (1.0, 20.0), FS))
         x = np.zeros((1, 200))
         x[0, 50] = 1.0
-        out = apply_filter(filt, Trial(x, 0, 0)).samples
+        out = apply_filter(filt, stack(x)).samples[0]
         assert_allclose(out[0, :50], 0.0, atol=0.0)
         assert np.any(out[0, 50:] != 0.0)
 
@@ -119,17 +128,32 @@ class TestApply:
         filt = design_bandpass(FilterSpec("butterworth", 3, (1.0, 20.0), FS))
         a = rng.standard_normal((2, 100))
         b = rng.standard_normal((2, 100))
-        lhs = apply_filter(filt, Trial(2.0 * a - 3.0 * b, 0, 0)).samples
-        rhs = (2.0 * apply_filter(filt, Trial(a, 0, 0)).samples
-               - 3.0 * apply_filter(filt, Trial(b, 0, 0)).samples)
+        lhs = apply_filter(filt, stack(2.0 * a - 3.0 * b)).samples
+        rhs = (2.0 * apply_filter(filt, stack(a)).samples
+               - 3.0 * apply_filter(filt, stack(b)).samples)
         assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_metadata_preserved(self):
         filt = design_bandpass(FilterSpec("butterworth", 3, (1.0, 20.0), FS))
-        out = apply_filter(filt, Trial(np.random.default_rng(0)
-                                       .standard_normal((4, 64)), 1, 17))
-        assert out.trial_id == 17 and out.label == 1
-        assert out.samples.shape == (4, 64)
+        x = np.random.default_rng(0).standard_normal((3, 4, 64))
+        ts = stack(*x, ids=[17, 3, 9])
+        out = apply_filter(filt, ts)
+        assert out.ids.tolist() == [17, 3, 9]
+        assert out.labels.tolist() == [0, 1, 0]
+        assert out.samples.shape == (3, 4, 64)
+        assert not out.samples.flags.writeable
+        # one call over the stack filters each trial as it would alone
+        for i in range(3):
+            assert np.array_equal(out.samples[i],
+                                  apply_filter(filt, stack(x[i])).samples[0])
+
+    def test_non_finite_output_names_the_trial(self):
+        # an unstable recursion cannot be designed, so overflow the input
+        filt = design_bandpass(FilterSpec("butterworth", 3, (1.0, 20.0), FS))
+        x = np.zeros((2, 1, 64))
+        x[1] = 1e308
+        with pytest.raises(NumericError, match="trial 6: filter output"):
+            apply_filter(filt, stack(*x, ids=[5, 6]))
 
     def test_tone_attenuation_in_time_domain(self):
         # a 50 Hz tone through the 8-12 Hz elliptic filter loses >= 50 dB;
@@ -138,7 +162,7 @@ class TestApply:
         filt = design_bandpass(FilterSpec("elliptic", 6, (8.0, 12.0), FS))
         t = np.arange(int(FS * 32)) / FS
         tone = np.sin(2 * np.pi * 50.0 * t)[None, :]
-        out = apply_filter(filt, Trial(tone, 0, 0)).samples[0]
+        out = apply_filter(filt, stack(tone)).samples[0, 0]
         steady = out[3 * len(out) // 4:]
         ratio = np.max(np.abs(steady)) / 1.0
         assert 20 * np.log10(ratio) < -50.0
@@ -147,47 +171,52 @@ class TestApply:
 class TestEpoch:
     def test_window_indices(self):
         samples = np.arange(20, dtype=float)[None, :]
-        out = extract_epoch(Trial(samples, 0, 0), 0.5, 1.0, 10.0)
+        out = extract_epoch(stack(samples, fs=10.0), 0.5, 1.0)
         # start = round(0.5 * 10) = 5, length = round(1.0 * 10) = 10
-        assert out.samples[0].tolist() == list(range(5, 15))
+        assert out.samples[0, 0].tolist() == list(range(5, 15))
 
     def test_rounding(self):
         samples = np.arange(10, dtype=float)[None, :]
-        out = extract_epoch(Trial(samples, 0, 0), 0.24, 0.26, 10.0)
+        ts = stack(samples, 2.0 * samples, fs=10.0)
+        out = extract_epoch(ts, 0.24, 0.26)
         # round(2.4) = 2, round(2.6) = 3
-        assert out.samples[0].tolist() == [2.0, 3.0, 4.0]
+        assert out.samples[:, 0].tolist() == [[2.0, 3.0, 4.0], [4.0, 6.0, 8.0]]
+        # a view of the input, with the set's metadata
+        assert np.shares_memory(out.samples, ts.samples)
+        assert out.ids.tolist() == [0, 1] and out.sampling_rate_hz == 10.0
 
     def test_window_past_end(self):
         with pytest.raises(ValueError, match="exceeds"):
-            extract_epoch(Trial(np.zeros((1, 10)), 0, 4), 0.5, 1.0, 10.0)
+            extract_epoch(stack(np.zeros((1, 10)), fs=10.0), 0.5, 1.0)
 
     def test_bad_arguments(self):
-        t = Trial(np.zeros((1, 10)), 0, 0)
+        t = stack(np.zeros((1, 10)), fs=10.0)
         with pytest.raises(ValueError, match="duration_s"):
-            extract_epoch(t, 0.0, 0.0, 10.0)
+            extract_epoch(t, 0.0, 0.0)
         with pytest.raises(ValueError, match="onset_s"):
-            extract_epoch(t, -0.1, 1.0, 10.0)
+            extract_epoch(t, -0.1, 1.0)
 
 
 class TestConcat:
     def test_joins_along_time(self):
-        a = Trial(np.ones((2, 3)), 1, 5)
-        b = Trial(2.0 * np.ones((2, 4)), 1, 5)
-        out = concat_band_outputs([a, b])
-        assert out.samples.shape == (2, 7)
-        assert out.trial_id == 5 and out.label == 1
-        assert_allclose(out.samples[:, :3], 1.0)
-        assert_allclose(out.samples[:, 3:], 2.0)
-
-    def test_id_mismatch(self):
-        a = Trial(np.ones((2, 3)), 1, 5)
-        b = Trial(np.ones((2, 3)), 1, 6)
-        with pytest.raises(ValueError, match="same trial"):
-            concat_band_outputs([a, b])
-
-    def test_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            concat_band_outputs([])
+        # concat mode keeps, per trial, the scatter matrix of its band
+        # outputs joined along time: one scatter over both bands' samples
+        x = np.random.default_rng(4).standard_normal((3, 2, 256))
+        ts = stack(*x, ids=[5, 8, 2])
+        cfg = PipelineConfig("motor_imagery", "unused", "unused",
+                             band_mode="concat", epoch_override=(0.1, 0.25))
+        out = preprocess(cfg, ts)
+        bands = [extract_epoch(apply_filter(design_bandpass(spec), ts),
+                               0.1, 0.25).samples
+                 for spec in cfg.filter_specs(FS)]
+        assert len(bands) == 2
+        joined = np.concatenate(bands, axis=2)
+        assert joined.shape == (3, 2, 2 * int(round(0.25 * FS)))
+        assert out.n_samples == joined.shape[2]
+        assert out.ids.tolist() == [5, 8, 2]
+        assert out.labels.tolist() == [0, 1, 0]
+        assert_allclose(out.matrices, joined @ np.swapaxes(joined, 1, 2),
+                        rtol=1e-12)
 
 
 class TestResponseExport:

@@ -13,6 +13,12 @@ from relconn.fixtures import (FixtureSpec, _background_covariance,
                               generate_fixture, synthesize_trialset)
 
 
+def class0_mean_covariance(ts):
+    """Mean of x x' / T over the class-0 trials of a set."""
+    x = ts.samples[ts.labels == 0]
+    return np.mean(x @ np.swapaxes(x, 1, 2), axis=0) / ts.n_samples
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(n_channels=1),
@@ -76,21 +82,19 @@ class TestSynthesis:
         ts_a, truth_a = synthesize_trialset(spec, seed=5)
         ts_b, truth_b = synthesize_trialset(spec, seed=5)
         assert truth_a == truth_b
-        for a, b in zip(ts_a, ts_b):
-            assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(ts_a.samples, ts_b.samples)
 
     def test_seed_changes_data(self):
         spec = FixtureSpec(n_per_class=10, duration_s=0.25)
         ts_a, _ = synthesize_trialset(spec, seed=5)
         ts_b, _ = synthesize_trialset(spec, seed=6)
-        assert not np.array_equal(ts_a.trials[0].samples,
-                                  ts_b.trials[0].samples)
+        assert not np.array_equal(ts_a.samples[0], ts_b.samples[0])
 
     def test_sessions_balanced_and_irrelevant_planted(self):
         spec = FixtureSpec(n_per_class=20, duration_s=0.25)
         ts, truth = synthesize_trialset(spec, seed=7)
         n_train = truth["n_train"]
-        labels = ts.labels()
+        labels = ts.labels
         # both sessions hold both classes at the planned counts
         assert int(labels[:n_train].sum()) == n_train - n_train // 2
         assert int(labels.sum()) == spec.n_per_class
@@ -109,9 +113,7 @@ class TestSynthesis:
         ts, truth = synthesize_trialset(spec, seed=11)
         a0, _ = _class_covariances(spec)
         n_train = truth["n_train"]
-        covs = [t.samples @ t.samples.T / t.n_samples
-                for t in ts.trials[:n_train] if t.label == 0]
-        mean = np.mean(covs, axis=0)
+        mean = class0_mean_covariance(ts.subset(slice(None, n_train)))
         assert np.linalg.norm(mean - a0) / np.linalg.norm(a0) < 0.05
 
     def test_validation_session_carries_coupling(self):
@@ -123,13 +125,8 @@ class TestSynthesis:
         i, j = int(i[0]), int(j[0])
         n_train = truth["n_train"]
 
-        def mean_entry(trials):
-            covs = [t.samples @ t.samples.T / t.n_samples for t in trials
-                    if t.label == 0]
-            return np.mean(covs, axis=0)[i, j]
-
-        calib = mean_entry(ts.trials[:n_train])
-        valid = mean_entry(ts.trials[n_train:])
+        calib = class0_mean_covariance(ts.subset(slice(None, n_train)))[i, j]
+        valid = class0_mean_covariance(ts.subset(slice(n_train, None)))[i, j]
         assert abs(calib) < 0.1
         assert valid == pytest.approx(s0[i, j], abs=0.15)
 
@@ -139,9 +136,7 @@ class TestSynthesis:
         a0, _ = _class_covariances(base)
         expected_noise = np.trace(a0) / (base.n_channels * base.snr)
         ts, _ = synthesize_trialset(base, seed=17)
-        covs = [t.samples @ t.samples.T / t.n_samples
-                for t in ts.trials if t.label == 0]
-        mean = np.mean(covs, axis=0)
+        mean = class0_mean_covariance(ts)
         assert_allclose(np.diag(mean), np.diag(a0) + expected_noise, rtol=0.1)
 
 
@@ -157,5 +152,6 @@ class TestGenerateFixture:
         ts = load_trialset(manifest)
         assert len(ts) == 12
         expected, _ = synthesize_trialset(spec, 3)
-        for a, b in zip(ts, expected):
-            assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(ts.samples, expected.samples)
+        assert ts.ids.tolist() == expected.ids.tolist() == list(range(12))
+        assert ts.labels.tolist() == expected.labels.tolist()
