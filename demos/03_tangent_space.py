@@ -1,5 +1,6 @@
 """Walk through the SPD geometry used for covariance features: distance,
-mean, and the tangent-space vectorization."""
+mean, and the tangent-space vectorization. `matrix_log` and `tangent_map`
+take one matrix or a (k, n, n) stack."""
 
 import numpy as np
 
@@ -29,8 +30,8 @@ back = matrix_exp(matrix_log(a)).values
 print(f"\nexp(log(a)) error: {np.max(np.abs(back - a)):.2e}")
 
 # the mean minimizes the summed squared distance
-mats = [random_spd(4) for _ in range(10)]
-mean = logeuclidean_mean(mats)
+mats = np.array([random_spd(4) for _ in range(10)])
+mean = logeuclidean_mean(mats).values
 base = sum(logeuclidean_distance(mean, s) ** 2 for s in mats)
 worse = sum(logeuclidean_distance(mats[0], s) ** 2 for s in mats)
 print(f"\nobjective at the mean: {base:.4f}")
@@ -40,13 +41,19 @@ print(f"objective at a member: {worse:.4f}")
 ref = ReferencePoint.from_covariances(mats)
 v = tangent_map(ref, a)
 whitened = ref.inv_sqrt @ a @ ref.inv_sqrt
-print(f"\ntangent vector length: {v.values.shape[0]} (n=4 -> 10)")
-print(f"vector 2-norm:        {np.linalg.norm(v.values):.6f}")
+print(f"\ntangent vector length: {v.shape[0]} (n=4 -> 10)")
+print(f"vector 2-norm:        {np.linalg.norm(v):.6f}")
 print(f"whitened log norm:    {np.linalg.norm(matrix_log(whitened)):.6f}")
 
 # the reference itself maps to the origin
 print(f"reference maps to |v| = "
-      f"{np.linalg.norm(tangent_map(ref, ref.mean).values):.2e}")
+      f"{np.linalg.norm(tangent_map(ref, ref.mean.values)):.2e}")
+
+# a stack maps in one call, one row per matrix, as a loop over it would
+rows = tangent_map(ref, mats)
+looped = np.array([tangent_map(ref, m) for m in mats])
+print(f"\nstacked map shape: {rows.shape}, "
+      f"max difference to the loop: {np.max(np.abs(rows - looped)):.1e}")
 
 # vectorization convention on a hand matrix
 sym = np.array([[1.0, 2.0], [2.0, 3.0]])

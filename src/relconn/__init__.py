@@ -14,9 +14,8 @@ from .errors import (ConvergenceError, DataError, FilterDesignError,
                      NumericError, SchemaError, StratificationError)
 from .filters import (FilterSpec, SosFilter, apply_filter, design_bandpass,
                       extract_epoch, frequency_response, magnitude_db)
-from .geometry import (ReferencePoint, SpdMatrix, TangentVector,
-                       logeuclidean_distance, logeuclidean_mean, matrix_exp,
-                       matrix_log, tangent_map)
+from .geometry import (ReferencePoint, SpdMatrix, logeuclidean_distance,
+                       logeuclidean_mean, matrix_exp, matrix_log, tangent_map)
 from .csp import (SpatialFilterBank, class_mean_covariances, fit_csp,
                   select_channels, trial_covariances)
 from .classify import (EvalReport, TslrModel, cross_validate, evaluate,
@@ -35,7 +34,7 @@ __all__ = [
     "SchemaError", "StratificationError",
     "FilterSpec", "SosFilter", "apply_filter", "design_bandpass",
     "extract_epoch", "frequency_response", "magnitude_db",
-    "ReferencePoint", "SpdMatrix", "TangentVector", "logeuclidean_distance",
+    "ReferencePoint", "SpdMatrix", "logeuclidean_distance",
     "logeuclidean_mean", "matrix_exp", "matrix_log", "tangent_map",
     "SpatialFilterBank", "class_mean_covariances", "fit_csp",
     "select_channels", "trial_covariances",

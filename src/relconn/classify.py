@@ -23,7 +23,7 @@ import numpy as np
 from .csp import SpatialFilterBank, fit_csp, trial_covariances
 from .data import ScatterSet
 from .errors import ConvergenceError, StratificationError
-from .geometry import ReferencePoint, SpdMatrix, tangent_maps
+from .geometry import ReferencePoint, SpdMatrix, tangent_map
 
 MAX_ITER = 5000
 TOL = 1e-6
@@ -212,7 +212,7 @@ def train(train_set: ScatterSet, bank: SpatialFilterBank,
 
     covs = trial_covariances(bank, train_set)
     ref = ReferencePoint.from_covariances(covs)
-    feats = tangent_maps(ref, covs)
+    feats = tangent_map(ref, covs)
 
     mu = feats.mean(axis=0)
     sd = feats.std(axis=0)
@@ -256,7 +256,7 @@ def evaluate(model: TslrModel, test_set: ScatterSet) -> EvalReport:
     predicts class 1. Precision is 0 when nothing is predicted positive.
     """
     covs = trial_covariances(model.filter_bank, test_set)
-    z = tangent_maps(model.reference, covs) @ model.weights + model.bias
+    z = tangent_map(model.reference, covs) @ model.weights + model.bias
     posteriors = np.clip(sigmoid(z), 1e-15, 1.0 - 1e-15)
     true = test_set.labels
     pred = (posteriors >= 0.5).astype(int)

@@ -28,8 +28,6 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-folds", type=int, help="override the fold count")
     p.add_argument("--threshold", dest="posterior_threshold", type=float,
                    help="override the posterior threshold")
-    p.add_argument("--top-fraction", dest="top_edge_fraction", type=float,
-                   help="override the kept edge fraction")
     p.add_argument("--n-train", type=int, help="override the train split size")
     p.add_argument("--n-filters", type=int, help="override the filter count")
     p.add_argument("--band-mode", choices=pl.BAND_MODES,

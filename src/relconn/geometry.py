@@ -4,10 +4,13 @@ All matrix functions go through the symmetric eigendecomposition: for
 A = U diag(d) U', f(A) = U diag(f(d)) U'. Eigenvalues that underflow are
 floored at 1e-12 times the largest eigenvalue before taking logarithms.
 
-The matrix log and the tangent map work on a (k, n, n) stack in one
-batched eigendecomposition (the stacked tangent-space mapping of Barachant
-et al. 2012 under the Log-Euclidean metric of Arsigny et al. 2007); the
-single-matrix functions are the k = 1 case of the same code.
+`matrix_log`, `inv_sqrtm` and `tangent_map` each take one (n, n) matrix
+or a (k, n, n) stack and return the same leading shape, the way
+`np.linalg.eigh` does. A stack goes through one batched
+eigendecomposition (the stacked tangent-space mapping of Barachant et al.
+2012 under the Log-Euclidean metric of Arsigny et al. 2007), and an error
+on a stack names the offending matrix. Callers that hold an `SpdMatrix`
+pass its `.values`.
 """
 
 from __future__ import annotations
@@ -24,24 +27,16 @@ EIG_CLAMP_REL = 1e-12
 # shrinkage weight used on every covariance consumed downstream
 SHRINKAGE_GAMMA = 1e-6
 
-def _as_matrix(m) -> np.ndarray:
-    values = getattr(m, "values", m)
-    return np.asarray(values, dtype=np.float64)
 
-
-def _as_square(m) -> np.ndarray:
-    a = _as_matrix(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NumericError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def _as_stack(mats) -> np.ndarray:
-    a = np.array([_as_matrix(m) for m in mats], dtype=np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise NumericError(
-            f"expected a (k, n, n) stack of square matrices, got shape "
-            f"{a.shape}")
+def _checked(a, ndims: tuple[int, ...] = (2, 3)) -> np.ndarray:
+    """`a` as float64, with one of the allowed dimension counts and square
+    trailing axes: an (n, n) matrix or, by default, also a (k, n, n)
+    stack."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2]:
+        what = ("a square matrix" if ndims == (2,)
+                else "a square matrix or a (k, n, n) stack")
+        raise NumericError(f"expected {what}, got shape {a.shape}")
     return a
 
 
@@ -83,7 +78,7 @@ class SpdMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        a = _symmetrized(_as_square(self.values))
+        a = _symmetrized(_checked(self.values, ndims=(2,)))
         w = np.linalg.eigvalsh(a)
         if w[0] <= 0.0:
             raise NumericError(
@@ -95,25 +90,6 @@ class SpdMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent-space feature vector of length n(n+1)/2."""
-
-    values: np.ndarray
-    reference_dim: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        n = self.reference_dim
-        expected = n * (n + 1) // 2
-        if v.ndim != 1 or v.size != expected:
-            raise NumericError(
-                f"tangent vector for dim {n} must have length {expected}, "
-                f"got shape {v.shape}")
 
 
 def _clamped_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,12 +117,12 @@ def _log(a: np.ndarray) -> np.ndarray:
     return _from_eigen(u, np.log(w))
 
 
-def matrix_log(m) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix.
+def matrix_log(a) -> np.ndarray:
+    """Matrix logarithm of an SPD matrix or of each matrix of a stack.
 
     Parameters
     ----------
-    m : SpdMatrix or ndarray
+    a : (n, n) or (k, n, n) ndarray
         Symmetric positive definite input. Eigenvalues below the relative
         floor are clamped rather than rejected; an input with no
         positive eigenvalue at all raises NumericError.
@@ -154,41 +130,27 @@ def matrix_log(m) -> np.ndarray:
     Returns
     -------
     ndarray
-        Real symmetric matrix log(m).
+        Real symmetric log(a), the same shape as `a`.
     """
-    return _log(_as_square(m))
+    return _log(_checked(a))
 
 
-def matrix_logs(mats) -> np.ndarray:
-    """Matrix logarithms of k SPD matrices in one batched eigensolve.
-
-    Parameters
-    ----------
-    mats : (k, n, n) ndarray or sequence of SpdMatrix / ndarray
-        Same checks and floor as `matrix_log`; an error
-        names the index of the offending matrix.
-
-    Returns
-    -------
-    ndarray, shape (k, n, n)
-    """
-    return _log(_as_stack(mats))
-
-
-def matrix_exp(m) -> SpdMatrix:
+def matrix_exp(a) -> SpdMatrix:
     """Matrix exponential of a real symmetric matrix (always SPD)."""
-    w, u = np.linalg.eigh(_symmetrized(_as_square(m)))
+    w, u = np.linalg.eigh(_symmetrized(_checked(a, ndims=(2,))))
     return SpdMatrix(_from_eigen(u, np.exp(w)))
 
 
-def inv_sqrtm(m) -> np.ndarray:
-    """Inverse matrix square root of an SPD matrix."""
-    w, u = _clamped_eigh(_symmetrized(_as_square(m)))
+def inv_sqrtm(a) -> np.ndarray:
+    """Inverse matrix square root of an SPD matrix or of each matrix of a
+    stack."""
+    w, u = _clamped_eigh(_symmetrized(_checked(a)))
     return _from_eigen(u, 1.0 / np.sqrt(w))
 
 
 def logeuclidean_distance(a, b) -> float:
-    """LogEuclidean distance: Frobenius norm of log(a) - log(b).
+    """LogEuclidean distance of two matrices: Frobenius norm of
+    log(a) - log(b).
 
     A true metric on SPD matrices: symmetric, zero only at equality, and
     satisfying the triangle inequality (it is the Euclidean distance
@@ -200,13 +162,15 @@ def logeuclidean_distance(a, b) -> float:
 def logeuclidean_mean(mats) -> SpdMatrix:
     """LogEuclidean mean: exp of the average of matrix logs.
 
-    Minimizes the sum of squared LogEuclidean distances to the inputs.
-    `mats` is a (k, n, n) stack or a sequence of matrices.
+    Minimizes the sum of squared LogEuclidean distances to the inputs,
+    a (k, n, n) stack with k >= 1.
     """
-    mats = list(mats)
-    if not mats:
-        raise ValueError("need at least one matrix")
-    return matrix_exp(np.mean(matrix_logs(mats), axis=0))
+    a = np.asarray(mats, dtype=np.float64)
+    if a.ndim != 3 or not len(a):
+        raise ValueError(
+            f"need a (k, n, n) stack of at least one matrix, got shape "
+            f"{a.shape}")
+    return matrix_exp(np.mean(matrix_log(a), axis=0))
 
 
 def vectorize_symmetric(sym: np.ndarray) -> np.ndarray:
@@ -231,7 +195,7 @@ class ReferencePoint:
     inv_sqrt: np.ndarray
 
     def __post_init__(self):
-        s = _symmetrized(_as_square(self.inv_sqrt))
+        s = _symmetrized(_checked(self.inv_sqrt, ndims=(2,)))
         s.setflags(write=False)
         object.__setattr__(self, "inv_sqrt", s)
         n = self.mean.dim
@@ -243,7 +207,7 @@ class ReferencePoint:
 
     @classmethod
     def from_mean(cls, mean: SpdMatrix) -> "ReferencePoint":
-        return cls(mean, inv_sqrtm(mean))
+        return cls(mean, inv_sqrtm(mean.values))
 
     @classmethod
     def from_covariances(cls, mats) -> "ReferencePoint":
@@ -255,16 +219,9 @@ class ReferencePoint:
         return self.mean.dim
 
 
-def _whitened_log_vectors(ref: ReferencePoint, a: np.ndarray) -> np.ndarray:
-    if a.shape[-2:] != ref.mean.values.shape:
-        raise ValueError(
-            f"dimension mismatch: reference is {ref.dim}x{ref.dim}, "
-            f"input is {a.shape[-2:]}")
-    return vectorize_symmetric(_log(ref.inv_sqrt @ a @ ref.inv_sqrt))
-
-
-def tangent_map(ref: ReferencePoint, m) -> TangentVector:
-    """Map an SPD matrix to the tangent space at a reference point.
+def tangent_map(ref: ReferencePoint, a) -> np.ndarray:
+    """Map an SPD matrix, or each matrix of a stack, to the tangent space
+    at a reference point.
 
     Whitens the input with the reference inverse square root, takes the
     matrix log, and vectorizes the upper triangle with sqrt(2) weighting.
@@ -274,24 +231,21 @@ def tangent_map(ref: ReferencePoint, m) -> TangentVector:
     Parameters
     ----------
     ref : ReferencePoint
-    m : SpdMatrix or ndarray
-        SPD matrix of the same dimension as the reference.
+    a : (n, n) or (k, n, n) ndarray
+        SPD input of the same dimension as the reference.
 
     Returns
     -------
-    TangentVector
-        Feature vector of length n(n+1)/2.
+    ndarray
+        Feature vector of length n(n+1)/2, or one row per matrix of a
+        stack: shape (k, n(n+1)/2).
     """
-    return TangentVector(_whitened_log_vectors(ref, _as_matrix(m)), ref.dim)
-
-
-def tangent_maps(ref: ReferencePoint, mats) -> np.ndarray:
-    """Tangent vectors of k SPD matrices at one reference, one row each.
-
-    The stacked form of `tangent_map`: one batched whitening and matrix
-    log for the whole (k, n, n) stack. Returns shape (k, n(n+1)/2).
-    """
-    return _whitened_log_vectors(ref, _as_stack(mats))
+    a = _checked(a)
+    if a.shape[-2:] != ref.mean.values.shape:
+        raise ValueError(
+            f"dimension mismatch: reference is {ref.dim}x{ref.dim}, "
+            f"input is {a.shape[-2:]}")
+    return vectorize_symmetric(_log(ref.inv_sqrt @ a @ ref.inv_sqrt))
 
 
 def shrink_covariance(sigma: np.ndarray, gamma: float = SHRINKAGE_GAMMA) -> np.ndarray:

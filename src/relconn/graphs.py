@@ -118,16 +118,16 @@ class ConnectivityGraph:
 
 
 def build_graph(covariances, node_names) -> ConnectivityGraph:
-    """Graph from trial covariances: |mean covariance|, zero diagonal.
+    """Graph from a (k, n, n) stack of trial covariances: |mean
+    covariance|, zero diagonal.
 
     Modules are assigned by greedy modularity maximization on the
     resulting weights.
     """
-    covs = [np.asarray(getattr(c, "values", c), dtype=np.float64)
-            for c in covariances]
-    if not covs:
+    covs = np.asarray(covariances, dtype=np.float64)
+    if not len(covs):
         raise ValueError("need at least one covariance")
-    mean = np.mean(covs, axis=0)
+    mean = covs.mean(axis=0)
     w = np.abs(0.5 * (mean + mean.T))
     np.fill_diagonal(w, 0.0)
     return ConnectivityGraph(tuple(node_names), w, assign_modules(w))

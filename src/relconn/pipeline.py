@@ -99,7 +99,6 @@ _CONFIG_KEYS = {
     "lambda": ("lam", _number),
     "k_folds": ("k_folds", _integer),
     "posterior_threshold": ("posterior_threshold", _number),
-    "top_edge_fraction": ("top_edge_fraction", _number),
     "seed": ("seed", _integer),
     "band_mode": ("band_mode", _text),
     "filter": ("filter_override", _filter),
@@ -113,7 +112,8 @@ class PipelineConfig:
 
     lambda is optional; when absent the trainer uses 0.1 / n_train.
     n_train is optional; when absent the split keeps 70% for training.
-    filter_override / epoch_override replace the dataset-kind defaults.
+    filter_override / epoch_override replace the dataset-kind defaults;
+    single band mode keeps one band whether or not the filter is overridden.
     """
 
     dataset_kind: str
@@ -124,7 +124,6 @@ class PipelineConfig:
     lam: float | None = None
     k_folds: int = 10
     posterior_threshold: float = 0.7
-    top_edge_fraction: float = 0.1
     seed: int = 42
     band_mode: str = "single"
     filter_override: dict | None = None
@@ -151,10 +150,6 @@ class PipelineConfig:
             raise ValueError(
                 f"posterior_threshold must be in (0.5, 1), "
                 f"got {self.posterior_threshold}")
-        if not 0.0 < self.top_edge_fraction <= 1.0:
-            raise ValueError(
-                f"top_edge_fraction must be in (0, 1], "
-                f"got {self.top_edge_fraction}")
         # with no penalty the solver never converges on separable folds
         if self.lam is not None and not self.lam > 0:
             raise ValueError(f"lambda must be > 0, got {self.lam}")
@@ -197,7 +192,7 @@ class PipelineConfig:
             atten = float(d.get("stopband_atten_db", atten))
             if "band_hz" in d:
                 bands = [tuple(d["band_hz"])]
-        elif self.band_mode == "single":
+        if self.band_mode == "single":
             bands = bands[:1]
         return [FilterSpec(family, order, band, sampling_rate_hz,
                            ripple, atten) for band in bands]

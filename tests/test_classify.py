@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import expit
 
 from relconn.classify import (EvalReport, TslrModel,
                               cross_validate, evaluate, fit_l1_logistic,
@@ -130,6 +132,37 @@ class TestSolver:
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError, match="lam"):
             fit_l1_logistic(np.zeros((4, 2)), np.zeros(4), -0.1)
+
+
+class TestSolverOptimality:
+    """Whenever the solver returns, its (w, b) satisfies the optimality
+    conditions of the L1 problem, recomputed here from scratch."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 40),
+           d=st.integers(1, 8), lam=st.floats(1e-3, 1.0),
+           noise=st.floats(0.0, 2.0))
+    def test_kkt_conditions_on_return(self, seed, n, d, lam, noise):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        y = (x @ rng.standard_normal(d) + noise * rng.standard_normal(n)
+             > 0).astype(float)
+        tol = 1e-6
+        try:
+            fit = fit_l1_logistic(x, y, lam, tol=tol)
+        except ConvergenceError:
+            return
+        # gradient of the mean logistic loss, written out independently;
+        # 1e-12 covers rounding between the two ways of computing it
+        r = expit(x @ fit.w + fit.b) - y
+        g_w, g_b = x.T @ r / n, float(np.mean(r))
+        slack = tol + 1e-12
+        assert abs(g_b) <= slack
+        nonzero = fit.w != 0.0
+        assert np.all(np.abs(g_w[nonzero] + lam * np.sign(fit.w[nonzero]))
+                      <= slack)
+        assert np.all(np.abs(g_w[~nonzero]) <= lam + slack)
+        assert np.all(np.diff(fit.objective_history) <= 1e-12)
 
 
 def identity_bank(n=2):

@@ -8,11 +8,10 @@ from scipy.linalg import logm
 
 from relconn import geometry
 from relconn.errors import NumericError
-from relconn.geometry import (ReferencePoint, SpdMatrix, TangentVector,
-                              inv_sqrtm, logeuclidean_distance,
-                              logeuclidean_mean, matrix_exp, matrix_log,
-                              matrix_logs, shrink_covariance, tangent_map,
-                              tangent_maps, vectorize_symmetric)
+from relconn.geometry import (ReferencePoint, SpdMatrix, inv_sqrtm,
+                              logeuclidean_distance, logeuclidean_mean,
+                              matrix_exp, matrix_log, shrink_covariance,
+                              tangent_map, vectorize_symmetric)
 
 
 def random_spd(rng, n, spread=2.0):
@@ -35,13 +34,6 @@ class TestSpdMatrix:
         assert np.array_equal(m.values, m.values.T)
         assert not m.values.flags.writeable
         assert m.dim == 2
-
-
-class TestTangentVector:
-    def test_length_check(self):
-        TangentVector(np.zeros(3), 2)
-        with pytest.raises(NumericError, match="length 3"):
-            TangentVector(np.zeros(4), 2)
 
 
 class TestMatrixFunctions:
@@ -133,7 +125,7 @@ class TestMean:
     def test_minimizes_squared_distances(self):
         rng = np.random.default_rng(9)
         mats = [random_spd(rng, 3) for _ in range(5)]
-        mean = logeuclidean_mean(mats)
+        mean = logeuclidean_mean(mats).values
 
         def cost(m):
             return sum(logeuclidean_distance(m, x) ** 2 for x in mats)
@@ -141,12 +133,18 @@ class TestMean:
         base = cost(mean)
         for _ in range(25):
             bump = rng.standard_normal((3, 3)) * 0.05
-            candidate = matrix_exp(matrix_log(mean) + 0.5 * (bump + bump.T))
+            candidate = matrix_exp(
+                matrix_log(mean) + 0.5 * (bump + bump.T)).values
             assert cost(candidate) >= base - 1e-10
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             logeuclidean_mean([])
+
+    def test_single_matrix_rejected(self):
+        # one (n, n) matrix is not a stack of n rows
+        with pytest.raises(ValueError, match="stack"):
+            logeuclidean_mean(np.eye(3))
 
 
 class TestVectorize:
@@ -190,12 +188,12 @@ class TestTangentMap:
         rng = np.random.default_rng(12)
         a = SpdMatrix(random_spd(rng, 5))
         ref = ReferencePoint.from_mean(a)
-        assert_allclose(tangent_map(ref, a).values, 0.0, atol=1e-10)
+        assert_allclose(tangent_map(ref, a.values), 0.0, atol=1e-10)
 
     def test_identity_reference_hand_value(self):
         ref = ReferencePoint.from_mean(SpdMatrix(np.eye(2)))
         s = tangent_map(ref, np.diag([np.e ** 2, np.e ** 4]))
-        assert_allclose(s.values, [2.0, 0.0, 4.0], atol=1e-12)
+        assert_allclose(s, [2.0, 0.0, 4.0], atol=1e-12)
 
     def test_isometry_at_reference(self):
         # vector distances equal Frobenius distances of whitened logs
@@ -203,8 +201,8 @@ class TestTangentMap:
         ref = ReferencePoint.from_mean(SpdMatrix(random_spd(rng, 4)))
         for _ in range(25):
             a, b = random_spd(rng, 4), random_spd(rng, 4)
-            va = tangent_map(ref, a).values
-            vb = tangent_map(ref, b).values
+            va = tangent_map(ref, a)
+            vb = tangent_map(ref, b)
             wa = matrix_log(ref.inv_sqrt @ a @ ref.inv_sqrt)
             wb = matrix_log(ref.inv_sqrt @ b @ ref.inv_sqrt)
             assert np.linalg.norm(va - vb) == pytest.approx(
@@ -217,7 +215,7 @@ class TestTangentMap:
 
     def test_feature_length(self):
         ref = ReferencePoint.from_mean(SpdMatrix(np.eye(6)))
-        assert tangent_map(ref, 2.0 * np.eye(6)).values.shape == (21,)
+        assert tangent_map(ref, 2.0 * np.eye(6)).shape == (21,)
 
 
 class TestShrinkage:
@@ -269,23 +267,23 @@ class TestStackedGeometry:
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(**stacks)
-    def test_matrix_logs_match_loop(self, seed, k, n, log10_cond):
+    def test_matrix_log_stack_matches_loop(self, seed, k, n, log10_cond):
         mats = spd_stack(seed, k, n, log10_cond)
-        stacked = matrix_logs(mats)
+        stacked = matrix_log(mats)
         assert stacked.shape == (k, n, n)
         assert_rows_close(stacked, [matrix_log(m) for m in mats])
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(**stacks)
-    def test_tangent_maps_match_loop(self, seed, k, n, log10_cond):
+    def test_tangent_map_stack_matches_loop(self, seed, k, n, log10_cond):
         mats = spd_stack(seed, k, n, log10_cond)
         # a reference as conditioned as a mean of shrunk covariances; the
         # stack itself spans the full conditioning range
         ref = ReferencePoint.from_mean(
             SpdMatrix(random_spd(np.random.default_rng(seed), n)))
-        stacked = tangent_maps(ref, mats)
+        stacked = tangent_map(ref, mats)
         assert stacked.shape == (k, n * (n + 1) // 2)
-        assert_rows_close(stacked, [tangent_map(ref, m).values for m in mats])
+        assert_rows_close(stacked, [tangent_map(ref, m) for m in mats])
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 12),
@@ -293,7 +291,7 @@ class TestStackedGeometry:
     def test_floor_applies_per_matrix(self, seed, k, n, data):
         n_tiny = data.draw(st.integers(1, n - 1))
         mats = spd_stack(seed, k, n, 6.0, n_tiny)
-        stacked = matrix_logs(mats)
+        stacked = matrix_log(mats)
         assert_rows_close(stacked, [matrix_log(m) for m in mats])
         # the tiny eigenvalues of each matrix sit at its own floor
         for m, log_m in zip(mats, stacked):
@@ -304,15 +302,18 @@ class TestStackedGeometry:
     def test_stack_errors_name_the_matrix(self):
         mats = np.array([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]])
         with pytest.raises(NumericError, match="matrix 1: .*not symmetric"):
-            matrix_logs(mats)
+            matrix_log(mats)
         with pytest.raises(NumericError, match="matrix 0: .*no positive"):
-            matrix_logs([-np.eye(2), np.eye(2)])
+            matrix_log([-np.eye(2), np.eye(2)])
         with pytest.raises(NumericError, match="non-finite"):
             matrix_log(np.full((2, 2), np.nan))
 
     def test_stack_shape_checked(self):
-        with pytest.raises(NumericError, match="stack"):
-            matrix_logs(np.eye(3))
+        for bad in (np.ones(3), np.ones((2, 2, 3)), np.ones((1, 2, 2, 2))):
+            with pytest.raises(NumericError, match="stack"):
+                matrix_log(bad)
         ref = ReferencePoint.from_mean(SpdMatrix(np.eye(3)))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            tangent_maps(ref, [np.eye(2)])
+            tangent_map(ref, [np.eye(2)])
+        with pytest.raises(NumericError, match="square matrix"):
+            SpdMatrix(np.eye(2)[None])

@@ -197,9 +197,8 @@ class TestBuildGraph:
         g = build_graph(covs, ("a", "b"))
         assert_allclose(g.weights, [[0.0, 1.0], [1.0, 0.0]])
 
-    def test_accepts_spd_wrappers(self):
-        from relconn.geometry import SpdMatrix
-        covs = [SpdMatrix(np.diag([1.0, 2.0]))]
+    def test_accepts_a_stack(self):
+        covs = np.diag([1.0, 2.0])[None]
         g = build_graph(covs, ("a", "b"))
         assert_allclose(g.weights, 0.0)
 

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from relconn import pipeline
+from relconn.cli import main
 from relconn.data import TrialSet, load_trialset, save_trialset
 from relconn.errors import SchemaError
 from relconn.filters import apply_filter, design_bandpass, extract_epoch
@@ -74,7 +75,7 @@ class TestConfigValidation:
         dict(n_filters=3),
         dict(posterior_threshold=0.5),
         dict(posterior_threshold=1.5),
-        dict(top_edge_fraction=0.0),
+        dict(n_train=0),
         dict(lam=-1.0),
         dict(posterior_threshold=1.0),
         dict(lam=0.0),
@@ -105,6 +106,15 @@ class TestConfigValidation:
                                     "alpha": 2}))
         with pytest.raises(SchemaError, match="alpha"):
             PipelineConfig.from_file(path)
+
+    def test_removed_top_edge_fraction_exits_two(self, tmp_path, capsys):
+        # no stage ever read it, so a config naming it is refused
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"manifest": "a", "out_dir": "b",
+                                    "top_edge_fraction": 0.1}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert ("unknown config keys: ['top_edge_fraction']"
+                in capsys.readouterr().err)
 
     def test_from_file_requires_paths(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -147,6 +157,17 @@ class TestFilterDefaults:
         assert spec.family == "elliptic" and spec.order == 4
         assert spec.band_hz == (2.0, 6.0)
         assert spec.stopband_atten_db == 40.0
+
+    def test_override_without_band_keeps_band_mode(self):
+        # an order-only override changes the design, not the band count
+        single = PipelineConfig("motor_imagery", "m", "o",
+                                filter_override={"order": 4})
+        (spec,) = single.filter_specs(250.0)
+        assert spec.order == 4 and spec.band_hz == (8.0, 12.0)
+        concat = replace(single, band_mode="concat")
+        specs = concat.filter_specs(250.0)
+        assert [s.band_hz for s in specs] == [(8.0, 12.0), (16.0, 24.0)]
+        assert all(s.order == 4 for s in specs)
 
 
 class TestPreprocess:
