@@ -22,7 +22,7 @@ from .classify import (EvalReport, TslrModel, cross_validate, evaluate,
                        select_relevant, train)
 from .graphs import (ConnectivityGraph, NodeMetrics, build_graph,
                      clustering_coefficient, local_efficiency, node_strength,
-                     participation_coefficient, separability, top_edges)
+                     participation_coefficient, separability)
 from .fixtures import FixtureSpec, generate_fixture, synthesize_trialset
 from .pipeline import PipelineConfig, run_pipeline
 
@@ -42,7 +42,7 @@ __all__ = [
     "select_relevant", "train",
     "ConnectivityGraph", "NodeMetrics", "build_graph",
     "clustering_coefficient", "local_efficiency", "node_strength",
-    "participation_coefficient", "separability", "top_edges",
+    "participation_coefficient", "separability",
     "FixtureSpec", "generate_fixture", "synthesize_trialset",
     "PipelineConfig", "run_pipeline",
     "__version__",

@@ -25,10 +25,6 @@ from .data import ScatterSet
 from .errors import ConvergenceError, StratificationError
 from .geometry import ReferencePoint, SpdMatrix, tangent_map
 
-MAX_ITER = 5000
-TOL = 1e-6
-
-
 def sigmoid(z):
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
@@ -77,8 +73,8 @@ class L1FitResult:
     objective_history: list[float] = field(default_factory=list)
 
 
-def fit_l1_logistic(x, y, lam, max_iter: int = MAX_ITER,
-                    tol: float = TOL) -> L1FitResult:
+def fit_l1_logistic(x, y, lam, max_iter: int = 5000,
+                    tol: float = 1e-6) -> L1FitResult:
     """Minimize mean logistic loss + lam * ||w||_1 (bias unpenalized).
 
     Proximal gradient descent from w = 0 with a backtracking line search;
@@ -187,8 +183,7 @@ def default_lambda(n_train: int) -> float:
 
 
 def train(train_set: ScatterSet, bank: SpatialFilterBank,
-          lam: float | None = None, max_iter: int = MAX_ITER,
-          tol: float = TOL) -> TslrModel:
+          lam: float | None = None) -> TslrModel:
     """Fit the tangent-space model on a training set.
 
     Parameters
@@ -217,8 +212,7 @@ def train(train_set: ScatterSet, bank: SpatialFilterBank,
     mu = feats.mean(axis=0)
     sd = feats.std(axis=0)
     sd = np.where(sd > 0.0, sd, 1.0)
-    fit = fit_l1_logistic((feats - mu) / sd, labels.astype(float), lam,
-                          max_iter=max_iter, tol=tol)
+    fit = fit_l1_logistic((feats - mu) / sd, labels.astype(float), lam)
 
     # fold the standardization into the stored coefficients
     w_raw = fit.w / sd

@@ -9,11 +9,11 @@ indefinite matrices, solver non-convergence).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .errors import NumericError
-from .filters import FilterSpec, design_bandpass, write_response_csv
+from .filters import (FAMILIES, RESPONSE_POINTS, FilterSpec, design_bandpass,
+                      write_response_csv)
 from .fixtures import FixtureSpec, generate_fixture
 from . import pipeline as pl
 
@@ -43,69 +43,57 @@ def _load_config(args: argparse.Namespace) -> pl.PipelineConfig:
     return pl.PipelineConfig.from_file(args.config, **overrides)
 
 
+def _summary(fn) -> str:
+    return fn.__doc__.splitlines()[0]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relconn",
         description="Reliable-trial selection for EEG connectivity analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    defaults = FixtureSpec()
-    p = sub.add_parser("fixture", help="generate a synthetic dataset")
+    # options are named after FixtureSpec fields; unset ones keep its defaults
+    p = sub.add_parser("fixture", help="Generate a synthetic dataset.",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="dataset directory")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--channels", type=int, default=defaults.n_channels)
-    p.add_argument("--trials-per-class", type=int, default=defaults.n_per_class)
-    p.add_argument("--snr", type=float, default=defaults.snr,
+    p.add_argument("--channels", dest="n_channels", type=int)
+    p.add_argument("--trials-per-class", dest="n_per_class", type=int)
+    p.add_argument("--snr", type=float,
                    help="signal-to-noise power ratio (inf for noiseless)")
-    p.add_argument("--irrelevant-fraction", type=float,
-                   default=defaults.irrelevant_fraction)
-    p.add_argument("--fs", type=float, default=defaults.sampling_rate_hz)
-    p.add_argument("--duration", type=float, default=defaults.duration_s)
-    p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--session-shift", type=float,
-                   default=defaults.session_shift)
+    p.add_argument("--irrelevant-fraction", type=float)
+    p.add_argument("--fs", dest="sampling_rate_hz", type=float)
+    p.add_argument("--duration", dest="duration_s", type=float)
+    p.add_argument("--n-train", type=int)
+    p.add_argument("--session-shift", type=float)
 
     p = sub.add_parser("filter-response",
-                       help="export a designed filter's magnitude response")
+                       help="Export a designed filter's magnitude response.")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--family", choices=["butterworth", "elliptic"],
-                   default="butterworth")
+    p.add_argument("--family", choices=FAMILIES, default="butterworth")
     p.add_argument("--order", type=int, default=5)
     p.add_argument("--low", type=float, default=0.1)
     p.add_argument("--high", type=float, default=10.0)
     p.add_argument("--fs", type=float, default=200.0)
-    p.add_argument("--ripple", type=float, default=1.0)
-    p.add_argument("--atten", type=float, default=50.0)
-    p.add_argument("--points", type=int, default=1024)
+    p.add_argument("--ripple", type=float,
+                   default=FilterSpec.passband_ripple_db)
+    p.add_argument("--atten", type=float,
+                   default=FilterSpec.stopband_atten_db)
+    p.add_argument("--points", type=int, default=RESPONSE_POINTS)
 
-    for name, help_text in (
-            ("fit-csp", "fit spatial filters on the training split"),
-            ("train", "train the tangent-space model"),
-            ("cv", "cross-validate on the training split"),
-            ("evaluate", "score the model on the held-out split"),
-            ("select", "pick confident, correctly classified trials"),
-            ("graph", "build connectivity graphs and node metrics"),
-            ("report", "summarize separability before/after selection"),
-            ("run", "run the full pipeline")):
-        p = sub.add_parser(name, help=help_text)
-        _add_config_options(p)
-
+    for name, stage in pl.stages().items():
+        _add_config_options(sub.add_parser(name, help=_summary(stage)))
+    _add_config_options(sub.add_parser("run", help=_summary(pl.run_pipeline)))
     return parser
 
 
 def _run_command(args: argparse.Namespace) -> None:
     if args.command == "fixture":
-        spec = FixtureSpec(
-            n_channels=args.channels,
-            n_per_class=args.trials_per_class,
-            snr=math.inf if math.isinf(args.snr) else args.snr,
-            irrelevant_fraction=args.irrelevant_fraction,
-            sampling_rate_hz=args.fs,
-            duration_s=args.duration,
-            n_train=args.n_train,
-            session_shift=args.session_shift,
-        )
-        manifest, truth = generate_fixture(spec, args.seed, args.out)
+        fields = {key: value for key, value in vars(args).items()
+                  if key not in ("command", "out", "seed")}
+        manifest, truth = generate_fixture(FixtureSpec(**fields), args.seed,
+                                           args.out)
         print(manifest)
         print(truth)
         return
@@ -118,25 +106,12 @@ def _run_command(args: argparse.Namespace) -> None:
         return
 
     cfg = _load_config(args)
-    stages = {
-        "fit-csp": pl.stage_fit_csp,
-        "train": pl.stage_train,
-        "cv": pl.stage_cv,
-        "evaluate": pl.stage_evaluate,
-        "select": pl.stage_select,
-        "graph": pl.stage_graph,
-        "report": pl.stage_report,
-    }
     if args.command == "run":
-        for path in pl.run_pipeline(cfg).values():
-            print(path)
-        return
-    result = stages[args.command](cfg)
-    if isinstance(result, list):
-        for path in result:
-            print(path)
+        paths = pl.run_pipeline(cfg).values()
     else:
-        print(result)
+        paths = pl.stages()[args.command](cfg)
+    for path in paths:
+        print(path)
 
 
 def main(argv=None) -> int:

@@ -183,6 +183,15 @@ def _read_json(path) -> dict:
     return value
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    """Write a JSON object with sorted keys and a trailing newline, so equal
+    objects give equal bytes; creates the parent directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _integer(value, field: str) -> int:
     """An integral JSON number as int; anything else is a SchemaError
     naming the field (int() would silently truncate 1.7 to 1)."""
@@ -282,19 +291,21 @@ def save_trialset(ts: TrialSet, out_dir) -> Path:
         (out_dir / rel).write_bytes(np.ascontiguousarray(x, "<f8").tobytes())
         rows.append({"id": tid, "label": label, "file": rel})
 
-    manifest = {
+    manifest_path = out_dir / MANIFEST_NAME
+    _write_json(manifest_path, {
         "channels": ts.n_channels,
         "samples": ts.n_samples,
         "channel_names": list(ts.channel_names),
         "sampling_rate_hz": ts.sampling_rate_hz,
         "class_names": list(ts.class_names),
         "trials": rows,
-    }
-    manifest_path = out_dir / MANIFEST_NAME
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return manifest_path
+
+
+def default_n_train(n_total: int) -> int:
+    """Training-split size when none is given: 70% of the trials, rounded."""
+    return int(round(0.7 * n_total))
 
 
 def split_train_test(ts, n_train: int):

@@ -17,6 +17,8 @@ from .data import TrialSet, _derived
 from .errors import FilterDesignError, NumericError
 
 FAMILIES = ("butterworth", "elliptic")
+# points of the exported magnitude-response grid
+RESPONSE_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -57,31 +59,17 @@ class FilterSpec:
         if self.sampling_rate_hz <= 0:
             raise ValueError("sampling_rate_hz must be positive")
         low, high = self.band_hz
+        if not 0.0 < low < high:
+            raise ValueError(f"band edges must satisfy 0 < low < high, "
+                             f"got ({low}, {high})")
         nyq = self.sampling_rate_hz / 2.0
-        if not 0.0 < low < high < nyq:
-            raise ValueError(
-                f"band edges must satisfy 0 < low < high < fs/2 = {nyq}, "
-                f"got ({low}, {high})")
-        if self.passband_ripple_db <= 0 or self.stopband_atten_db <= 0:
-            raise ValueError("ripple and attenuation must be positive dB values")
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "order": self.order,
-            "band_hz": list(self.band_hz),
-            "sampling_rate_hz": self.sampling_rate_hz,
-            "passband_ripple_db": self.passband_ripple_db,
-            "stopband_atten_db": self.stopband_atten_db,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FilterSpec":
-        return cls(family=d["family"], order=int(d["order"]),
-                   band_hz=tuple(d["band_hz"]),
-                   sampling_rate_hz=float(d["sampling_rate_hz"]),
-                   passband_ripple_db=float(d.get("passband_ripple_db", 1.0)),
-                   stopband_atten_db=float(d.get("stopband_atten_db", 50.0)))
+        if not high < nyq:
+            raise ValueError(f"band edges must lie below fs/2 = {nyq}, "
+                             f"got ({low}, {high})")
+        for name in ("passband_ripple_db", "stopband_atten_db"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be a positive dB value, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -158,13 +146,22 @@ def magnitude_db(filt: SosFilter, freqs_hz) -> np.ndarray:
         return 20.0 * np.log10(h)
 
 
-def response_grid(filt: SosFilter, n_points: int = 1024) -> tuple[np.ndarray, np.ndarray]:
+def response_grid(filt: SosFilter, n_points: int = RESPONSE_POINTS
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """(frequency_hz, magnitude_db) on a log-spaced grid up to Nyquist."""
     nyq = filt.sampling_rate_hz / 2.0
     low, high = filt.spec.band_hz
     f_min = min(low / 10.0, 1e-2)
     freqs = np.geomspace(f_min, nyq * 0.999, n_points)
     return freqs, magnitude_db(filt, freqs)
+
+
+def _check_window(onset_s: float, duration_s: float) -> None:
+    """Reject an epoch window with a negative onset or an empty duration."""
+    if onset_s < 0:
+        raise ValueError(f"onset_s must be >= 0, got {onset_s}")
+    if not duration_s > 0:
+        raise ValueError(f"duration_s must be positive, got {duration_s}")
 
 
 def extract_epoch(ts: TrialSet, onset_s: float,
@@ -174,10 +171,7 @@ def extract_epoch(ts: TrialSet, onset_s: float,
     The window starts at round(onset_s * fs) and spans
     round(duration_s * fs) samples, fs being the set's sampling rate.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be positive, got {duration_s}")
-    if onset_s < 0:
-        raise ValueError(f"onset_s must be >= 0, got {onset_s}")
+    _check_window(onset_s, duration_s)
     start = int(round(onset_s * ts.sampling_rate_hz))
     length = int(round(duration_s * ts.sampling_rate_hz))
     if length < 1:
@@ -190,7 +184,8 @@ def extract_epoch(ts: TrialSet, onset_s: float,
     return _derived(ts, samples=ts.samples[:, :, start:stop])
 
 
-def write_response_csv(filt: SosFilter, path, n_points: int = 1024) -> None:
+def write_response_csv(filt: SosFilter, path,
+                       n_points: int = RESPONSE_POINTS) -> None:
     """Emit the response grid as CSV with header frequency_hz,magnitude_db."""
     freqs, mags = response_grid(filt, n_points)
     lines = ["frequency_hz,magnitude_db"]

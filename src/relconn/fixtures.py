@@ -18,14 +18,13 @@ without it the projected mean covariances would be structureless.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import TrialSet, save_trialset
+from .data import TrialSet, _write_json, default_n_train, save_trialset
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class FixtureSpec:
                 raise ValueError(
                     f"n_train must be in (0, {self.n_trials}), got {self.n_train}")
             return self.n_train
-        return int(round(0.7 * self.n_trials))
+        return default_n_train(self.n_trials)
 
     def to_dict(self) -> dict:
         return {
@@ -223,7 +222,5 @@ def generate_fixture(spec: FixtureSpec, seed: int, out_dir) -> tuple[Path, Path]
     ts, truth = synthesize_trialset(spec, seed)
     manifest_path = save_trialset(ts, out_dir)
     truth_path = out_dir / "fixture_truth.json"
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(truth_path, truth)
     return manifest_path, truth_path

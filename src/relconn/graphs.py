@@ -237,28 +237,6 @@ class NodeMetrics:
                 "strength": self.strength}
 
 
-def top_edges(g: ConnectivityGraph, fraction: float) -> ConnectivityGraph:
-    """Keep only the strongest edges, zeroing the rest.
-
-    Retains the top ceil(fraction * n_edges) weights among strictly
-    positive edges; ties at the cutoff are all kept, so slightly more
-    edges may survive. Modules are recomputed on the filtered graph.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    iu = np.triu_indices(g.n_nodes, 1)
-    vals = g.weights[iu]
-    positive = vals[vals > 0.0]
-    if positive.size == 0:
-        return ConnectivityGraph(g.node_names, g.weights.copy(),
-                                 assign_modules(g.weights))
-    n_keep = int(np.ceil(fraction * positive.size))
-    cutoff = np.sort(positive)[::-1][n_keep - 1]
-    w = np.where(g.weights >= cutoff, g.weights, 0.0)
-    np.fill_diagonal(w, 0.0)
-    return ConnectivityGraph(g.node_names, w, assign_modules(w))
-
-
 def separability(a: NodeMetrics, b: NodeMetrics) -> dict[str, float]:
     """Mean absolute per-node difference of each metric between two graphs."""
     if a.node_names != b.node_names:

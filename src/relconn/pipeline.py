@@ -17,7 +17,8 @@ and preprocesses for itself.
 from __future__ import annotations
 
 import csv
-import json
+import math
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,18 +30,21 @@ from .classify import (TslrModel, EvalReport, cross_validate, evaluate,
 from .csp import (SpatialFilterBank, fit_csp, select_channels,
                   trial_covariances)
 from .data import (ScatterSet, TrialSet, _integer, _number, _read_json,
-                   load_trialset, split_train_test)
+                   _write_json, default_n_train, load_trialset,
+                   split_train_test)
 from .errors import SchemaError
-from .filters import FilterSpec, apply_filter, design_bandpass, extract_epoch
+from .filters import (FilterSpec, _check_window, apply_filter,
+                      design_bandpass, extract_epoch)
 from .graphs import ConnectivityGraph, NodeMetrics, build_graph, separability
 
 DATASET_KINDS = ("errp", "motor_imagery")
 BAND_MODES = ("single", "concat")
 
-# dataset-kind defaults: (filter family, order, bands), (onset_s, duration_s)
+# dataset-kind defaults: (FilterSpec design, bands), (onset_s, duration_s)
 _KIND_FILTERS = {
-    "errp": ("butterworth", 5, [(0.1, 10.0)]),
-    "motor_imagery": ("elliptic", 6, [(8.0, 12.0), (16.0, 24.0)]),
+    "errp": ({"family": "butterworth", "order": 5}, [(0.1, 10.0)]),
+    "motor_imagery": ({"family": "elliptic", "order": 6},
+                      [(8.0, 12.0), (16.0, 24.0)]),
 }
 _KIND_EPOCHS = {
     "errp": (0.0, 1.0),
@@ -83,10 +87,11 @@ _FILTER_KEYS = {"family": _text, "order": _integer, "band_hz": _pair,
 def _filter(value, field: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(f"{field} must be an object, got {value!r}")
-    for key, check in _FILTER_KEYS.items():
-        if key in value:
-            check(value[key], f"config key 'filter.{key}'")
-    return value
+    unknown = set(value) - set(_FILTER_KEYS)
+    if unknown:
+        raise SchemaError(f"{field} has unknown keys: {sorted(unknown)}")
+    return {key: _FILTER_KEYS[key](v, f"config key 'filter.{key}'")
+            for key, v in value.items()}
 
 
 # config key -> (PipelineConfig field, JSON type check)
@@ -112,8 +117,11 @@ class PipelineConfig:
 
     lambda is optional; when absent the trainer uses 0.1 / n_train.
     n_train is optional; when absent the split keeps 70% for training.
-    filter_override / epoch_override replace the dataset-kind defaults;
-    single band mode keeps one band whether or not the filter is overridden.
+    filter_override (FilterSpec fields but the sampling rate) and
+    epoch_override replace the dataset-kind defaults; single band mode
+    keeps one band whether or not the filter is overridden. Every value is
+    checked here, but the band's Nyquist limit and the epoch's fit in a
+    trial, which need the recording.
     """
 
     dataset_kind: str
@@ -155,9 +163,16 @@ class PipelineConfig:
             raise ValueError(f"lambda must be > 0, got {self.lam}")
         if self.n_train is not None and self.n_train < 1:
             raise ValueError(f"n_train must be >= 1, got {self.n_train}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epoch_override is not None:
             object.__setattr__(self, "epoch_override",
                                tuple(float(v) for v in self.epoch_override))
+        # an unbounded rate checks every design value but the Nyquist limit
+        with _prefix_errors("config key 'filter'"):
+            self.filter_specs(math.inf)
+        with _prefix_errors("config key 'epoch'"):
+            _check_window(*self.epoch_window())
 
     @classmethod
     def from_file(cls, path, **overrides) -> "PipelineConfig":
@@ -182,20 +197,14 @@ class PipelineConfig:
         return cfg
 
     def filter_specs(self, sampling_rate_hz: float) -> list[FilterSpec]:
-        family, order, bands = _KIND_FILTERS[self.dataset_kind]
-        ripple, atten = 1.0, 50.0
-        if self.filter_override:
-            d = dict(self.filter_override)
-            family = d.get("family", family)
-            order = int(d.get("order", order))
-            ripple = float(d.get("passband_ripple_db", ripple))
-            atten = float(d.get("stopband_atten_db", atten))
-            if "band_hz" in d:
-                bands = [tuple(d["band_hz"])]
+        design, bands = _KIND_FILTERS[self.dataset_kind]
+        design = {**design, **(self.filter_override or {})}
+        if "band_hz" in design:
+            bands = [design.pop("band_hz")]
         if self.band_mode == "single":
             bands = bands[:1]
-        return [FilterSpec(family, order, band, sampling_rate_hz,
-                           ripple, atten) for band in bands]
+        return [FilterSpec(band_hz=band, sampling_rate_hz=sampling_rate_hz,
+                           **design) for band in bands]
 
     def epoch_window(self) -> tuple[float, float]:
         if self.epoch_override is not None:
@@ -205,28 +214,21 @@ class PipelineConfig:
     def resolved_n_train(self, n_total: int) -> int:
         if self.n_train is not None:
             return self.n_train
-        return int(round(0.7 * n_total))
+        return default_n_train(n_total)
 
     def out_path(self, artifact: str) -> Path:
         return Path(self.out_dir) / ARTIFACTS[artifact]
 
 
 @contextmanager
-def _stage(name: str):
-    """Prefix errors from package code with the failing stage name."""
+def _prefix_errors(label: str):
+    """Prefix errors from package code with what failed: a stage or a
+    config key."""
     try:
         yield
     except (ValueError, ArithmeticError) as e:
-        message = f"stage {name}: {e}"
-        e.args = (message,) + e.args[1:]
+        e.args = (f"{label}: {e}",) + e.args[1:]
         raise
-
-
-def _write_json(path: Path, obj: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -283,28 +285,27 @@ def _unique_node_names(picks) -> list[str]:
     return names
 
 
-def stage_fit_csp(cfg: PipelineConfig, split: Split | None = None) -> Path:
-    """Fit the spatial filters on the training split; write the bank and
-    the per-filter selected channels.
+def stage_fit_csp(cfg: PipelineConfig,
+                  split: Split | None = None) -> list[Path]:
+    """Fit spatial filters on the training split.
 
-    `split` is the preprocessed (train, test) pair from `_load_split`;
-    every stage that reads trials loads it itself when it is not given.
+    Writes the filter bank and the per-filter selected channels.
     """
-    with _stage("fit-csp"):
+    with _prefix_errors("stage fit-csp"):
         train_set, _ = split or _load_split(cfg)
         bank = fit_csp(train_set, cfg.n_filters)
         picks = select_channels(bank, train_set.channel_names)
-        path = cfg.out_path("filter_bank")
-        _write_json(path, {
+        paths = [cfg.out_path("filter_bank"), cfg.out_path("selected_channels")]
+        _write_json(paths[0], {
             "filter_bank": bank.to_dict(),
             "selected_channels": [[idx, name] for idx, name in picks],
             "node_names": _unique_node_names(picks),
             "n_train": len(train_set),
         })
-        _write_csv(cfg.out_path("selected_channels"),
+        _write_csv(paths[1],
                    ["filter_index", "channel_index", "channel_name"],
                    [(j, idx, name) for j, (idx, name) in enumerate(picks)])
-        return path
+        return paths
 
 
 def _load_bank(cfg: PipelineConfig) -> tuple[SpatialFilterBank, list[str]]:
@@ -312,21 +313,24 @@ def _load_bank(cfg: PipelineConfig) -> tuple[SpatialFilterBank, list[str]]:
     return SpatialFilterBank.from_dict(d["filter_bank"]), d["node_names"]
 
 
-def stage_train(cfg: PipelineConfig, split: Split | None = None) -> Path:
-    """Train the tangent-space model on the training split only."""
-    with _stage("train"):
+def stage_train(cfg: PipelineConfig,
+                split: Split | None = None) -> list[Path]:
+    """Train the tangent-space model on the training split."""
+    with _prefix_errors("stage train"):
         train_set, _ = split or _load_split(cfg)
         bank, _ = _load_bank(cfg)
         model = train(train_set, bank, cfg.lam)
         path = cfg.out_path("model")
         _write_json(path, model.to_dict())
-        return path
+        return [path]
 
 
-def stage_cv(cfg: PipelineConfig, split: Split | None = None) -> Path:
-    """Stratified k-fold cross-validation on the training split; filters
-    and reference are refit inside each fold."""
-    with _stage("cv"):
+def stage_cv(cfg: PipelineConfig, split: Split | None = None) -> list[Path]:
+    """Cross-validate on the training split.
+
+    Stratified k folds; filters and reference are refit inside each fold.
+    """
+    with _prefix_errors("stage cv"):
         train_set, _ = split or _load_split(cfg)
         mean, std = cross_validate(train_set, cfg.k_folds, cfg.lam,
                                    cfg.n_filters, cfg.seed)
@@ -339,22 +343,25 @@ def stage_cv(cfg: PipelineConfig, split: Split | None = None) -> Path:
             "lambda": cfg.lam,
             "n_trials": len(train_set),
         })
-        return path
+        return [path]
 
 
-def stage_evaluate(cfg: PipelineConfig, split: Split | None = None) -> Path:
-    """Score the model on the held-out split; write aggregates plus the
-    per-trial outcome table."""
-    with _stage("evaluate"):
+def stage_evaluate(cfg: PipelineConfig,
+                   split: Split | None = None) -> list[Path]:
+    """Score the model on the held-out split.
+
+    Writes the aggregates and the per-trial outcome table.
+    """
+    with _prefix_errors("stage evaluate"):
         _, test_set = split or _load_split(cfg)
         model = TslrModel.from_dict(_read_json(cfg.out_path("model")))
         report = evaluate(model, test_set)
-        path = cfg.out_path("eval_report")
-        _write_json(path, report.to_dict())
-        _write_csv(cfg.out_path("eval_per_trial"),
+        paths = [cfg.out_path("eval_report"), cfg.out_path("eval_per_trial")]
+        _write_json(paths[0], report.to_dict())
+        _write_csv(paths[1],
                    ["trial_id", "true_label", "predicted_label", "posterior"],
                    report.per_trial_rows())
-        return path
+        return paths
 
 
 def _load_report(cfg: PipelineConfig) -> EvalReport:
@@ -368,10 +375,13 @@ def _load_report(cfg: PipelineConfig) -> EvalReport:
                       aggregates["recall"], ids, true, pred, table[:, 3])
 
 
-def stage_select(cfg: PipelineConfig) -> Path:
-    """Filter the evaluated trials down to confident, correct ones; both
-    classes must keep at least one trial, or no graph can be built."""
-    with _stage("select"):
+def stage_select(cfg: PipelineConfig,
+                 split: Split | None = None) -> list[Path]:
+    """Pick the confident, correctly classified held-out trials.
+
+    Both classes must keep at least one trial, or no graph can be built.
+    """
+    with _prefix_errors("stage select"):
         report = _load_report(cfg)
         ids = select_relevant(report, cfg.posterior_threshold)
         selected_labels = report.true_labels[np.isin(report.trial_ids, ids)]
@@ -387,15 +397,17 @@ def stage_select(cfg: PipelineConfig) -> Path:
             "n_selected": len(ids),
             "n_evaluated": len(report.trial_ids),
         })
-        return path
+        return [path]
 
 
 def stage_graph(cfg: PipelineConfig,
                 split: Split | None = None) -> list[Path]:
-    """Build per-class connectivity graphs from the held-out trials, once
-    from all of them and once from the selected subset, and write the
-    node-metric table."""
-    with _stage("graph"):
+    """Build connectivity graphs and node metrics.
+
+    One graph per class from all held-out trials and one from the selected
+    subset, then the node-metric table.
+    """
+    with _prefix_errors("stage graph"):
         _, test_set = split or _load_split(cfg)
         bank, node_names = _load_bank(cfg)
         selected = _read_json(cfg.out_path("selected_trials"))["selected_ids"]
@@ -431,15 +443,16 @@ def stage_graph(cfg: PipelineConfig,
                             (node, metric, float(value),
                              f"{condition}:class{class_index}"))
 
-        _write_csv(cfg.out_path("node_metrics"),
-                   ["node", "metric", "value", "condition"], metric_rows)
+        paths.append(cfg.out_path("node_metrics"))
+        _write_csv(paths[-1], ["node", "metric", "value", "condition"],
+                   metric_rows)
         return paths
 
 
-def stage_report(cfg: PipelineConfig) -> Path:
-    """Compare class separability of the graph metrics before and after
-    trial selection."""
-    with _stage("report"):
+def stage_report(cfg: PipelineConfig,
+                 split: Split | None = None) -> list[Path]:
+    """Compare graph-metric separability before and after selection."""
+    with _prefix_errors("stage report"):
         metrics = {}
         for condition in ("all", "selected"):
             per_class = []
@@ -459,20 +472,32 @@ def stage_report(cfg: PipelineConfig) -> Path:
             "improved": improved,
             "n_improved": sum(improved.values()),
         })
-        return path
+        return [path]
+
+
+def stages() -> dict[str, Callable[..., list[Path]]]:
+    """Stage name -> stage function, in run order.
+
+    Every stage takes the config and, optionally, the preprocessed
+    (train, test) split from `_load_split`; a stage that reads trials
+    loads them itself when no split is given, and select and report read
+    none. Each returns the paths it wrote. The map is built on every call,
+    so it holds whatever function each name is bound to at that time.
+    """
+    return {"fit-csp": stage_fit_csp, "train": stage_train, "cv": stage_cv,
+            "evaluate": stage_evaluate, "select": stage_select,
+            "graph": stage_graph, "report": stage_report}
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
-    """Run every stage in order; returns artifact name -> path."""
-    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    """Run every stage in order.
+
+    The recording is loaded and preprocessed once for all stages. Returns
+    artifact name -> path, in `ARTIFACTS` order.
+    """
     # fit-csp is the first stage to read trials, so load errors keep its name
-    with _stage("fit-csp"):
+    with _prefix_errors("stage fit-csp"):
         split = _load_split(cfg)
-    stage_fit_csp(cfg, split)
-    stage_train(cfg, split)
-    stage_cv(cfg, split)
-    stage_evaluate(cfg, split)
-    stage_select(cfg)
-    stage_graph(cfg, split)
-    stage_report(cfg)
+    for stage in stages().values():
+        stage(cfg, split)
     return {name: cfg.out_path(name) for name in ARTIFACTS}

@@ -8,7 +8,7 @@ import pytest
 from relconn.cli import main
 from relconn.data import TrialSet, save_trialset
 from relconn.filters import FilterSpec, design_bandpass, write_response_csv
-from relconn.pipeline import ARTIFACTS
+from relconn.pipeline import ARTIFACTS, stages
 
 
 def write_config(path, manifest, out_dir, **extra):
@@ -76,9 +76,34 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "cfg.json", dataset, out_dir)
         assert main(["run", "--config", str(cfg)]) == 0
         printed = capsys.readouterr().out.strip().splitlines()
-        assert len(printed) == len(ARTIFACTS)
+        assert printed == [str(out_dir / name) for name in ARTIFACTS.values()]
         for line in printed:
             assert (out_dir / line.split("/")[-1]).exists()
+
+    def test_each_stage_prints_the_artifacts_it_wrote(self, dataset,
+                                                       tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", dataset, out_dir)
+        written = []
+        for stage in stages():
+            before = set(out_dir.glob("*"))
+            assert main([stage, "--config", str(cfg)]) == 0
+            printed = capsys.readouterr().out.strip().splitlines()
+            assert sorted(printed) == sorted(
+                map(str, set(out_dir.glob("*")) - before)), stage
+            written += printed
+        assert sorted(written) == sorted(str(out_dir / name)
+                                         for name in ARTIFACTS.values())
+
+    def test_help_lists_every_stage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        # argparse wraps long help lines
+        text = " ".join(capsys.readouterr().out.split())
+        for name, stage in stages().items():
+            assert name in text
+            assert stage.__doc__.splitlines()[0] in text
 
     def test_lambda_override_lands_in_model(self, dataset, tmp_path):
         out_dir = tmp_path / "out"
@@ -149,6 +174,22 @@ class TestExitCodes:
         ("filter", {"order": "5"}, "'filter.order' must be an integer"),
         ("dataset_kind", 1, "'dataset_kind' must be a string"),
         ("band_mode", 2, "'band_mode' must be a string"),
+        ("filter", {"odrer": 2}, "'filter' has unknown keys: ['odrer']"),
+        ("filter", {"family": "bessel"},
+         "config key 'filter': family must be one of"),
+        ("filter", {"order": 0}, "config key 'filter': order must be >= 1"),
+        ("filter", {"passband_ripple_db": 0},
+         "config key 'filter': passband_ripple_db must be a positive"),
+        ("filter", {"stopband_atten_db": -50},
+         "config key 'filter': stopband_atten_db must be a positive"),
+        ("filter", {"band_hz": [10, 1]},
+         "config key 'filter': band edges must satisfy 0 < low < high"),
+        ("filter", {"band_hz": [0, 10]},
+         "config key 'filter': band edges must satisfy 0 < low < high"),
+        ("epoch", [-0.5, 0.5], "config key 'epoch': onset_s must be >= 0"),
+        ("epoch", [0.0, 0.0], "config key 'epoch': duration_s must be "
+                              "positive"),
+        ("seed", -1, "seed must be >= 0"),
     ])
     def test_config_value_checked_up_front(self, dataset, tmp_path, capsys,
                                            key, value, message):
@@ -163,6 +204,20 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("filter", {"band_hz": [1, 150]}, "band edges must lie below fs/2"),
+        ("epoch", [0.0, 2.0], "exceeds the 100 samples per trial"),
+    ])
+    def test_recording_bound_value_checked_at_load(self, dataset, tmp_path,
+                                                   capsys, key, value,
+                                                   message):
+        # the Nyquist limit and the trial length come with the recording
+        cfg = write_config(tmp_path / "cfg.json", dataset, tmp_path / "out",
+                           **{key: value})
+        assert main(["fit-csp", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error: stage fit-csp:" in err and message in err
 
     def test_select_without_a_class_exits_two(self, tmp_path, capsys):
         # on the default (S) fixture nothing reaches this confidence, so

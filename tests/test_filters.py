@@ -41,10 +41,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="band edges"):
             FilterSpec("butterworth", 4, (1.0, 300.0), FS)
 
-    def test_round_trip_dict(self):
-        spec = FilterSpec("elliptic", 6, (8.0, 12.0), FS, 1.0, 50.0)
-        assert FilterSpec.from_dict(spec.to_dict()) == spec
-
 
 class TestStability:
     def test_unstable_sections_rejected(self):

@@ -11,6 +11,7 @@ from relconn.data import load_trialset
 from relconn.fixtures import (FixtureSpec, _background_covariance,
                               _class_covariances, _session_couplings,
                               generate_fixture, synthesize_trialset)
+from relconn.pipeline import PipelineConfig
 
 
 def class0_mean_covariance(ts):
@@ -40,6 +41,14 @@ class TestSpecValidation:
     def test_explicit_split_bounds(self):
         with pytest.raises(ValueError, match="n_train"):
             FixtureSpec(n_per_class=10, n_train=20).resolved_n_train()
+
+    def test_default_split_matches_pipeline(self):
+        # the truth's n_train (and so the session boundary) is the split a
+        # config without n_train makes
+        cfg = PipelineConfig("errp", "manifest.json", "out")
+        for n_total in range(4, 61, 2):
+            spec = FixtureSpec(n_per_class=n_total // 2)
+            assert spec.resolved_n_train() == cfg.resolved_n_train(n_total)
 
     def test_to_dict_serializes_infinite_snr(self):
         d = FixtureSpec(snr=math.inf).to_dict()

@@ -8,8 +8,7 @@ import graph_oracle as ref
 from relconn.graphs import (ConnectivityGraph, NodeMetrics, assign_modules,
                             build_graph, clustering_coefficient,
                             local_efficiency, node_strength,
-                            participation_coefficient, separability,
-                            top_edges)
+                            participation_coefficient, separability)
 
 
 def random_weights(rng, n, density=0.6):
@@ -205,59 +204,6 @@ class TestBuildGraph:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             build_graph([], ("a",))
-
-
-class TestTopEdges:
-    def weights(self):
-        w = np.zeros((4, 4))
-        vals = {(0, 1): 4.0, (0, 2): 3.0, (0, 3): 2.0,
-                (1, 2): 1.0, (1, 3): 0.5, (2, 3): 0.25}
-        for (i, j), v in vals.items():
-            w[i, j] = w[j, i] = v
-        return w
-
-    def test_keeps_ceil_fraction(self):
-        g = graph_from(self.weights())
-        kept = top_edges(g, 0.5)
-        # ceil(0.5 * 6) = 3 strongest edges survive
-        iu = np.triu_indices(4, 1)
-        assert int(np.count_nonzero(kept.weights[iu])) == 3
-        assert kept.weights[0, 1] == 4.0
-        assert kept.weights[2, 3] == 0.0
-
-    def test_ties_at_cutoff_survive(self):
-        w = self.weights()
-        w[1, 2] = w[2, 1] = 2.0  # duplicate the cutoff weight
-        kept = top_edges(graph_from(w), 0.5)
-        iu = np.triu_indices(4, 1)
-        assert int(np.count_nonzero(kept.weights[iu])) == 4
-
-    def test_fraction_one_keeps_everything(self):
-        g = graph_from(self.weights())
-        kept = top_edges(g, 1.0)
-        assert np.array_equal(kept.weights, g.weights)
-
-    def test_fraction_validated(self):
-        g = graph_from(self.weights())
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match="fraction"):
-                top_edges(g, bad)
-
-    def test_modules_recomputed(self):
-        # dropping the weak bridge splits the graph into two communities
-        w = np.zeros((4, 4))
-        w[0, 1] = w[1, 0] = 1.0
-        w[2, 3] = w[3, 2] = 1.0
-        w[1, 2] = w[2, 1] = 0.1
-        g = graph_from(w)
-        kept = top_edges(g, 0.5)
-        assert kept.weights[1, 2] == 0.0
-        assert kept.modules.tolist() == [0, 0, 1, 1]
-
-    def test_all_zero_graph_passthrough(self):
-        g = graph_from(np.zeros((3, 3)))
-        kept = top_edges(g, 0.5)
-        assert_allclose(kept.weights, 0.0)
 
 
 class TestSeparability:
