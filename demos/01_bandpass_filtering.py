@@ -34,6 +34,7 @@ power_out = float(np.mean(filtered.samples[0, 0, settle] ** 2))
 print(f"\npower before filtering: {power_in:.3f}")
 print(f"power after 8-12 Hz elliptic: {power_out:.3f} (clean tone is 0.5)")
 
-out = Path(tempfile.mkdtemp()) / "butterworth_response.csv"
-write_response_csv(butter, out, n_points=512)
-print(f"\nfull magnitude grid written to {out}")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "butterworth_response.csv"
+    write_response_csv(butter, out, n_points=512)
+    print(f"\nfull magnitude grid written to {out}")

@@ -55,6 +55,18 @@ def _names(names, what: str, count: int) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _check_labels_and_ids(labels: np.ndarray, ids: np.ndarray) -> None:
+    """Reject a label outside {0, 1} or an id that repeats, naming the
+    first one."""
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        raise SchemaError(f"trial {ids[bad[0]]}: label must be 0 or 1, "
+                          f"got {labels[bad[0]].item()!r}")
+    uniq, counts = np.unique(ids, return_counts=True)
+    if np.any(counts > 1):
+        raise SchemaError(f"duplicate trial id {uniq[counts > 1][0]}")
+
+
 class _TrialStack:
     """What both trial containers share. `_stack` names the float64 array,
     stored read-only, whose first axis runs over trials and second over
@@ -81,13 +93,7 @@ class _TrialStack:
         if not np.issubdtype(ids.dtype, np.integer):
             raise SchemaError(
                 f"trial ids must be integers, got dtype {ids.dtype}")
-        bad = np.flatnonzero((labels != 0) & (labels != 1))
-        if bad.size:
-            raise SchemaError(f"trial {ids[bad[0]]}: label must be 0 or 1, "
-                              f"got {labels[bad[0]].item()!r}")
-        uniq, counts = np.unique(ids, return_counts=True)
-        if np.any(counts > 1):
-            raise SchemaError(f"duplicate trial id {uniq[counts > 1][0]}")
+        _check_labels_and_ids(labels, ids)
         bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
         if bad.size:
             raise DataError(
@@ -210,13 +216,21 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
-def load_trialset(manifest_path) -> TrialSet:
-    """Load a trial set from a JSON manifest.
+def load_trialset(manifest_path, rows=None) -> TrialSet:
+    """Load a trial set, or some of its trials, from a JSON manifest.
+
+    Every manifest row is checked, but only the chosen rows' trial files
+    are read. So a missing, resized or non-finite trial file outside the
+    chosen rows is not reported.
 
     Parameters
     ----------
     manifest_path : str or Path
         Path to the manifest. Trial file paths are resolved relative to it.
+    rows : slice, index array, boolean mask or callable, optional
+        The manifest rows to load, in the order `TrialSet.subset` would
+        pick them; a callable is given the manifest's trial count and
+        returns such a selection. All rows when omitted.
 
     Returns
     -------
@@ -225,14 +239,14 @@ def load_trialset(manifest_path) -> TrialSet:
     Raises
     ------
     FileNotFoundError
-        If the manifest or a trial file is missing.
+        If the manifest or a chosen trial file is missing.
     SchemaError
         On missing or mistyped manifest fields, non-integer channels,
-        samples, trial ids or labels, labels outside {0, 1}, duplicate ids,
-        or a trial file whose size does not match the channels x samples
-        geometry declared at the manifest top level.
+        samples, trial ids or labels, labels outside {0, 1} or duplicate
+        ids in any row, or a chosen trial file whose size does not match
+        the channels x samples geometry declared at the manifest top level.
     DataError
-        If the set is empty or any trial holds non-finite values.
+        If the selection is empty or a chosen trial holds non-finite values.
     """
     manifest_path = Path(manifest_path)
     manifest = _read_json(manifest_path)
@@ -247,14 +261,13 @@ def load_trialset(manifest_path) -> TrialSet:
             f"channels and samples must be >= 1, got {n_ch} and {n_sa}")
     rate = _number(manifest["sampling_rate_hz"],
                    "manifest field 'sampling_rate_hz'")
-    rows = manifest["trials"]
-    if not isinstance(rows, list) or not rows:
+    table = manifest["trials"]
+    if not isinstance(table, list) or not table:
         raise SchemaError("manifest field 'trials' must be a non-empty list")
 
-    samples = np.empty((len(rows), n_ch, n_sa))
-    labels = np.empty(len(rows), dtype=np.int64)
-    ids = np.empty(len(rows), dtype=np.int64)
-    for i, row in enumerate(rows):
+    labels = np.empty(len(table), dtype=np.int64)
+    ids = np.empty(len(table), dtype=np.int64)
+    for i, row in enumerate(table):
         if not isinstance(row, dict):
             raise SchemaError(f"trial row {i} must be an object, got {row!r}")
         for key in ("id", "label", "file"):
@@ -264,15 +277,23 @@ def load_trialset(manifest_path) -> TrialSet:
         labels[i] = _integer(row["label"], f"trial {tid}: field 'label'")
         if not isinstance(row["file"], str):
             raise SchemaError(f"trial {tid}: field 'file' must be a string")
-        raw = np.fromfile(manifest_path.parent / row["file"], dtype="<f8")
+    _check_labels_and_ids(labels, ids)
+
+    if callable(rows):
+        rows = rows(len(table))
+    chosen = np.arange(len(table))[slice(None) if rows is None else rows]
+    samples = np.empty((len(chosen), n_ch, n_sa))
+    for i, j in enumerate(chosen):
+        tid, name = ids[j], table[j]["file"]
+        raw = np.fromfile(manifest_path.parent / name, dtype="<f8")
         if raw.size != n_ch * n_sa:
             raise SchemaError(
-                f"trial {tid}: file {row['file']} holds {raw.size} values, "
+                f"trial {tid}: file {name} holds {raw.size} values, "
                 f"expected {n_ch}x{n_sa}={n_ch * n_sa}")
         samples[i] = raw.reshape(n_ch, n_sa)
 
-    return TrialSet(samples, labels, ids, manifest["channel_names"], rate,
-                    manifest["class_names"])
+    return TrialSet(samples, labels[chosen], ids[chosen],
+                    manifest["channel_names"], rate, manifest["class_names"])
 
 
 def save_trialset(ts: TrialSet, out_dir) -> Path:
@@ -308,10 +329,15 @@ def default_n_train(n_total: int) -> int:
     return int(round(0.7 * n_total))
 
 
+def split_rows(n_total: int, n_train: int) -> tuple[slice, slice]:
+    """The (train, test) rows of an in-order split of n_total trials: the
+    first n_train train, the rest test. Both sides must keep a trial."""
+    if not 0 < n_train < n_total:
+        raise ValueError(f"n_train must be in (0, {n_total}), got {n_train}")
+    return slice(None, n_train), slice(n_train, None)
+
+
 def split_train_test(ts, n_train: int):
-    """Split a TrialSet or ScatterSet in order: the first n_train trials
-    train, the rest test."""
-    if not 0 < n_train < len(ts):
-        raise ValueError(
-            f"n_train must be in (0, {len(ts)}), got {n_train}")
-    return ts.subset(slice(None, n_train)), ts.subset(slice(n_train, None))
+    """Split a TrialSet or ScatterSet by `split_rows`."""
+    train, test = split_rows(len(ts), n_train)
+    return ts.subset(train), ts.subset(test)

@@ -164,13 +164,11 @@ def _check_window(onset_s: float, duration_s: float) -> None:
         raise ValueError(f"duration_s must be positive, got {duration_s}")
 
 
-def extract_epoch(ts: TrialSet, onset_s: float,
-                  duration_s: float) -> TrialSet:
-    """Cut a fixed-length window out of every trial; returns a view.
-
-    The window starts at round(onset_s * fs) and spans
-    round(duration_s * fs) samples, fs being the set's sampling rate.
-    """
+def epoch_bounds(ts: TrialSet, onset_s: float,
+                 duration_s: float) -> tuple[int, int]:
+    """The sample range [start, stop) of an epoch window in the set's
+    trials: it starts at round(onset_s * fs) and spans
+    round(duration_s * fs) samples, fs being the set's sampling rate."""
     _check_window(onset_s, duration_s)
     start = int(round(onset_s * ts.sampling_rate_hz))
     length = int(round(duration_s * ts.sampling_rate_hz))
@@ -181,6 +179,13 @@ def extract_epoch(ts: TrialSet, onset_s: float,
         raise ValueError(
             f"epoch [{start}, {stop}) exceeds the {ts.n_samples} samples "
             f"per trial")
+    return start, stop
+
+
+def extract_epoch(ts: TrialSet, onset_s: float,
+                  duration_s: float) -> TrialSet:
+    """Cut the `epoch_bounds` window out of every trial; returns a view."""
+    start, stop = epoch_bounds(ts, onset_s, duration_s)
     return _derived(ts, samples=ts.samples[:, :, start:stop])
 
 

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TrialSet, _write_json, default_n_train, save_trialset
+from .data import (TrialSet, _write_json, default_n_train, save_trialset,
+                   split_rows)
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,13 @@ class FixtureSpec:
             raise ValueError("snr must be positive (math.inf allowed)")
         if not 0.0 <= self.session_shift < 1.0:
             raise ValueError("session_shift must be in [0, 1)")
+        n_train = self.resolved_n_train()
+        # synthesize_trialset deals n_train // 2 calibration trials to
+        # class 0 and the rest to class 1; both sessions need both classes
+        if n_train < 2 or n_train - n_train // 2 >= self.n_per_class:
+            raise ValueError(
+                f"n_per_class={self.n_per_class} with n_train={n_train} "
+                f"leaves a session without both classes")
 
     @property
     def n_trials(self) -> int:
@@ -67,12 +75,10 @@ class FixtureSpec:
         return int(round(self.duration_s * self.sampling_rate_hz))
 
     def resolved_n_train(self) -> int:
-        if self.n_train is not None:
-            if not 0 < self.n_train < self.n_trials:
-                raise ValueError(
-                    f"n_train must be in (0, {self.n_trials}), got {self.n_train}")
-            return self.n_train
-        return default_n_train(self.n_trials)
+        if self.n_train is None:
+            return default_n_train(self.n_trials)
+        split_rows(self.n_trials, self.n_train)
+        return self.n_train
 
     def to_dict(self) -> dict:
         return {
@@ -163,8 +169,6 @@ def synthesize_trialset(spec: FixtureSpec, seed: int) -> tuple[TrialSet, dict]:
     train_labels = np.array([0] * (n_train // 2) + [1] * (n_train - n_train // 2))
     test_n = n_total - n_train
     n_test_c0 = spec.n_per_class - n_train // 2
-    if not 0 < n_test_c0 < test_n:
-        raise ValueError("split leaves a session without both classes")
     test_labels = np.array([0] * n_test_c0 + [1] * (test_n - n_test_c0))
     rng.shuffle(train_labels)
     rng.shuffle(test_labels)

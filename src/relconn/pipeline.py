@@ -10,8 +10,11 @@ Preprocessing band-passes the raw samples, cuts the epoch window and
 reduces every trial to its channel scatter matrix S = x x'; every later
 stage works on that `ScatterSet` only. `run_pipeline` loads and
 preprocesses the recording once and hands the train/test split to every
-stage that reads trials. A stage run on its own (one CLI subcommand) loads
-and preprocesses for itself.
+stage that reads trials. A stage run on its own (one CLI subcommand) reads
+and preprocesses only its side of the split: `fit-csp`, `train` and `cv`
+the training rows, `evaluate` and `graph` the test rows. Band-passing is
+causal and per trial, so either way a trial's scatter matrix comes out
+bit for bit the same.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ from .classify import (TslrModel, EvalReport, cross_validate, evaluate,
                        select_relevant, train)
 from .csp import (SpatialFilterBank, fit_csp, select_channels,
                   trial_covariances)
-from .data import (ScatterSet, TrialSet, _integer, _number, _read_json,
-                   _write_json, default_n_train, load_trialset,
-                   split_train_test)
+from .data import (ScatterSet, TrialSet, _derived, _integer, _number,
+                   _read_json, _write_json, default_n_train, load_trialset,
+                   split_rows, split_train_test)
 from .errors import SchemaError
 from .filters import (FilterSpec, _check_window, apply_filter,
-                      design_bandpass, extract_epoch)
+                      design_bandpass, epoch_bounds, extract_epoch)
 from .graphs import ConnectivityGraph, NodeMetrics, build_graph, separability
 
 DATASET_KINDS = ("errp", "motor_imagery")
@@ -249,16 +252,20 @@ def preprocess(cfg: PipelineConfig, ts: TrialSet) -> ScatterSet:
     """Band-pass every trial, cut the epoch window and keep each trial's
     scatter matrix x x'.
 
-    In concat mode the band outputs are joined along time; the scatter
-    matrix of the joined signal is the sum of the per-band scatter
-    matrices, so that sum is what is kept, without building the join.
+    The filter is causal, so samples after the epoch's end cannot change
+    the epoch and are not filtered. In concat mode the band outputs are
+    joined along time; the scatter matrix of the joined signal is the sum
+    of the per-band scatter matrices, so that sum is what is kept, without
+    building the join.
     """
     filts = [design_bandpass(s)
              for s in cfg.filter_specs(ts.sampling_rate_hz)]
     onset, duration = cfg.epoch_window()
+    _, stop = epoch_bounds(ts, onset, duration)
+    head = _derived(ts, samples=ts.samples[..., :stop])
     scatter = np.zeros((len(ts), ts.n_channels, ts.n_channels))
     for start in range(0, len(ts), CHUNK_TRIALS):
-        chunk = ts.subset(slice(start, start + CHUNK_TRIALS))
+        chunk = head.subset(slice(start, start + CHUNK_TRIALS))
         for filt in filts:
             x = extract_epoch(apply_filter(filt, chunk), onset, duration).samples
             scatter[start:start + len(chunk)] += x @ np.swapaxes(x, 1, 2)
@@ -267,12 +274,23 @@ def preprocess(cfg: PipelineConfig, ts: TrialSet) -> ScatterSet:
 
 
 Split = tuple[ScatterSet, ScatterSet]
+_TRAIN, _TEST = 0, 1
 
 
 def _load_split(cfg: PipelineConfig) -> Split:
     """Load and preprocess the manifest; split into (train, test)."""
     scatter = preprocess(cfg, load_trialset(cfg.manifest))
     return split_train_test(scatter, cfg.resolved_n_train(len(scatter)))
+
+
+def _side(cfg: PipelineConfig, split: Split | None, side: int) -> ScatterSet:
+    """One side of the (train, test) split: taken from `split` when one is
+    given, else loaded and preprocessed on its own, from that side's
+    manifest rows only."""
+    if split is not None:
+        return split[side]
+    return preprocess(cfg, load_trialset(
+        cfg.manifest, lambda n: split_rows(n, cfg.resolved_n_train(n))[side]))
 
 
 def _unique_node_names(picks) -> list[str]:
@@ -292,7 +310,7 @@ def stage_fit_csp(cfg: PipelineConfig,
     Writes the filter bank and the per-filter selected channels.
     """
     with _prefix_errors("stage fit-csp"):
-        train_set, _ = split or _load_split(cfg)
+        train_set = _side(cfg, split, _TRAIN)
         bank = fit_csp(train_set, cfg.n_filters)
         picks = select_channels(bank, train_set.channel_names)
         paths = [cfg.out_path("filter_bank"), cfg.out_path("selected_channels")]
@@ -317,7 +335,7 @@ def stage_train(cfg: PipelineConfig,
                 split: Split | None = None) -> list[Path]:
     """Train the tangent-space model on the training split."""
     with _prefix_errors("stage train"):
-        train_set, _ = split or _load_split(cfg)
+        train_set = _side(cfg, split, _TRAIN)
         bank, _ = _load_bank(cfg)
         model = train(train_set, bank, cfg.lam)
         path = cfg.out_path("model")
@@ -331,7 +349,7 @@ def stage_cv(cfg: PipelineConfig, split: Split | None = None) -> list[Path]:
     Stratified k folds; filters and reference are refit inside each fold.
     """
     with _prefix_errors("stage cv"):
-        train_set, _ = split or _load_split(cfg)
+        train_set = _side(cfg, split, _TRAIN)
         mean, std = cross_validate(train_set, cfg.k_folds, cfg.lam,
                                    cfg.n_filters, cfg.seed)
         path = cfg.out_path("cv_summary")
@@ -353,7 +371,7 @@ def stage_evaluate(cfg: PipelineConfig,
     Writes the aggregates and the per-trial outcome table.
     """
     with _prefix_errors("stage evaluate"):
-        _, test_set = split or _load_split(cfg)
+        test_set = _side(cfg, split, _TEST)
         model = TslrModel.from_dict(_read_json(cfg.out_path("model")))
         report = evaluate(model, test_set)
         paths = [cfg.out_path("eval_report"), cfg.out_path("eval_per_trial")]
@@ -408,7 +426,7 @@ def stage_graph(cfg: PipelineConfig,
     subset, then the node-metric table.
     """
     with _prefix_errors("stage graph"):
-        _, test_set = split or _load_split(cfg)
+        test_set = _side(cfg, split, _TEST)
         bank, node_names = _load_bank(cfg)
         selected = _read_json(cfg.out_path("selected_trials"))["selected_ids"]
 
@@ -479,10 +497,12 @@ def stages() -> dict[str, Callable[..., list[Path]]]:
     """Stage name -> stage function, in run order.
 
     Every stage takes the config and, optionally, the preprocessed
-    (train, test) split from `_load_split`; a stage that reads trials
-    loads them itself when no split is given, and select and report read
-    none. Each returns the paths it wrote. The map is built on every call,
-    so it holds whatever function each name is bound to at that time.
+    (train, test) split from `_load_split`. When no split is given, a
+    stage that reads trials loads and preprocesses only its side of it:
+    fit-csp, train and cv the training rows, evaluate and graph the test
+    rows. Select and report read no trials. Each returns the paths it
+    wrote. The map is built on every call, so it holds whatever function
+    each name is bound to at that time.
     """
     return {"fit-csp": stage_fit_csp, "train": stage_train, "cv": stage_cv,
             "evaluate": stage_evaluate, "select": stage_select,

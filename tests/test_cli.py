@@ -40,6 +40,14 @@ class TestFixtureCommand:
         truth = json.loads((tmp_path / "fixture_truth.json").read_text())
         assert truth["seed"] == 9
 
+    def test_one_class_split_rejected_up_front(self, tmp_path, capsys):
+        # 4 trials split 3/1 leave the test session one class short
+        assert main(["fixture", "--out", str(tmp_path / "d"),
+                     "--trials-per-class", "2"]) == 2
+        assert ("error: n_per_class=2 with n_train=3 leaves a session "
+                "without both classes" in capsys.readouterr().err)
+        assert not (tmp_path / "d").exists()
+
 
 class TestFilterResponseCommand:
     def test_matches_library_export(self, tmp_path):

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from relconn.data import (_MANIFEST_KEYS, MANIFEST_NAME, ScatterSet, TrialSet,
-                          load_trialset, save_trialset, split_train_test)
+                          load_trialset, save_trialset, split_rows,
+                          split_train_test)
 from relconn.errors import DataError, SchemaError
 
 
@@ -217,6 +218,52 @@ class TestManifestRoundTrip:
             load_trialset(manifest)
 
 
+class TestRowSelection:
+    """`load_trialset` checks every manifest row but reads only the
+    chosen rows' trial files."""
+
+    @pytest.mark.parametrize("rows", [
+        slice(2, 5), slice(None, None, 2), np.array([4, 0, 3]),
+        np.arange(6) % 3 == 0, lambda n: split_rows(n, 4)[1],
+    ], ids=["slice", "step", "index", "mask", "callable"])
+    def test_equals_subset_of_full_load(self, tmp_path, rows):
+        manifest = save_trialset(make_set(seed=5), tmp_path)
+        full = load_trialset(manifest)
+        part = load_trialset(manifest, rows)
+        expected = full.subset(rows(len(full)) if callable(rows) else rows)
+        assert part.ids.tolist() == expected.ids.tolist()
+        assert part.labels.tolist() == expected.labels.tolist()
+        assert np.array_equal(part.samples, expected.samples)
+        assert part.channel_names == full.channel_names
+        assert part.sampling_rate_hz == full.sampling_rate_hz
+        assert part.class_names == full.class_names
+
+    def test_other_rows_files_are_not_read(self, tmp_path):
+        manifest = save_trialset(make_set(), tmp_path)
+        (tmp_path / "trials" / "trial_00004.bin").unlink()
+        (tmp_path / "trials" / "trial_00005.bin").write_bytes(b"")
+        assert load_trialset(manifest, slice(None, 4)).ids.tolist() == [
+            0, 1, 2, 3]
+        with pytest.raises(FileNotFoundError):
+            load_trialset(manifest, slice(4, None))
+        with pytest.raises(SchemaError, match="trial 5: file"):
+            load_trialset(manifest, [5])
+
+    @pytest.mark.parametrize("row, field, value, match", [
+        (5, "label", 2, "trial 5: label must be 0 or 1, got 2"),
+        (5, "id", 1, "duplicate trial id 1"),
+        (4, "id", 4.5, "'id' must be an integer"),
+        (5, "file", 7, "trial 5: field 'file' must be a string"),
+    ])
+    def test_every_row_is_checked(self, tmp_path, row, field, value, match):
+        manifest = save_trialset(make_set(), tmp_path)
+        d = json.loads(manifest.read_text())
+        d["trials"][row][field] = value
+        manifest.write_text(json.dumps(d))
+        with pytest.raises(SchemaError, match=match):
+            load_trialset(manifest, slice(None, 3))
+
+
 class TestSplit:
     def test_order_preserved(self):
         ts = make_set(n_trials=10)
@@ -230,6 +277,11 @@ class TestSplit:
         ts = make_set(n_trials=10)
         with pytest.raises(ValueError, match="n_train"):
             split_train_test(ts, n_train)
+
+    def test_rows_need_only_the_count(self):
+        assert split_rows(10, 7) == (slice(None, 7), slice(7, None))
+        with pytest.raises(ValueError, match=r"n_train must be in \(0, 10\)"):
+            split_rows(10, 10)
 
 
 # values no manifest field takes; sampling_rate_hz also takes any float

@@ -28,6 +28,9 @@ class TestSpecValidation:
         dict(irrelevant_fraction=-0.1),
         dict(snr=0.0),
         dict(session_shift=1.0),
+        dict(n_per_class=2),
+        dict(n_per_class=10, n_train=1),
+        dict(n_per_class=10, n_train=19),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -46,7 +49,7 @@ class TestSpecValidation:
         # the truth's n_train (and so the session boundary) is the split a
         # config without n_train makes
         cfg = PipelineConfig("errp", "manifest.json", "out")
-        for n_total in range(4, 61, 2):
+        for n_total in range(6, 61, 2):
             spec = FixtureSpec(n_per_class=n_total // 2)
             assert spec.resolved_n_train() == cfg.resolved_n_train(n_total)
 

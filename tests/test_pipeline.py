@@ -1,7 +1,9 @@
 """Pipeline stages: artifact determinism, stage isolation, leakage guards."""
 
 import json
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +202,22 @@ class TestPreprocess:
         assert_allclose(out.matrices, joined @ np.swapaxes(joined, 1, 2),
                         rtol=1e-12)
 
+    def test_filtering_stops_at_epoch_end(self, dataset):
+        # the filter is causal, so filtering only up to the epoch's end
+        # gives the same epoch as filtering the whole trial
+        manifest, _ = dataset
+        ts = load_trialset(manifest)
+        cfg = PipelineConfig("motor_imagery", str(manifest), "unused",
+                             band_mode="concat", epoch_override=(0.1, 0.2))
+        out = preprocess(cfg, ts)
+        whole = np.zeros_like(out.matrices)
+        for spec in cfg.filter_specs(200.0):
+            x = extract_epoch(apply_filter(design_bandpass(spec), ts),
+                              0.1, 0.2).samples
+            whole += x @ np.swapaxes(x, 1, 2)
+        assert extract_epoch(ts, 0.1, 0.2).samples.shape[2] < ts.n_samples
+        assert np.array_equal(out.matrices, whole)
+
     def test_chunks_do_not_change_the_result(self, dataset, monkeypatch):
         manifest, _ = dataset
         ts = load_trialset(manifest)
@@ -297,6 +315,70 @@ class TestStageIsolation:
         assert fresh["model"] == blobs["model"]
         assert fresh["filter_bank"] == blobs["filter_bank"]
         assert fresh["cv_summary"] != blobs["cv_summary"]
+
+
+def without_trial_files(cfg, rows, root):
+    """A copy of cfg's dataset and artifacts under root, with the trial
+    files of the given manifest rows deleted."""
+    data = Path(shutil.copytree(Path(cfg.manifest).parent, root / "data"))
+    out = shutil.copytree(cfg.out_dir, root / "out")
+    table = json.loads((data / "manifest.json").read_text())["trials"]
+    for row in table[rows]:
+        (data / row["file"]).unlink()
+    return replace(cfg, manifest=str(data / "manifest.json"), out_dir=out)
+
+
+class TestSideOnlyLoad:
+    """A stage run on its own reads only its side of the split."""
+
+    @pytest.mark.parametrize("deleted, stages", [
+        ("train", (stage_evaluate, stage_graph)),
+        ("test", (stage_fit_csp, stage_train, stage_cv)),
+    ])
+    def test_stage_needs_only_its_side_files(self, completed_run, tmp_path,
+                                             deleted, stages):
+        cfg, blobs = completed_run
+        rows = (slice(None, cfg.n_train) if deleted == "train"
+                else slice(cfg.n_train, None))
+        other = without_trial_files(cfg, rows, tmp_path)
+        for stage in stages:
+            for name, writer in WRITER.items():
+                if writer is stage:
+                    other.out_path(name).unlink()
+            stage(other)
+        assert artifact_bytes(other) == blobs
+
+    @pytest.mark.parametrize("stage", ["fit-csp", "train", "cv", "evaluate",
+                                       "graph"])
+    @pytest.mark.parametrize("fault, message", [
+        ("duplicate_id", "duplicate trial id 30"),
+        ("unread_label", "label must be 0 or 1, got 2"),
+        ("n_train", "n_train must be in (0, 32), got 32"),
+    ])
+    def test_whole_manifest_still_checked(self, completed_run, tmp_path,
+                                          capsys, stage, fault, message):
+        cfg, _ = completed_run
+        data = Path(shutil.copytree(Path(cfg.manifest).parent,
+                                    tmp_path / "data"))
+        d = json.loads((data / "manifest.json").read_text())
+        n_train = cfg.n_train
+        if fault == "duplicate_id":
+            # a training row takes the id of a test row
+            d["trials"][0]["id"] = d["trials"][30]["id"]
+        elif fault == "unread_label":
+            row = 25 if stage in ("fit-csp", "train", "cv") else 3
+            d["trials"][row]["label"] = 2
+            message = f"trial {row}: {message}"
+        else:
+            n_train = len(d["trials"])
+        (data / "manifest.json").write_text(json.dumps(d))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "manifest": str(data / "manifest.json"),
+            "out_dir": str(tmp_path / "out"),
+            "n_train": n_train, "k_folds": 3, "epoch": [0.0, 0.5]}))
+        assert main([stage, "--config", str(path)]) == 2
+        assert f"error: stage {stage}: {message}" in capsys.readouterr().err
 
 
 class TestStageErrors:
