@@ -243,13 +243,17 @@ class EvalReport:
                         self.posteriors.tolist()))
 
 
-def evaluate(model: TslrModel, test_set: ScatterSet) -> EvalReport:
+def evaluate(model: TslrModel, test_set: ScatterSet,
+             covs: np.ndarray | None = None) -> EvalReport:
     """Score a model on held-out trials.
 
+    covs, when given, are the trials' projected covariances
+    `trial_covariances(model.filter_bank, test_set)`, already computed.
     Posteriors are class-1 probabilities; a posterior of exactly 0.5
     predicts class 1. Precision is 0 when nothing is predicted positive.
     """
-    covs = trial_covariances(model.filter_bank, test_set)
+    if covs is None:
+        covs = trial_covariances(model.filter_bank, test_set)
     z = tangent_map(model.reference, covs) @ model.weights + model.bias
     posteriors = np.clip(sigmoid(z), 1e-15, 1.0 - 1e-15)
     true = test_set.labels

@@ -18,7 +18,10 @@ from .fixtures import FixtureSpec, generate_fixture
 from . import pipeline as pl
 
 
-def _add_config_options(p: argparse.ArgumentParser) -> None:
+def _config_options() -> argparse.ArgumentParser:
+    """The options of every stage subcommand and `run`, on a parent parser
+    built once per `build_parser`."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--manifest", help="override the config manifest path")
     p.add_argument("--out", dest="out_dir", help="override the output directory")
@@ -34,6 +37,7 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
                    help="override the band mode")
     p.add_argument("--dataset-kind", choices=pl.DATASET_KINDS,
                    help="override the dataset kind")
+    return p
 
 
 def _load_config(args: argparse.Namespace) -> pl.PipelineConfig:
@@ -82,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=FilterSpec.stopband_atten_db)
     p.add_argument("--points", type=int, default=RESPONSE_POINTS)
 
-    for name, stage in pl.stages().items():
-        _add_config_options(sub.add_parser(name, help=_summary(stage)))
-    _add_config_options(sub.add_parser("run", help=_summary(pl.run_pipeline)))
+    config = _config_options()
+    for name, fn in [*pl.stages().items(), ("run", pl.run_pipeline)]:
+        sub.add_parser(name, help=_summary(fn), parents=[config])
     return parser
 
 

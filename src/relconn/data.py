@@ -14,6 +14,8 @@ manifest carries the shared geometry (channel count, samples per trial,
 channel names, sampling rate, class names) and a trial table with integer
 ids, labels in {0, 1}, and relative file paths.  Each binary file holds the
 samples of one trial as little-endian float64, row-major, channels x samples.
+`read_manifest` checks every manifest row without opening a trial file;
+`load_trialset` does that check, then reads the chosen rows' files.
 """
 
 from __future__ import annotations
@@ -216,12 +218,87 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
+@dataclass(frozen=True)
+class Manifest:
+    """A checked manifest: the shared trial geometry and the trial table,
+    as `ids`, `labels` and `files` in manifest row order. Trial file paths
+    are relative to `root`, the manifest's directory."""
+
+    root: Path
+    n_channels: int
+    n_samples: int
+    channel_names: tuple[str, ...]
+    sampling_rate_hz: float
+    class_names: tuple[str, str]
+    ids: np.ndarray
+    labels: np.ndarray
+    files: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def read_manifest(manifest_path) -> Manifest:
+    """Read a JSON manifest and check every row, without opening a trial
+    file.
+
+    Raises
+    ------
+    FileNotFoundError
+        If the manifest is missing.
+    SchemaError
+        On missing or mistyped manifest fields, non-integer channels,
+        samples, trial ids or labels, a sampling rate <= 0, channel or
+        class names that do not match their counts, labels outside {0, 1}
+        or duplicate ids.
+    """
+    manifest_path = Path(manifest_path)
+    manifest = _read_json(manifest_path)
+    missing = _MANIFEST_KEYS - set(manifest)
+    if missing:
+        raise SchemaError(f"manifest missing fields: {sorted(missing)}")
+
+    n_ch = _integer(manifest["channels"], "manifest field 'channels'")
+    n_sa = _integer(manifest["samples"], "manifest field 'samples'")
+    if n_ch < 1 or n_sa < 1:
+        raise SchemaError(
+            f"channels and samples must be >= 1, got {n_ch} and {n_sa}")
+    rate = _number(manifest["sampling_rate_hz"],
+                   "manifest field 'sampling_rate_hz'")
+    if not rate > 0:
+        raise SchemaError(f"sampling_rate_hz must be positive, got {rate}")
+    table = manifest["trials"]
+    if not isinstance(table, list) or not table:
+        raise SchemaError("manifest field 'trials' must be a non-empty list")
+
+    labels = np.empty(len(table), dtype=np.int64)
+    ids = np.empty(len(table), dtype=np.int64)
+    for i, row in enumerate(table):
+        if not isinstance(row, dict):
+            raise SchemaError(f"trial row {i} must be an object, got {row!r}")
+        for key in ("id", "label", "file"):
+            if key not in row:
+                raise SchemaError(f"trial row {i} missing field {key!r}")
+        ids[i] = tid = _integer(row["id"], "trial field 'id'")
+        labels[i] = _integer(row["label"], f"trial {tid}: field 'label'")
+        if not isinstance(row["file"], str):
+            raise SchemaError(f"trial {tid}: field 'file' must be a string")
+    _check_labels_and_ids(labels, ids)
+
+    return Manifest(
+        manifest_path.parent, n_ch, n_sa,
+        _names(manifest["channel_names"], "channel_names", n_ch), rate,
+        _names(manifest["class_names"], "class_names", 2),
+        _readonly(ids), _readonly(labels),
+        tuple(row["file"] for row in table))
+
+
 def load_trialset(manifest_path, rows=None) -> TrialSet:
     """Load a trial set, or some of its trials, from a JSON manifest.
 
-    Every manifest row is checked, but only the chosen rows' trial files
-    are read. So a missing, resized or non-finite trial file outside the
-    chosen rows is not reported.
+    Every manifest row is checked (`read_manifest`), but only the chosen
+    rows' trial files are read. So a missing, resized or non-finite trial
+    file outside the chosen rows is not reported.
 
     Parameters
     ----------
@@ -241,59 +318,29 @@ def load_trialset(manifest_path, rows=None) -> TrialSet:
     FileNotFoundError
         If the manifest or a chosen trial file is missing.
     SchemaError
-        On missing or mistyped manifest fields, non-integer channels,
-        samples, trial ids or labels, labels outside {0, 1} or duplicate
-        ids in any row, or a chosen trial file whose size does not match
-        the channels x samples geometry declared at the manifest top level.
+        On any manifest fault `read_manifest` names, or a chosen trial
+        file whose size does not match the channels x samples geometry
+        declared at the manifest top level.
     DataError
         If the selection is empty or a chosen trial holds non-finite values.
     """
-    manifest_path = Path(manifest_path)
-    manifest = _read_json(manifest_path)
-    missing = _MANIFEST_KEYS - set(manifest)
-    if missing:
-        raise SchemaError(f"manifest missing fields: {sorted(missing)}")
-
-    n_ch = _integer(manifest["channels"], "manifest field 'channels'")
-    n_sa = _integer(manifest["samples"], "manifest field 'samples'")
-    if n_ch < 1 or n_sa < 1:
-        raise SchemaError(
-            f"channels and samples must be >= 1, got {n_ch} and {n_sa}")
-    rate = _number(manifest["sampling_rate_hz"],
-                   "manifest field 'sampling_rate_hz'")
-    table = manifest["trials"]
-    if not isinstance(table, list) or not table:
-        raise SchemaError("manifest field 'trials' must be a non-empty list")
-
-    labels = np.empty(len(table), dtype=np.int64)
-    ids = np.empty(len(table), dtype=np.int64)
-    for i, row in enumerate(table):
-        if not isinstance(row, dict):
-            raise SchemaError(f"trial row {i} must be an object, got {row!r}")
-        for key in ("id", "label", "file"):
-            if key not in row:
-                raise SchemaError(f"trial row {i} missing field {key!r}")
-        ids[i] = tid = _integer(row["id"], "trial field 'id'")
-        labels[i] = _integer(row["label"], f"trial {tid}: field 'label'")
-        if not isinstance(row["file"], str):
-            raise SchemaError(f"trial {tid}: field 'file' must be a string")
-    _check_labels_and_ids(labels, ids)
-
+    m = read_manifest(manifest_path)
     if callable(rows):
-        rows = rows(len(table))
-    chosen = np.arange(len(table))[slice(None) if rows is None else rows]
+        rows = rows(len(m))
+    chosen = np.arange(len(m))[slice(None) if rows is None else rows]
+    n_ch, n_sa = m.n_channels, m.n_samples
     samples = np.empty((len(chosen), n_ch, n_sa))
     for i, j in enumerate(chosen):
-        tid, name = ids[j], table[j]["file"]
-        raw = np.fromfile(manifest_path.parent / name, dtype="<f8")
+        tid, name = m.ids[j], m.files[j]
+        raw = np.fromfile(m.root / name, dtype="<f8")
         if raw.size != n_ch * n_sa:
             raise SchemaError(
                 f"trial {tid}: file {name} holds {raw.size} values, "
                 f"expected {n_ch}x{n_sa}={n_ch * n_sa}")
         samples[i] = raw.reshape(n_ch, n_sa)
 
-    return TrialSet(samples, labels[chosen], ids[chosen],
-                    manifest["channel_names"], rate, manifest["class_names"])
+    return TrialSet(samples, m.labels[chosen], m.ids[chosen],
+                    m.channel_names, m.sampling_rate_hz, m.class_names)
 
 
 def save_trialset(ts: TrialSet, out_dir) -> Path:

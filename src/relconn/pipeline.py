@@ -12,9 +12,14 @@ stage works on that `ScatterSet` only. `run_pipeline` loads and
 preprocesses the recording once and hands the train/test split to every
 stage that reads trials. A stage run on its own (one CLI subcommand) reads
 and preprocesses only its side of the split: `fit-csp`, `train` and `cv`
-the training rows, `evaluate` and `graph` the test rows. Band-passing is
-causal and per trial, so either way a trial's scatter matrix comes out
-bit for bit the same.
+the training rows, `evaluate` the test rows. Band-passing is causal and
+per trial, so either way a trial's scatter matrix comes out bit for bit
+the same.
+
+`evaluate` keeps the test trials' projected covariances
+(`40_test_covariances.npy`), so `select`, `graph` and `report` read
+artifacts only and rerun at a new threshold without the recording.
+`graph` still checks the whole manifest and the split.
 """
 
 from __future__ import annotations
@@ -34,11 +39,11 @@ from .csp import (SpatialFilterBank, fit_csp, select_channels,
                   trial_covariances)
 from .data import (ScatterSet, TrialSet, _derived, _integer, _number,
                    _read_json, _write_json, default_n_train, load_trialset,
-                   split_rows, split_train_test)
+                   read_manifest, split_rows, split_train_test)
 from .errors import SchemaError
 from .filters import (FilterSpec, _check_window, apply_filter,
                       design_bandpass, epoch_bounds, extract_epoch)
-from .graphs import ConnectivityGraph, NodeMetrics, build_graph, separability
+from .graphs import METRIC_NAMES, NodeMetrics, build_graph, separability
 
 DATASET_KINDS = ("errp", "motor_imagery")
 BAND_MODES = ("single", "concat")
@@ -61,6 +66,7 @@ ARTIFACTS = {
     "cv_summary": "30_cv_summary.json",
     "eval_report": "40_eval_report.json",
     "eval_per_trial": "40_eval_per_trial.csv",
+    "test_covariances": "40_test_covariances.npy",
     "selected_trials": "50_selected_trials.json",
     "graph_all_class0": "60_graph_all_class0.json",
     "graph_all_class1": "60_graph_all_class1.json",
@@ -226,12 +232,15 @@ class PipelineConfig:
 @contextmanager
 def _prefix_errors(label: str):
     """Prefix errors from package code with what failed: a stage or a
-    config key."""
+    config key. A missing or unreadable file keeps its OSError type."""
     try:
         yield
     except (ValueError, ArithmeticError) as e:
         e.args = (f"{label}: {e}",) + e.args[1:]
         raise
+    except OSError as e:
+        # str() of an OSError is built from errno and strerror, not args
+        raise type(e)(f"{label}: {e}") from e
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -242,6 +251,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v
                              for v in row])
+
+
+def _write_npy(path: Path, a: np.ndarray) -> None:
+    """Write an array in .npy format; equal arrays give equal bytes."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        np.save(fh, np.ascontiguousarray(a), allow_pickle=False)
 
 
 # trials band-passed at a time: bounds the filtered copy held in memory
@@ -368,17 +384,21 @@ def stage_evaluate(cfg: PipelineConfig,
                    split: Split | None = None) -> list[Path]:
     """Score the model on the held-out split.
 
-    Writes the aggregates and the per-trial outcome table.
+    Writes the aggregates, the per-trial outcome table and the test
+    trials' projected covariances in the table's row order.
     """
     with _prefix_errors("stage evaluate"):
         test_set = _side(cfg, split, _TEST)
         model = TslrModel.from_dict(_read_json(cfg.out_path("model")))
-        report = evaluate(model, test_set)
-        paths = [cfg.out_path("eval_report"), cfg.out_path("eval_per_trial")]
+        covs = trial_covariances(model.filter_bank, test_set)
+        report = evaluate(model, test_set, covs)
+        paths = [cfg.out_path("eval_report"), cfg.out_path("eval_per_trial"),
+                 cfg.out_path("test_covariances")]
         _write_json(paths[0], report.to_dict())
         _write_csv(paths[1],
                    ["trial_id", "true_label", "predicted_label", "posterior"],
                    report.per_trial_rows())
+        _write_npy(paths[2], covs)
         return paths
 
 
@@ -418,24 +438,54 @@ def stage_select(cfg: PipelineConfig,
         return [path]
 
 
+def _load_test_covariances(cfg: PipelineConfig, n_trials: int,
+                           n_filters: int) -> np.ndarray:
+    """The test trials' projected covariances that evaluate kept, checked
+    against the per-trial table's length and the filter bank's size. A
+    stale artifact is a SchemaError naming it."""
+    path = cfg.out_path("test_covariances")
+    covs = np.load(path, allow_pickle=False)
+    if covs.ndim != 3 or len(covs) != n_trials:
+        raise SchemaError(
+            f"{path} holds an array of shape {covs.shape}, but "
+            f"{cfg.out_path('eval_per_trial')} lists {n_trials} trials; "
+            f"rerun evaluate")
+    if covs.shape[1:] != (n_filters, n_filters):
+        raise SchemaError(
+            f"{path} holds {covs.shape[1]}x{covs.shape[2]} matrices, but the "
+            f"filter bank has {n_filters} filters; rerun evaluate")
+    return covs
+
+
 def stage_graph(cfg: PipelineConfig,
                 split: Split | None = None) -> list[Path]:
     """Build connectivity graphs and node metrics.
 
     One graph per class from all held-out trials and one from the selected
-    subset, then the node-metric table.
+    subset, then the node-metric table. The graphs average the projected
+    covariances that evaluate kept; no trial file is opened.
     """
     with _prefix_errors("stage graph"):
-        test_set = _side(cfg, split, _TEST)
+        # the manifest and split are checked before any artifact is read
+        manifest = read_manifest(cfg.manifest)
+        test = split_rows(len(manifest),
+                          cfg.resolved_n_train(len(manifest)))[_TEST]
         bank, node_names = _load_bank(cfg)
+        report = _load_report(cfg)
+        if not (np.array_equal(report.trial_ids, manifest.ids[test])
+                and np.array_equal(report.true_labels, manifest.labels[test])):
+            raise SchemaError(f"{cfg.out_path('eval_per_trial')} does not "
+                              f"list the manifest's test trials; rerun "
+                              f"evaluate")
+        covs = _load_test_covariances(cfg, len(report.trial_ids),
+                                      bank.n_filters)
         selected = _read_json(cfg.out_path("selected_trials"))["selected_ids"]
 
-        covs = trial_covariances(bank, test_set)
-        is_selected = np.isin(test_set.ids, selected)
+        is_selected = np.isin(report.trial_ids, selected)
         paths = []
         metric_rows = []
         for class_index in (0, 1):
-            in_class = test_set.labels == class_index
+            in_class = report.true_labels == class_index
             for condition, rows in (("all", in_class),
                                     ("selected", in_class & is_selected)):
                 n_trials = int(np.count_nonzero(rows))
@@ -450,7 +500,7 @@ def stage_graph(cfg: PipelineConfig,
                     **graph.to_dict(),
                     "condition": condition,
                     "class_index": class_index,
-                    "class_name": test_set.class_names[class_index],
+                    "class_name": manifest.class_names[class_index],
                     "n_trials": n_trials,
                 })
                 paths.append(path)
@@ -467,19 +517,38 @@ def stage_graph(cfg: PipelineConfig,
         return paths
 
 
+def _load_node_metrics(cfg: PipelineConfig) -> dict[str, NodeMetrics]:
+    """Graph ("all:class0", ...) -> its node metrics, read back from the
+    node-metric table; float parsing reads the repr'd values back
+    exactly."""
+    path = cfg.out_path("node_metrics")
+    values: dict[tuple[str, str], list[tuple[str, float]]] = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows, None)
+        for node, metric, value, graph in rows:
+            values.setdefault((graph, metric), []).append((node, float(value)))
+    tables = {}
+    for graph in (f"{condition}:class{class_index}" for class_index in (0, 1)
+                  for condition in ("all", "selected")):
+        missing = [m for m in METRIC_NAMES if (graph, m) not in values]
+        if missing:
+            raise SchemaError(f"{path} has no {graph} rows for {missing}")
+        nodes = tuple(node for node, _ in values[graph, METRIC_NAMES[0]])
+        tables[graph] = NodeMetrics(nodes, **{
+            m: np.array([value for _, value in values[graph, m]])
+            for m in METRIC_NAMES})
+    return tables
+
+
 def stage_report(cfg: PipelineConfig,
                  split: Split | None = None) -> list[Path]:
     """Compare graph-metric separability before and after selection."""
     with _prefix_errors("stage report"):
-        metrics = {}
-        for condition in ("all", "selected"):
-            per_class = []
-            for class_index in (0, 1):
-                d = _read_json(
-                    cfg.out_path(f"graph_{condition}_class{class_index}"))
-                graph = ConnectivityGraph.from_dict(d)
-                per_class.append(NodeMetrics.from_graph(graph))
-            metrics[condition] = separability(per_class[0], per_class[1])
+        tables = _load_node_metrics(cfg)
+        metrics = {c: separability(tables[f"{c}:class0"],
+                                   tables[f"{c}:class1"])
+                   for c in ("all", "selected")}
 
         improved = {name: metrics["selected"][name] >= metrics["all"][name]
                     for name in metrics["all"]}
@@ -499,10 +568,11 @@ def stages() -> dict[str, Callable[..., list[Path]]]:
     Every stage takes the config and, optionally, the preprocessed
     (train, test) split from `_load_split`. When no split is given, a
     stage that reads trials loads and preprocesses only its side of it:
-    fit-csp, train and cv the training rows, evaluate and graph the test
-    rows. Select and report read no trials. Each returns the paths it
-    wrote. The map is built on every call, so it holds whatever function
-    each name is bound to at that time.
+    fit-csp, train and cv the training rows, evaluate the test rows.
+    Select, graph and report read artifacts only; graph also checks the
+    manifest and the split. Each returns the paths it wrote. The map is
+    built on every call, so it holds whatever function each name is bound
+    to at that time.
     """
     return {"fit-csp": stage_fit_csp, "train": stage_train, "cv": stage_cv,
             "evaluate": stage_evaluate, "select": stage_select,

@@ -242,6 +242,17 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out" / ARTIFACTS["selected_trials"]).exists()
 
+    def test_missing_upstream_file_names_the_stage(self, dataset, tmp_path,
+                                                   capsys):
+        cfg = write_config(tmp_path / "cfg.json", dataset, tmp_path / "out")
+        assert main(["run", "--config", str(cfg)]) == 0
+        (tmp_path / "out" / ARTIFACTS["test_covariances"]).unlink()
+        capsys.readouterr()
+        assert main(["graph", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage graph: [Errno 2] ")
+        assert ARTIFACTS["test_covariances"] in err
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

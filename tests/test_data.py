@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from relconn.data import (_MANIFEST_KEYS, MANIFEST_NAME, ScatterSet, TrialSet,
-                          load_trialset, save_trialset, split_rows,
-                          split_train_test)
+                          load_trialset, read_manifest, save_trialset,
+                          split_rows, split_train_test)
 from relconn.errors import DataError, SchemaError
 
 
@@ -262,6 +262,33 @@ class TestRowSelection:
         manifest.write_text(json.dumps(d))
         with pytest.raises(SchemaError, match=match):
             load_trialset(manifest, slice(None, 3))
+
+    def test_manifest_alone_opens_no_trial_file(self, tmp_path):
+        ts = make_set()
+        manifest = save_trialset(ts, tmp_path)
+        for path in (tmp_path / "trials").iterdir():
+            path.unlink()
+        m = read_manifest(manifest)
+        assert len(m) == len(ts)
+        assert m.ids.tolist() == ts.ids.tolist()
+        assert m.labels.tolist() == ts.labels.tolist()
+        assert m.class_names == ts.class_names
+        assert m.channel_names == ts.channel_names
+        assert m.files[1] == "trials/trial_00001.bin"
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("class_names", ["a"], "class_names has 1 entries, expected 2"),
+        ("channel_names", ["a"], "channel_names has 1 entries, expected 3"),
+        ("sampling_rate_hz", -1.0, "sampling_rate_hz must be positive"),
+    ])
+    def test_manifest_alone_checks_names_and_rate(self, tmp_path, field,
+                                                  value, match):
+        manifest = save_trialset(make_set(), tmp_path)
+        d = json.loads(manifest.read_text())
+        d[field] = value
+        manifest.write_text(json.dumps(d))
+        with pytest.raises(SchemaError, match=match):
+            read_manifest(manifest)
 
 
 class TestSplit:

@@ -25,6 +25,7 @@ WRITER = {
     "filter_bank": stage_fit_csp, "selected_channels": stage_fit_csp,
     "model": stage_train, "cv_summary": stage_cv,
     "eval_report": stage_evaluate, "eval_per_trial": stage_evaluate,
+    "test_covariances": stage_evaluate,
     "selected_trials": stage_select,
     "graph_all_class0": stage_graph, "graph_all_class1": stage_graph,
     "graph_selected_class0": stage_graph,
@@ -348,6 +349,18 @@ class TestSideOnlyLoad:
             stage(other)
         assert artifact_bytes(other) == blobs
 
+    def test_threshold_reruns_need_no_trial_file(self, completed_run,
+                                                 tmp_path):
+        # select, graph and report read artifacts only
+        cfg, blobs = completed_run
+        other = without_trial_files(cfg, slice(None), tmp_path)
+        for stage in (stage_select, stage_graph, stage_report):
+            for name, writer in WRITER.items():
+                if writer is stage:
+                    other.out_path(name).unlink()
+            stage(other)
+        assert artifact_bytes(other) == blobs
+
     @pytest.mark.parametrize("stage", ["fit-csp", "train", "cv", "evaluate",
                                        "graph"])
     @pytest.mark.parametrize("fault, message", [
@@ -379,6 +392,61 @@ class TestSideOnlyLoad:
             "n_train": n_train, "k_folds": 3, "epoch": [0.0, 0.5]}))
         assert main([stage, "--config", str(path)]) == 2
         assert f"error: stage {stage}: {message}" in capsys.readouterr().err
+
+
+def artifacts_copy(cfg, root, n_train=None):
+    """A copy of cfg's artifacts under root and a config file naming it:
+    (out_dir, config path)."""
+    out = Path(shutil.copytree(cfg.out_dir, root / "out"))
+    config = root / "cfg.json"
+    config.write_text(json.dumps({
+        "manifest": cfg.manifest, "out_dir": str(out),
+        "n_train": n_train or cfg.n_train, "k_folds": 3,
+        "epoch": [0.0, 0.5]}))
+    return out, str(config)
+
+
+class TestStaleArtifacts:
+    """A stage that reads another stage's artifact exits 2 naming it when
+    the artifact no longer fits."""
+
+    @pytest.mark.parametrize("fault, message", [
+        ("row_short", "holds an array of shape (9, 6, 6), but "),
+        ("matrix_size", "holds 5x5 matrices, but the filter bank has 6 "
+                        "filters"),
+    ])
+    def test_graph_names_the_stale_file(self, completed_run, tmp_path,
+                                        capsys, fault, message):
+        out, config = artifacts_copy(completed_run[0], tmp_path)
+        path = out / ARTIFACTS["test_covariances"]
+        covs = np.load(path)
+        np.save(path, covs[1:] if fault == "row_short" else covs[:, 1:, 1:])
+        assert main(["graph", "--config", config]) == 2
+        assert (f"error: stage graph: {path} {message}"
+                in capsys.readouterr().err)
+
+    def test_graph_rejects_a_table_of_other_trials(self, completed_run,
+                                                   tmp_path, capsys):
+        # with one more test row, the manifest's test rows are not the
+        # ones evaluate scored
+        cfg, _ = completed_run
+        out, config = artifacts_copy(cfg, tmp_path, n_train=cfg.n_train - 1)
+        assert main(["graph", "--config", config]) == 2
+        assert (f"error: stage graph: {out / ARTIFACTS['eval_per_trial']} "
+                f"does not list the manifest's test trials"
+                in capsys.readouterr().err)
+
+    def test_report_names_a_short_metric_table(self, completed_run,
+                                               tmp_path, capsys):
+        out, config = artifacts_copy(completed_run[0], tmp_path)
+        path = out / ARTIFACTS["node_metrics"]
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(
+            line for line in lines
+            if not (",strength," in line and "selected:class1" in line)))
+        assert main(["report", "--config", config]) == 2
+        assert (f"error: stage report: {path} has no selected:class1 rows "
+                f"for ['strength']" in capsys.readouterr().err)
 
 
 class TestStageErrors:
