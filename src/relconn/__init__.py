@@ -20,8 +20,8 @@ from .csp import (SpatialFilterBank, class_mean_covariances, fit_csp,
                   select_channels, trial_covariances)
 from .classify import (EvalReport, TslrModel, cross_validate, evaluate,
                        select_relevant, train)
-from .graphs import (ConnectivityGraph, NodeMetrics, build_graph,
-                     clustering_coefficient, local_efficiency, node_strength,
+from .graphs import (ConnectivityGraph, build_graph, clustering_coefficient,
+                     local_efficiency, node_metrics, node_strength,
                      participation_coefficient, separability)
 from .fixtures import FixtureSpec, generate_fixture, synthesize_trialset
 from .pipeline import PipelineConfig, run_pipeline
@@ -40,8 +40,8 @@ __all__ = [
     "select_channels", "trial_covariances",
     "EvalReport", "TslrModel", "cross_validate", "evaluate",
     "select_relevant", "train",
-    "ConnectivityGraph", "NodeMetrics", "build_graph",
-    "clustering_coefficient", "local_efficiency", "node_strength",
+    "ConnectivityGraph", "build_graph", "clustering_coefficient",
+    "local_efficiency", "node_metrics", "node_strength",
     "participation_coefficient", "separability",
     "FixtureSpec", "generate_fixture", "synthesize_trialset",
     "PipelineConfig", "run_pipeline",

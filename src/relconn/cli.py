@@ -2,8 +2,9 @@
 
 Subcommands mirror the pipeline stages plus fixture generation and filter
 response export. Exit codes: 0 on success, 2 for validation problems (bad
-arguments, manifests, or data), 3 for numeric failures (unstable filters,
-indefinite matrices, solver non-convergence).
+arguments, manifests, or data), 3 for numeric failures, that is any
+ArithmeticError (unstable filters, indefinite matrices, solver
+non-convergence, overflow).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import NumericError
 from .filters import (FAMILIES, RESPONSE_POINTS, FilterSpec, design_bandpass,
                       write_response_csv)
 from .fixtures import FixtureSpec, generate_fixture
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _run_command(args)
-    except NumericError as e:
+    except ArithmeticError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as e:

@@ -67,9 +67,9 @@ class FilterSpec:
             raise ValueError(f"band edges must lie below fs/2 = {nyq}, "
                              f"got ({low}, {high})")
         for name in ("passband_ripple_db", "stopband_atten_db"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be a positive dB value, "
-                                 f"got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be a positive finite dB "
+                                 f"value, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,12 @@ def response_grid(filt: SosFilter, n_points: int = RESPONSE_POINTS
 
 
 def _check_window(onset_s: float, duration_s: float) -> None:
-    """Reject an epoch window with a negative onset or an empty duration."""
-    if onset_s < 0:
-        raise ValueError(f"onset_s must be >= 0, got {onset_s}")
-    if not duration_s > 0:
-        raise ValueError(f"duration_s must be positive, got {duration_s}")
+    """Reject an epoch window unless 0 <= onset < inf, 0 < duration < inf."""
+    if not 0 <= onset_s < np.inf:
+        raise ValueError(f"onset_s must be >= 0 and finite, got {onset_s}")
+    if not 0 < duration_s < np.inf:
+        raise ValueError(
+            f"duration_s must be positive and finite, got {duration_s}")
 
 
 def epoch_bounds(ts: TrialSet, onset_s: float,

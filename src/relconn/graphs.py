@@ -5,7 +5,8 @@ absolute values of the element-wise mean covariance with the diagonal
 zeroed. Metrics are weighted throughout: Onnela clustering with weights
 scaled by the global maximum, participation against modules found by
 greedy modularity maximization, local efficiency over inverse-weight path
-lengths, and plain node strength.
+lengths, and plain node strength. `node_metrics` gives a graph's four
+metrics as name -> per-node values, in `METRICS` order.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
-
-METRIC_NAMES = ("clustering", "participation", "local_efficiency", "strength")
-
 
 def assign_modules(weights: np.ndarray) -> np.ndarray:
     """Greedy agglomerative modularity maximization (Newman).
@@ -109,12 +107,6 @@ class ConnectivityGraph:
         return {"node_names": list(self.node_names),
                 "weights": self.weights.tolist(),
                 "modules": self.modules.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConnectivityGraph":
-        return cls(tuple(d["node_names"]),
-                   np.array(d["weights"], dtype=np.float64),
-                   np.array(d["modules"], dtype=int))
 
 
 def build_graph(covariances, node_names) -> ConnectivityGraph:
@@ -212,36 +204,21 @@ def local_efficiency(g: ConnectivityGraph) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class NodeMetrics:
-    """The four node-level metrics for one graph, aligned to node order."""
-
-    node_names: tuple[str, ...]
-    clustering: np.ndarray
-    participation: np.ndarray
-    local_efficiency: np.ndarray
-    strength: np.ndarray
-
-    @classmethod
-    def from_graph(cls, g: ConnectivityGraph) -> "NodeMetrics":
-        return cls(g.node_names,
-                   clustering_coefficient(g),
-                   participation_coefficient(g),
-                   local_efficiency(g),
-                   node_strength(g))
-
-    def by_name(self) -> dict[str, np.ndarray]:
-        return {"clustering": self.clustering,
-                "participation": self.participation,
-                "local_efficiency": self.local_efficiency,
-                "strength": self.strength}
+# metric name -> per-node function, in node-metric table order
+METRICS = {"clustering": clustering_coefficient,
+           "participation": participation_coefficient,
+           "local_efficiency": local_efficiency,
+           "strength": node_strength}
 
 
-def separability(a: NodeMetrics, b: NodeMetrics) -> dict[str, float]:
-    """Mean absolute per-node difference of each metric between two graphs."""
-    if a.node_names != b.node_names:
-        raise ValueError("metric tables cover different node sets")
-    left = a.by_name()
-    right = b.by_name()
-    return {name: float(np.mean(np.abs(left[name] - right[name])))
-            for name in METRIC_NAMES}
+def node_metrics(g: ConnectivityGraph) -> dict[str, np.ndarray]:
+    """Metric name -> per-node values, in `METRICS` order."""
+    return {name: metric(g) for name, metric in METRICS.items()}
+
+
+def separability(a: dict[str, np.ndarray],
+                 b: dict[str, np.ndarray]) -> dict[str, float]:
+    """Mean absolute per-node difference of each metric between two
+    graphs' `node_metrics`, which must list the same nodes in order."""
+    return {name: float(np.mean(np.abs(a[name] - b[name])))
+            for name in METRICS}

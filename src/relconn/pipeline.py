@@ -8,13 +8,13 @@ no timestamps; identical configuration and data give identical bytes.
 
 Preprocessing band-passes the raw samples, cuts the epoch window and
 reduces every trial to its channel scatter matrix S = x x'; every later
-stage works on that `ScatterSet` only. `run_pipeline` loads and
-preprocesses the recording once and hands the train/test split to every
-stage that reads trials. A stage run on its own (one CLI subcommand) reads
-and preprocesses only its side of the split: `fit-csp`, `train` and `cv`
-the training rows, `evaluate` the test rows. Band-passing is causal and
-per trial, so either way a trial's scatter matrix comes out bit for bit
-the same.
+stage works on that `ScatterSet` only. Trials reach the stages through
+one loader, which reads and preprocesses one side of the train/test split
+from that side's manifest rows only: `fit-csp`, `train` and `cv` read the
+training rows, `evaluate` the test rows. A stage run on its own (one CLI
+subcommand) loads its side; `run_pipeline` loads each side once and hands
+both to every stage. Band-passing is causal and per trial, so a trial's
+scatter matrix comes out bit for bit the same either way.
 
 `evaluate` keeps the test trials' projected covariances
 (`40_test_covariances.npy`), so `select`, `graph` and `report` read
@@ -39,11 +39,11 @@ from .csp import (SpatialFilterBank, fit_csp, select_channels,
                   trial_covariances)
 from .data import (ScatterSet, TrialSet, _derived, _integer, _number,
                    _read_json, _write_json, default_n_train, load_trialset,
-                   read_manifest, split_rows, split_train_test)
+                   read_manifest, split_rows)
 from .errors import SchemaError
 from .filters import (FilterSpec, _check_window, apply_filter,
                       design_bandpass, epoch_bounds, extract_epoch)
-from .graphs import METRIC_NAMES, NodeMetrics, build_graph, separability
+from .graphs import METRICS, build_graph, node_metrics, separability
 
 DATASET_KINDS = ("errp", "motor_imagery")
 BAND_MODES = ("single", "concat")
@@ -168,8 +168,8 @@ class PipelineConfig:
                 f"posterior_threshold must be in (0.5, 1), "
                 f"got {self.posterior_threshold}")
         # with no penalty the solver never converges on separable folds
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
+        if self.lam is not None and not 0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be > 0 and finite, got {self.lam}")
         if self.n_train is not None and self.n_train < 1:
             raise ValueError(f"n_train must be >= 1, got {self.n_train}")
         if self.seed < 0:
@@ -291,12 +291,6 @@ def preprocess(cfg: PipelineConfig, ts: TrialSet) -> ScatterSet:
 
 Split = tuple[ScatterSet, ScatterSet]
 _TRAIN, _TEST = 0, 1
-
-
-def _load_split(cfg: PipelineConfig) -> Split:
-    """Load and preprocess the manifest; split into (train, test)."""
-    scatter = preprocess(cfg, load_trialset(cfg.manifest))
-    return split_train_test(scatter, cfg.resolved_n_train(len(scatter)))
 
 
 def _side(cfg: PipelineConfig, split: Split | None, side: int) -> ScatterSet:
@@ -504,8 +498,7 @@ def stage_graph(cfg: PipelineConfig,
                     "n_trials": n_trials,
                 })
                 paths.append(path)
-                metrics = NodeMetrics.from_graph(graph)
-                for metric, values in metrics.by_name().items():
+                for metric, values in node_metrics(graph).items():
                     for node, value in zip(graph.node_names, values):
                         metric_rows.append(
                             (node, metric, float(value),
@@ -517,10 +510,12 @@ def stage_graph(cfg: PipelineConfig,
         return paths
 
 
-def _load_node_metrics(cfg: PipelineConfig) -> dict[str, NodeMetrics]:
-    """Graph ("all:class0", ...) -> its node metrics, read back from the
-    node-metric table; float parsing reads the repr'd values back
-    exactly."""
+def _load_node_metrics(cfg: PipelineConfig
+                       ) -> dict[str, dict[str, np.ndarray]]:
+    """Graph ("all:class0", ...) -> metric name -> per-node values, read
+    back from the node-metric table; float parsing reads the repr'd values
+    back exactly. Every graph's and every metric's rows must list the same
+    nodes in the same order."""
     path = cfg.out_path("node_metrics")
     values: dict[tuple[str, str], list[tuple[str, float]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -528,16 +523,21 @@ def _load_node_metrics(cfg: PipelineConfig) -> dict[str, NodeMetrics]:
         next(rows, None)
         for node, metric, value, graph in rows:
             values.setdefault((graph, metric), []).append((node, float(value)))
-    tables = {}
+    tables, nodes = {}, None
     for graph in (f"{condition}:class{class_index}" for class_index in (0, 1)
                   for condition in ("all", "selected")):
-        missing = [m for m in METRIC_NAMES if (graph, m) not in values]
+        missing = [m for m in METRICS if (graph, m) not in values]
         if missing:
             raise SchemaError(f"{path} has no {graph} rows for {missing}")
-        nodes = tuple(node for node, _ in values[graph, METRIC_NAMES[0]])
-        tables[graph] = NodeMetrics(nodes, **{
-            m: np.array([value for _, value in values[graph, m]])
-            for m in METRIC_NAMES})
+        for metric in METRICS:
+            names, column = zip(*values[graph, metric])
+            nodes = nodes or names
+            if names != nodes:
+                raise SchemaError(
+                    f"{path} lists nodes {list(names)} for {graph} "
+                    f"{metric}, but {list(nodes)} in the rows before; "
+                    f"rerun graph")
+            tables.setdefault(graph, {})[metric] = np.array(column)
     return tables
 
 
@@ -566,9 +566,9 @@ def stages() -> dict[str, Callable[..., list[Path]]]:
     """Stage name -> stage function, in run order.
 
     Every stage takes the config and, optionally, the preprocessed
-    (train, test) split from `_load_split`. When no split is given, a
-    stage that reads trials loads and preprocesses only its side of it:
-    fit-csp, train and cv the training rows, evaluate the test rows.
+    (train, test) split. When no split is given, a stage that reads trials
+    loads and preprocesses only its side of it (`_side`): fit-csp, train
+    and cv the training rows, evaluate the test rows.
     Select, graph and report read artifacts only; graph also checks the
     manifest and the split. Each returns the paths it wrote. The map is
     built on every call, so it holds whatever function each name is bound
@@ -582,12 +582,13 @@ def stages() -> dict[str, Callable[..., list[Path]]]:
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     """Run every stage in order.
 
-    The recording is loaded and preprocessed once for all stages. Returns
-    artifact name -> path, in `ARTIFACTS` order.
+    Each side of the split is loaded and preprocessed once, by the loader
+    a stage run on its own uses, and shared by all stages. Returns artifact
+    name -> path, in `ARTIFACTS` order.
     """
     # fit-csp is the first stage to read trials, so load errors keep its name
     with _prefix_errors("stage fit-csp"):
-        split = _load_split(cfg)
+        split = (_side(cfg, None, _TRAIN), _side(cfg, None, _TEST))
     for stage in stages().values():
         stage(cfg, split)
     return {name: cfg.out_path(name) for name in ARTIFACTS}

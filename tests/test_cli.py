@@ -198,6 +198,15 @@ class TestExitCodes:
         ("epoch", [0.0, 0.0], "config key 'epoch': duration_s must be "
                               "positive"),
         ("seed", -1, "seed must be >= 0"),
+        ("lambda", float("inf"), "lambda must be > 0 and finite, got inf"),
+        ("epoch", [0.0, float("inf")], "config key 'epoch': duration_s must "
+                                       "be positive and finite"),
+        ("epoch", [float("nan"), 0.5], "config key 'epoch': onset_s must be "
+                                       ">= 0 and finite"),
+        ("filter", {"passband_ripple_db": float("inf")},
+         "config key 'filter': passband_ripple_db must be a positive finite"),
+        ("filter", {"stopband_atten_db": float("inf")},
+         "config key 'filter': stopband_atten_db must be a positive finite"),
     ])
     def test_config_value_checked_up_front(self, dataset, tmp_path, capsys,
                                            key, value, message):
@@ -212,6 +221,22 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_lambda_override_checked_up_front(self, dataset, tmp_path,
+                                              capsys):
+        cfg = write_config(tmp_path / "cfg.json", dataset, tmp_path / "out")
+        assert main(["fit-csp", "--config", str(cfg), "--lambda", "inf"]) == 2
+        assert "lambda must be > 0 and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflow_exits_three(self, dataset, tmp_path, capsys):
+        # a finite ripple the elliptic design cannot raise to a power: any
+        # ArithmeticError is a numeric failure, not a traceback
+        cfg = write_config(tmp_path / "cfg.json", dataset, tmp_path / "out",
+                           dataset_kind="motor_imagery",
+                           filter={"passband_ripple_db": 1e6})
+        assert main(["fit-csp", "--config", str(cfg)]) == 3
+        assert "error: stage fit-csp:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, message", [
         ("filter", {"band_hz": [1, 150]}, "band edges must lie below fs/2"),

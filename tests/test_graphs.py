@@ -5,9 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import graph_oracle as ref
-from relconn.graphs import (ConnectivityGraph, NodeMetrics, assign_modules,
-                            build_graph, clustering_coefficient,
-                            local_efficiency, node_strength,
+from relconn.graphs import (ConnectivityGraph, assign_modules, build_graph,
+                            clustering_coefficient, local_efficiency,
+                            node_metrics, node_strength,
                             participation_coefficient, separability)
 
 
@@ -52,13 +52,6 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="module"):
             ConnectivityGraph(("a", "b"), np.zeros((2, 2)),
                               np.zeros(3, dtype=int))
-
-    def test_dict_round_trip(self):
-        g = graph_from(ring(4))
-        back = ConnectivityGraph.from_dict(g.to_dict())
-        assert back.node_names == g.node_names
-        assert np.array_equal(back.weights, g.weights)
-        assert np.array_equal(back.modules, g.modules)
 
 
 class TestAssignModules:
@@ -208,31 +201,29 @@ class TestBuildGraph:
 
 class TestSeparability:
     def test_mean_absolute_difference(self):
-        names = ("a", "b")
-        m1 = NodeMetrics(names, np.array([1.0, 0.0]), np.array([0.5, 0.5]),
-                         np.array([0.2, 0.4]), np.array([3.0, 1.0]))
-        m2 = NodeMetrics(names, np.array([0.0, 1.0]), np.array([0.5, 0.5]),
-                         np.array([0.2, 0.1]), np.array([1.0, 2.0]))
+        m1 = {"clustering": np.array([1.0, 0.0]),
+              "participation": np.array([0.5, 0.5]),
+              "local_efficiency": np.array([0.2, 0.4]),
+              "strength": np.array([3.0, 1.0])}
+        m2 = {"clustering": np.array([0.0, 1.0]),
+              "participation": np.array([0.5, 0.5]),
+              "local_efficiency": np.array([0.2, 0.1]),
+              "strength": np.array([1.0, 2.0])}
         out = separability(m1, m2)
         assert out["clustering"] == pytest.approx(1.0)
         assert out["participation"] == pytest.approx(0.0)
         assert out["local_efficiency"] == pytest.approx(0.15)
         assert out["strength"] == pytest.approx(1.5)
 
-    def test_node_mismatch_rejected(self):
-        m1 = NodeMetrics(("a",), np.zeros(1), np.zeros(1), np.zeros(1),
-                         np.zeros(1))
-        m2 = NodeMetrics(("b",), np.zeros(1), np.zeros(1), np.zeros(1),
-                         np.zeros(1))
-        with pytest.raises(ValueError, match="different node sets"):
-            separability(m1, m2)
-
     def test_from_graph_matches_functions(self):
         rng = np.random.default_rng(3)
         w = random_weights(rng, 5)
         g = graph_from(w)
-        m = NodeMetrics.from_graph(g)
-        assert np.array_equal(m.clustering, clustering_coefficient(g))
-        assert np.array_equal(m.participation, participation_coefficient(g))
-        assert np.array_equal(m.local_efficiency, local_efficiency(g))
-        assert np.array_equal(m.strength, node_strength(g))
+        m = node_metrics(g)
+        assert list(m) == ["clustering", "participation",
+                           "local_efficiency", "strength"]
+        assert np.array_equal(m["clustering"], clustering_coefficient(g))
+        assert np.array_equal(m["participation"],
+                              participation_coefficient(g))
+        assert np.array_equal(m["local_efficiency"], local_efficiency(g))
+        assert np.array_equal(m["strength"], node_strength(g))

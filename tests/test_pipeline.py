@@ -1,7 +1,9 @@
 """Pipeline stages: artifact determinism, stage isolation, leakage guards."""
 
 import json
+import os
 import shutil
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -330,7 +332,25 @@ def without_trial_files(cfg, rows, root):
 
 
 class TestSideOnlyLoad:
-    """A stage run on its own reads only its side of the split."""
+    """A stage run on its own reads only its side of the split, and a run
+    reads each trial file once."""
+
+    def test_run_reads_each_trial_file_once(self, dataset, tmp_path,
+                                            monkeypatch):
+        manifest, _ = dataset
+        reads = Counter()
+        fromfile = np.fromfile
+
+        def counting_fromfile(file, *args, **kwargs):
+            # np.load reads artifacts through an open file object
+            if isinstance(file, (str, os.PathLike)):
+                reads[Path(file).resolve()] += 1
+            return fromfile(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "fromfile", counting_fromfile)
+        run_pipeline(make_config(manifest, tmp_path / "out"))
+        files = Path(manifest).parent.resolve().glob("trials/*.bin")
+        assert reads == Counter(files)
 
     @pytest.mark.parametrize("deleted, stages", [
         ("train", (stage_evaluate, stage_graph)),
@@ -447,6 +467,19 @@ class TestStaleArtifacts:
         assert main(["report", "--config", config]) == 2
         assert (f"error: stage report: {path} has no selected:class1 rows "
                 f"for ['strength']" in capsys.readouterr().err)
+
+    def test_report_rejects_rows_of_other_nodes(self, completed_run,
+                                                tmp_path, capsys):
+        # one graph's strength rows name other nodes than its other rows
+        out, config = artifacts_copy(completed_run[0], tmp_path)
+        path = out / ARTIFACTS["node_metrics"]
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(
+            "x" + line if ",strength," in line and "selected:class1" in line
+            else line for line in lines))
+        assert main(["report", "--config", config]) == 2
+        assert (f"error: stage report: {path} lists nodes ['x"
+                in capsys.readouterr().err)
 
 
 class TestStageErrors:
