@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csp import SpatialFilterBank, fit_csp, trial_covariances
+from .csp import SpatialFilterBank, fold_banks, trial_covariances
 from .data import ScatterSet
 from .errors import ConvergenceError, StratificationError
 from .geometry import ReferencePoint, SpdMatrix, tangent_map
@@ -35,18 +35,24 @@ def sigmoid(z):
     return out
 
 
-def logistic_loss(w, b, x, y):
-    """Mean logistic loss; y holds labels in {0, 1}."""
-    z = x @ w + b
+def _loss(z, y):
     # log(1 + e^z) - y*z, computed stably
     return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
+def _grad(z, x, y):
+    r = sigmoid(z) - y
+    return x.T @ r / x.shape[0], float(np.mean(r))
+
+
+def logistic_loss(w, b, x, y):
+    """Mean logistic loss; y holds labels in {0, 1}."""
+    return _loss(x @ w + b, y)
+
+
 def logistic_grad(w, b, x, y):
     """Gradient of the mean logistic loss in (w, b)."""
-    n = x.shape[0]
-    r = sigmoid(x @ w + b) - y
-    return x.T @ r / n, float(np.mean(r))
+    return _grad(x @ w + b, x, y)
 
 
 def soft_threshold(v, t):
@@ -82,7 +88,9 @@ def fit_l1_logistic(x, y, lam, max_iter: int = 5000,
     quadratic majorization holds, which keeps the penalized objective
     non-increasing. Convergence is declared when the largest first-order
     subgradient residual drops to tol; hitting the iteration cap first
-    raises ConvergenceError carrying the final residual.
+    raises ConvergenceError carrying the final residual. The margins
+    z = x @ w + b of the accepted step serve its loss and the next
+    gradient.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -92,11 +100,12 @@ def fit_l1_logistic(x, y, lam, max_iter: int = 5000,
     w = np.zeros(d)
     b = 0.0
     step = 1.0
-    f = logistic_loss(w, b, x, y)
+    z = x @ w + b
+    f = _loss(z, y)
     history = [f + lam * float(np.sum(np.abs(w)))]
 
     for it in range(max_iter):
-        g_w, g_b = logistic_grad(w, b, x, y)
+        g_w, g_b = _grad(z, x, y)
         gap = _kkt_gap(w, g_w, g_b, lam)
         if gap <= tol:
             return L1FitResult(w, b, it, gap, history)
@@ -105,7 +114,8 @@ def fit_l1_logistic(x, y, lam, max_iter: int = 5000,
         while True:
             w_new = soft_threshold(w - step * g_w, step * lam)
             b_new = b - step * g_b
-            f_new = logistic_loss(w_new, b_new, x, y)
+            z_new = x @ w_new + b_new
+            f_new = _loss(z_new, y)
             dw = w_new - w
             db = b_new - b
             bound = (f + g_w @ dw + g_b * db
@@ -113,10 +123,10 @@ def fit_l1_logistic(x, y, lam, max_iter: int = 5000,
             if f_new <= bound + 1e-12 or step < 1e-18:
                 break
             step *= 0.5
-        w, b, f = w_new, b_new, f_new
+        w, b, f, z = w_new, b_new, f_new, z_new
         history.append(f + lam * float(np.sum(np.abs(w))))
 
-    g_w, g_b = logistic_grad(w, b, x, y)
+    g_w, g_b = _grad(z, x, y)
     gap = _kkt_gap(w, g_w, g_b, lam)
     if gap <= tol:
         return L1FitResult(w, b, max_iter, gap, history)
@@ -199,13 +209,19 @@ def train(train_set: ScatterSet, bank: SpatialFilterBank,
     -------
     TslrModel
     """
-    labels = train_set.labels
+    return _fit(trial_covariances(bank, train_set), train_set.labels, bank,
+                lam)
+
+
+def _fit(covs: np.ndarray, labels: np.ndarray, bank: SpatialFilterBank,
+         lam: float | None) -> TslrModel:
+    """`train` on the trials' projected covariances
+    `trial_covariances(bank, ...)`, already computed."""
     if set(labels.tolist()) != {0, 1}:
         raise ValueError("training set must contain both classes")
     if lam is None:
-        lam = default_lambda(len(train_set))
+        lam = default_lambda(len(labels))
 
-    covs = trial_covariances(bank, train_set)
     ref = ReferencePoint.from_covariances(covs)
     feats = tangent_map(ref, covs)
 
@@ -313,18 +329,21 @@ def cross_validate(train_set: ScatterSet, k: int = 10,
                    seed: int = 42) -> tuple[float, float]:
     """Stratified k-fold accuracy (mean, std in percent).
 
-    The spatial filters and the tangent reference are refit inside every
-    training fold, so no information from a held-out fold leaks into its
-    model. Fold assignment is deterministic for a given seed.
+    Every fold refits the spatial filters, the tangent reference and the
+    weights on its training trials alone, so no information from a
+    held-out fold leaks into its model. The folds share the class sums
+    their filters are downdated from (`csp.fold_banks`), and each fold
+    projects the scatter stack once and slices that into its training and
+    held-out rows. Fold assignment is deterministic for a given seed.
     """
     folds = stratified_folds(train_set.labels, k, seed)
     accuracies = []
-    for held_out in folds:
-        fold_train = train_set.subset(
-            np.delete(np.arange(len(train_set)), held_out))
-        fold_test = train_set.subset(held_out)
-        bank = fit_csp(fold_train, n_filters)
-        model = train(fold_train, bank, lam)
-        accuracies.append(evaluate(model, fold_test).accuracy)
+    for held_out, bank in zip(folds, fold_banks(train_set, folds, n_filters)):
+        covs = trial_covariances(bank, train_set)
+        fit_rows = np.ones(len(train_set), dtype=bool)
+        fit_rows[held_out] = False
+        model = _fit(covs[fit_rows], train_set.labels[fit_rows], bank, lam)
+        report = evaluate(model, train_set.subset(held_out), covs[held_out])
+        accuracies.append(report.accuracy)
     acc = np.array(accuracies)
     return float(acc.mean()), float(acc.std())

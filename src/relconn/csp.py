@@ -5,10 +5,14 @@ covariances: solving mean1 @ w = lam * (mean1 + mean2) @ w yields eigenvalues
 in [0, 1], where a value near 1 marks a direction whose variance is high for
 class 0 relative to class 1 and a value near 0 the opposite. The filters with
 the most extreme eigenvalues from both ends are kept.
+
+`fold_banks` fits one bank per cross-validation fold from class sums that
+all folds share.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +91,38 @@ class SpatialFilterBank:
                    np.array(d["eigenvalues"], dtype=np.float64))
 
 
+def _normalized(train: ScatterSet) -> np.ndarray:
+    """Each trial's scatter matrix divided by its trace; a trial with zero
+    power is a NumericError naming it."""
+    s = train.matrices
+    tr = np.trace(s, axis1=1, axis2=2)
+    bad = np.flatnonzero(tr <= 0.0)
+    if bad.size:
+        raise NumericError(f"trial {train.ids[bad[0]]}: zero power; cannot "
+                           f"normalize its covariance")
+    return s / tr[:, None, None]
+
+
+def _class_sums(normalized: np.ndarray,
+                labels: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
+    """Per class 0 and 1: the sum of its normalized scatter matrices, and
+    how many there are."""
+    in_class = [labels == label for label in (0, 1)]
+    return ([normalized[rows].sum(axis=0) for rows in in_class],
+            [int(np.count_nonzero(rows)) for rows in in_class])
+
+
+def _class_means(sums, counts) -> tuple[SpdMatrix, SpdMatrix]:
+    """Shrunk class means from `_class_sums`; each class needs 2 trials."""
+    means = []
+    for label, (total, count) in enumerate(zip(sums, counts)):
+        if count < 2:
+            raise ValueError(
+                f"class {label} has {count} trials; need at least 2")
+        means.append(SpdMatrix(shrink_covariance(total / count)))
+    return means[0], means[1]
+
+
 def class_mean_covariances(train: ScatterSet) -> tuple[SpdMatrix, SpdMatrix]:
     """Trace-normalized class-mean covariances of a training set.
 
@@ -95,22 +131,37 @@ def class_mean_covariances(train: ScatterSet) -> tuple[SpdMatrix, SpdMatrix]:
     Shrinkage toward the scaled identity keeps the means usable when trials
     are rank deficient.
     """
-    s = train.matrices
-    tr = np.trace(s, axis1=1, axis2=2)
-    bad = np.flatnonzero(tr <= 0.0)
-    if bad.size:
-        raise NumericError(f"trial {train.ids[bad[0]]}: zero power; cannot "
-                           f"normalize its covariance")
-    means = []
-    for label in (0, 1):
-        in_class = train.labels == label
-        count = int(np.count_nonzero(in_class))
-        if count < 2:
-            raise ValueError(
-                f"class {label} has {count} trials; need at least 2")
-        normalized = s[in_class] / tr[in_class, None, None]
-        means.append(SpdMatrix(shrink_covariance(normalized.mean(axis=0))))
-    return means[0], means[1]
+    return _class_means(*_class_sums(_normalized(train), train.labels))
+
+
+def _check_n_filters(n_filters: int, n_channels: int) -> None:
+    if n_filters % 2 != 0 or n_filters < 2:
+        raise ValueError(f"n_filters must be a positive even number, got {n_filters}")
+    if n_filters > n_channels:
+        raise ValueError(
+            f"n_filters={n_filters} exceeds channel count {n_channels}")
+
+
+def _bank(mean0: SpdMatrix, mean1: SpdMatrix,
+          n_filters: int) -> SpatialFilterBank:
+    """The CSP filters of two class means: the generalized eigenvectors of
+    mean0 against mean0 + mean1 with the n_filters most extreme
+    eigenvalues, half from each end."""
+    composite = mean0.values + mean1.values
+    try:
+        lam, vecs = eigh(mean0.values, composite)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"generalized eigendecomposition failed: {e}") from e
+    lam = np.clip(lam, 0.0, 1.0)
+
+    # descending eigenvalue, ties to the lower original index
+    order = np.lexsort((np.arange(lam.size), -lam))
+    half = n_filters // 2
+    keep = np.concatenate([order[:half], order[-half:]])
+
+    w_full = vecs.T                      # rows are filters, W B W' = I
+    patterns_full = composite @ vecs     # inverse transpose of w_full
+    return SpatialFilterBank(w_full[keep], patterns_full[:, keep], lam[keep])
 
 
 def fit_csp(train: ScatterSet, n_filters: int = 6) -> SpatialFilterBank:
@@ -129,28 +180,30 @@ def fit_csp(train: ScatterSet, n_filters: int = 6) -> SpatialFilterBank:
         The kept filters simultaneously diagonalize both class means, and
         for each filter the two projected variances sum to 1.
     """
-    if n_filters % 2 != 0 or n_filters < 2:
-        raise ValueError(f"n_filters must be a positive even number, got {n_filters}")
-    if n_filters > train.n_channels:
-        raise ValueError(
-            f"n_filters={n_filters} exceeds channel count {train.n_channels}")
+    _check_n_filters(n_filters, train.n_channels)
+    return _bank(*class_mean_covariances(train), n_filters)
 
-    mean0, mean1 = class_mean_covariances(train)
-    composite = mean0.values + mean1.values
-    try:
-        lam, vecs = eigh(mean0.values, composite)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"generalized eigendecomposition failed: {e}") from e
-    lam = np.clip(lam, 0.0, 1.0)
 
-    # descending eigenvalue, ties to the lower original index
-    order = np.lexsort((np.arange(lam.size), -lam))
-    half = n_filters // 2
-    keep = np.concatenate([order[:half], order[-half:]])
+def fold_banks(train: ScatterSet, folds: Iterable[np.ndarray],
+               n_filters: int = 6) -> Iterator[SpatialFilterBank]:
+    """One filter bank per fold, fit on the trials outside that fold.
 
-    w_full = vecs.T                      # rows are filters, W B W' = I
-    patterns_full = composite @ vecs     # inverse transpose of w_full
-    return SpatialFilterBank(w_full[keep], patterns_full[:, keep], lam[keep])
+    The same fit as `fit_csp` on each fold's complement, without
+    re-normalizing it: every scatter matrix is trace-normalized once and
+    summed per class, and a fold's class mean is (class sum - the fold's
+    class sum) / count. The means differ from the complement's own in the
+    last bits only. Banks are built lazily, one per fold in order, with
+    `fit_csp`'s errors.
+    """
+    _check_n_filters(n_filters, train.n_channels)
+    normalized = _normalized(train)
+    sums, counts = _class_sums(normalized, train.labels)
+    for held_out in folds:
+        held_sums, held_counts = _class_sums(normalized[held_out],
+                                             train.labels[held_out])
+        means = _class_means([t - h for t, h in zip(sums, held_sums)],
+                             [t - h for t, h in zip(counts, held_counts)])
+        yield _bank(*means, n_filters)
 
 
 def trial_covariances(bank: SpatialFilterBank, s: ScatterSet) -> np.ndarray:

@@ -54,10 +54,21 @@ class FixtureSpec:
             raise ValueError("need at least 2 trials per class")
         if not 0.0 <= self.irrelevant_fraction < 1.0:
             raise ValueError("irrelevant_fraction must be in [0, 1)")
-        if self.snr <= 0:
-            raise ValueError("snr must be positive (math.inf allowed)")
+        if not self.snr > 0:
+            raise ValueError(
+                f"snr must be positive (math.inf allowed), got {self.snr}")
         if not 0.0 <= self.session_shift < 1.0:
             raise ValueError("session_shift must be in [0, 1)")
+        for name in ("sampling_rate_hz", "duration_s"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
+        samples = self.duration_s * self.sampling_rate_hz
+        if not (math.isfinite(samples) and self.n_samples >= 2):
+            raise ValueError(
+                f"duration_s * sampling_rate_hz must give a finite count "
+                f"of at least 2 samples per trial, got {samples:g}")
         n_train = self.resolved_n_train()
         # synthesize_trialset deals n_train // 2 calibration trials to
         # class 0 and the rest to class 1; both sessions need both classes

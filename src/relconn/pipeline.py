@@ -356,7 +356,9 @@ def stage_train(cfg: PipelineConfig,
 def stage_cv(cfg: PipelineConfig, split: Split | None = None) -> list[Path]:
     """Cross-validate on the training split.
 
-    Stratified k folds; filters and reference are refit inside each fold.
+    Stratified k folds; filters, reference and weights are refit inside
+    each fold, from the class sums and the scatter stack the folds share
+    (`classify.cross_validate`).
     """
     with _prefix_errors("stage cv"):
         train_set = _side(cfg, split, _TRAIN)

@@ -11,9 +11,10 @@ from relconn.classify import (EvalReport, TslrModel,
                               logistic_grad, logistic_loss,
                               select_relevant, sigmoid, soft_threshold,
                               stratified_folds, train)
-from relconn.csp import SpatialFilterBank, fit_csp
+from relconn.csp import SpatialFilterBank, fit_csp, fold_banks
 from relconn.data import ScatterSet, TrialSet
 from relconn.errors import ConvergenceError, StratificationError
+from relconn.fixtures import FixtureSpec, synthesize_trialset
 from relconn.geometry import ReferencePoint, SpdMatrix
 
 
@@ -132,6 +133,58 @@ class TestSolver:
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError, match="lam"):
             fit_l1_logistic(np.zeros((4, 2)), np.zeros(4), -0.1)
+
+    def test_same_iterates_as_recomputed_margins(self):
+        # reusing the accepted step's margins x @ w + b is a saving only:
+        # every iterate, and so the whole result, is bit-identical
+        rng = np.random.default_rng(8)
+        for n, d, lam in [(40, 6, 0.05), (40, 6, 0.01), (60, 10, 1e-3),
+                          (30, 5, 0.2), (40, 6, 1.0)]:
+            x, y = random_problem(rng, n=n, d=d)
+            fit = fit_l1_logistic(x, y, lam)
+            w, b, n_iter, history = recomputed_margins_fit(x, y, lam)
+            assert np.array_equal(fit.w, w)
+            assert fit.b == b
+            assert fit.n_iter == n_iter
+            assert np.array_equal(fit.objective_history, history)
+
+
+def recomputed_margins_fit(x, y, lam, max_iter=5000, tol=1e-6):
+    """The solver loop as it was before it kept the accepted step's
+    margins: the loss and the gradient each recompute x @ w + b. Returns
+    (w, b, n_iter, objective_history)."""
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    step = 1.0
+    f = logistic_loss(w, b, x, y)
+    history = [f + lam * float(np.sum(np.abs(w)))]
+    for it in range(max_iter):
+        g_w, g_b = logistic_grad(w, b, x, y)
+        active = w != 0.0
+        gap = abs(g_b)
+        if np.any(active):
+            gap = max(gap, float(np.max(np.abs(g_w[active]
+                                               + lam * np.sign(w[active])))))
+        if np.any(~active):
+            gap = max(gap, float(np.max(np.maximum(np.abs(g_w[~active]) - lam,
+                                                   0.0))))
+        if gap <= tol:
+            return w, b, it, history
+        step = min(step * 2.0, 1e12)
+        while True:
+            w_new = soft_threshold(w - step * g_w, step * lam)
+            b_new = b - step * g_b
+            f_new = logistic_loss(w_new, b_new, x, y)
+            dw = w_new - w
+            db = b_new - b
+            bound = (f + g_w @ dw + g_b * db
+                     + (dw @ dw + db * db) / (2.0 * step))
+            if f_new <= bound + 1e-12 or step < 1e-18:
+                break
+            step *= 0.5
+        w, b, f = w_new, b_new, f_new
+        history.append(f + lam * float(np.sum(np.abs(w))))
+    raise AssertionError("reference solver did not converge")
 
 
 class TestSolverOptimality:
@@ -328,3 +381,55 @@ class TestCrossValidate:
         assert 0.0 <= mean_a <= 100.0 and std_a >= 0.0
         # the classes are cleanly separable, so folds should score high
         assert mean_a >= 75.0
+
+    def fixture_set(self, seed):
+        ts, _ = synthesize_trialset(
+            FixtureSpec(n_channels=6, n_per_class=30, duration_s=0.5), seed)
+        return ScatterSet.from_trials(ts)
+
+    def test_matches_refit_per_fold(self):
+        cases = [(self.make_set(), dict(k=3, n_filters=2))]
+        # a firm penalty keeps the fits short
+        cases += [(self.fixture_set(seed), dict(k=5, n_filters=4, lam=0.02))
+                  for seed in (1, 2, 3)]
+        for ts, kwargs in cases:
+            assert (cross_validate(ts, seed=42, **kwargs)
+                    == refit_cross_validate(ts, seed=42, **kwargs))
+
+    def test_fold_banks_match_fit_per_fold(self):
+        for seed in (1, 2, 3):
+            ts = self.fixture_set(seed)
+            folds = stratified_folds(ts.labels, 5, seed=42)
+            for held_out, bank in zip(folds, fold_banks(ts, folds, 4)):
+                expected = fit_csp(
+                    ts.subset(np.delete(np.arange(len(ts)), held_out)), 4)
+                assert_allclose(bank.eigenvalues, expected.eigenvalues,
+                                rtol=0.0, atol=1e-10)
+                # each filter and its pattern up to sign
+                sign = np.sign(np.sum(bank.w * expected.w, axis=1))
+                assert_allclose(bank.w * sign[:, None], expected.w,
+                                rtol=0.0,
+                                atol=1e-10 * np.abs(expected.w).max())
+                assert_allclose(bank.patterns * sign, expected.patterns,
+                                rtol=0.0,
+                                atol=1e-10 * np.abs(expected.patterns).max())
+
+    def test_fold_class_count_checked(self):
+        # two trials per class and two folds leave one per class to fit on
+        ts = labeled_set([0, 1, 0, 1])
+        with pytest.raises(ValueError, match="class 0 has 1 trials"):
+            cross_validate(ts, k=2, n_filters=2)
+
+
+def refit_cross_validate(train_set, k, n_filters, seed, lam=None):
+    """Cross-validation as a fresh fit per fold: the fold's trials are
+    copied out, and filters, reference and weights are fit on the copy."""
+    accuracies = []
+    for held_out in stratified_folds(train_set.labels, k, seed):
+        fold_train = train_set.subset(
+            np.delete(np.arange(len(train_set)), held_out))
+        bank = fit_csp(fold_train, n_filters)
+        model = train(fold_train, bank, lam)
+        accuracies.append(evaluate(model, train_set.subset(held_out)).accuracy)
+    acc = np.array(accuracies)
+    return float(acc.mean()), float(acc.std())

@@ -1,6 +1,7 @@
 """Exit codes and artifact side effects of the command line interface."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -46,6 +47,22 @@ class TestFixtureCommand:
                      "--trials-per-class", "2"]) == 2
         assert ("error: n_per_class=2 with n_train=3 leaves a session "
                 "without both classes" in capsys.readouterr().err)
+        assert not (tmp_path / "d").exists()
+
+
+    @pytest.mark.parametrize("option, value, field", [
+        ("--duration", "inf", "duration_s"),
+        ("--duration", "0", "duration_s"),
+        ("--duration", "0.001", "duration_s * sampling_rate_hz"),
+        ("--fs", "-5", "sampling_rate_hz"),
+        ("--fs", "inf", "sampling_rate_hz"),
+        ("--snr", "nan", "snr"),
+    ])
+    def test_bad_shape_rejected_up_front(self, tmp_path, capsys, option,
+                                         value, field):
+        assert main(["fixture", "--out", str(tmp_path / "d"),
+                     "--trials-per-class", "4", option, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} ")
         assert not (tmp_path / "d").exists()
 
 
@@ -165,6 +182,22 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "error: stage fit-csp:" in err
+
+    def test_zero_power_training_trial_fails_lone_cv(self, dataset, tmp_path,
+                                                     capsys):
+        # cv normalizes every training trial's scatter matrix once, up
+        # front; a silent trial still stops it, by id
+        data = tmp_path / "data"
+        shutil.copytree(dataset.parent, data)
+        row = json.loads((data / "manifest.json").read_text())["trials"][5]
+        trial_file = data / row["file"]
+        trial_file.write_bytes(bytes(trial_file.stat().st_size))
+        cfg = write_config(tmp_path / "cfg.json", data / "manifest.json",
+                           tmp_path / "out")
+        assert main(["cv", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: stage cv: trial {row['id']}: zero power; cannot "
+            f"normalize its covariance\n")
 
     @pytest.mark.parametrize("key, value, message", [
         ("k_folds", "3", "'k_folds' must be an integer"),

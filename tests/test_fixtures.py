@@ -31,10 +31,21 @@ class TestSpecValidation:
         dict(n_per_class=2),
         dict(n_per_class=10, n_train=1),
         dict(n_per_class=10, n_train=19),
+        dict(sampling_rate_hz=math.inf),
+        dict(sampling_rate_hz=math.nan),
+        dict(sampling_rate_hz=-5.0),
+        dict(duration_s=math.inf),
+        dict(duration_s=0.0),
+        dict(duration_s=0.001),
+        dict(snr=math.nan),
+        dict(duration_s=1e200, sampling_rate_hz=1e200),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             FixtureSpec(**kwargs)
+
+    def test_two_samples_per_trial_accepted(self):
+        assert FixtureSpec(duration_s=0.01).n_samples == 2
 
     def test_default_split_is_seventy_percent(self):
         spec = FixtureSpec(n_per_class=50)
