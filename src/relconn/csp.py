@@ -12,7 +12,7 @@ all folds share.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,25 +185,29 @@ def fit_csp(train: ScatterSet, n_filters: int = 6) -> SpatialFilterBank:
 
 
 def fold_banks(train: ScatterSet, folds: Iterable[np.ndarray],
-               n_filters: int = 6) -> Iterator[SpatialFilterBank]:
-    """One filter bank per fold, fit on the trials outside that fold.
+               n_filters: int = 6) -> list[SpatialFilterBank]:
+    """One filter bank per fold, in fold order, each fit on the trials
+    outside that fold.
 
     The same fit as `fit_csp` on each fold's complement, without
     re-normalizing it: every scatter matrix is trace-normalized once and
     summed per class, and a fold's class mean is (class sum - the fold's
     class sum) / count. The means differ from the complement's own in the
-    last bits only. Banks are built lazily, one per fold in order, with
-    `fit_csp`'s errors.
+    last bits only, so where two eigenvalues nearly tie a fold may keep
+    other filters than `fit_csp` on its complement would. Errors are
+    `fit_csp`'s.
     """
     _check_n_filters(n_filters, train.n_channels)
     normalized = _normalized(train)
     sums, counts = _class_sums(normalized, train.labels)
+    banks = []
     for held_out in folds:
         held_sums, held_counts = _class_sums(normalized[held_out],
                                              train.labels[held_out])
         means = _class_means([t - h for t, h in zip(sums, held_sums)],
                              [t - h for t, h in zip(counts, held_counts)])
-        yield _bank(*means, n_filters)
+        banks.append(_bank(*means, n_filters))
+    return banks
 
 
 def trial_covariances(bank: SpatialFilterBank, s: ScatterSet) -> np.ndarray:

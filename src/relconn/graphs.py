@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 def assign_modules(weights: np.ndarray) -> np.ndarray:
     """Greedy agglomerative modularity maximization (Newman).
@@ -170,24 +172,12 @@ def participation_coefficient(g: ConnectivityGraph) -> np.ndarray:
 
 
 def _pairwise_shortest(weights: np.ndarray) -> np.ndarray:
-    """All-pairs shortest path lengths with edge length 1/weight (the
-    shorter of i-j and j-i); inf where no path exists.
-
-    d[s, v] = min over u of d[s, u] + length[u, v] is relaxed to a fixed
-    point. Like Dijkstra's algorithm it sums each path outward from the
-    source, so it gives the same bits. Each pass is one dense (n, n, n)
-    broadcast, meant for small neighbour subgraphs.
-    """
-    w = np.maximum(weights, weights.T)
-    lengths = np.full(w.shape, np.inf)
-    np.divide(1.0, w, out=lengths, where=w > 0.0)
-    np.fill_diagonal(lengths, 0.0)
-    dist = lengths
-    while True:
-        relaxed = np.min(dist[:, :, None] + lengths[None, :, :], axis=1)
-        if np.array_equal(relaxed, dist):
-            return dist
-        dist = relaxed
+    """All-pairs shortest path lengths with edge length 1/weight."""
+    n = weights.shape[0]
+    rows, cols = np.nonzero(weights)
+    lengths = 1.0 / weights[rows, cols]
+    graph = csr_matrix((lengths, (rows, cols)), shape=(n, n))
+    return dijkstra(graph, directed=False)
 
 
 def local_efficiency(g: ConnectivityGraph) -> np.ndarray:

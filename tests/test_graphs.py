@@ -2,14 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 import graph_oracle as ref
-from relconn.graphs import (ConnectivityGraph, _pairwise_shortest,
-                            assign_modules, build_graph,
+from relconn.graphs import (ConnectivityGraph, assign_modules, build_graph,
                             clustering_coefficient, local_efficiency,
                             node_metrics, node_strength,
                             participation_coefficient, separability)
@@ -184,49 +180,6 @@ class TestMetricsAgainstReference:
                         atol=1e-12)
         assert_allclose(clustering_coefficient(g), ref.clustering_ref(w),
                         atol=1e-12)
-
-
-# an edge weight: absent, anywhere in [1e-6, 1e3], or one of a few values
-# that make ties between paths likely
-edge_weight = st.one_of(st.just(0.0), st.floats(1e-6, 1e3),
-                        st.sampled_from([0.25, 0.5, 1.0, 2.0]))
-
-
-@st.composite
-def symmetric_weights(draw):
-    n = draw(st.integers(2, 8))
-    upper = draw(st.lists(edge_weight, min_size=n * (n - 1) // 2,
-                          max_size=n * (n - 1) // 2))
-    w = np.zeros((n, n))
-    w[np.triu_indices(n, 1)] = upper
-    isolated = draw(st.integers(-1, n - 1))
-    if isolated >= 0:
-        w[isolated, :] = 0.0
-        w[:, isolated] = 0.0
-    return w + w.T
-
-
-class TestShortestPaths:
-    @settings(max_examples=400, deadline=None, database=None)
-    @given(w=symmetric_weights())
-    def test_equals_dijkstra_exactly(self, w):
-        rows, cols = np.nonzero(w)
-        lengths = csr_matrix((1.0 / w[rows, cols], (rows, cols)),
-                             shape=w.shape)
-        expected = dijkstra(lengths, directed=False)
-        assert np.array_equal(_pairwise_shortest(w), expected)
-
-    def test_hand_values(self):
-        # path 0-1-2 of lengths 1 and 0.5 beats the direct edge of length 2;
-        # node 3 is unreachable
-        w = np.zeros((4, 4))
-        w[0, 1] = w[1, 0] = 1.0
-        w[1, 2] = w[2, 1] = 2.0
-        w[0, 2] = w[2, 0] = 0.5
-        d = _pairwise_shortest(w)
-        assert d[0, 2] == d[2, 0] == 1.5
-        assert np.all(np.diag(d) == 0.0)
-        assert np.all(np.isinf(d[3, :3])) and np.all(np.isinf(d[:3, 3]))
 
 
 class TestBuildGraph:
