@@ -96,6 +96,8 @@ def fit_l1_logistic(x, y, lam, max_iter: int = 5000,
     y = np.asarray(y, dtype=np.float64)
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     n, d = x.shape
     w = np.zeros(d)
     b = 0.0
@@ -104,11 +106,15 @@ def fit_l1_logistic(x, y, lam, max_iter: int = 5000,
     f = _loss(z, y)
     history = [f + lam * float(np.sum(np.abs(w)))]
 
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         g_w, g_b = _grad(z, x, y)
         gap = _kkt_gap(w, g_w, g_b, lam)
         if gap <= tol:
             return L1FitResult(w, b, it, gap, history)
+        if it == max_iter:
+            raise ConvergenceError(
+                f"no convergence after {max_iter} iterations "
+                f"(optimality residual {gap:.3e}, tol {tol:.1e})", gap)
 
         step = min(step * 2.0, 1e12)
         while True:
@@ -125,14 +131,6 @@ def fit_l1_logistic(x, y, lam, max_iter: int = 5000,
             step *= 0.5
         w, b, f, z = w_new, b_new, f_new, z_new
         history.append(f + lam * float(np.sum(np.abs(w))))
-
-    g_w, g_b = _grad(z, x, y)
-    gap = _kkt_gap(w, g_w, g_b, lam)
-    if gap <= tol:
-        return L1FitResult(w, b, max_iter, gap, history)
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations "
-        f"(optimality residual {gap:.3e}, tol {tol:.1e})", gap)
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,7 @@ class TslrModel:
         return cls(np.array(d["weights"], dtype=np.float64),
                    float(d["bias"]), float(d["lambda"]), ref,
                    SpatialFilterBank.from_dict(d["filter_bank"]),
-                   int(d.get("n_iter", 0)), float(d.get("optimality_gap", 0.0)))
+                   int(d["n_iter"]), float(d["optimality_gap"]))
 
 
 def default_lambda(n_train: int) -> float:
@@ -284,20 +282,32 @@ def evaluate(model: TslrModel, test_set: ScatterSet,
                       posteriors)
 
 
+def _check_threshold(threshold: float) -> None:
+    """Reject a posterior threshold outside (0.5, 1). A threshold of 1
+    could never be reached: `evaluate` clips posteriors to at most
+    1 - 1e-15."""
+    if not 0.5 < threshold < 1.0:
+        raise ValueError(
+            f"posterior_threshold must be in (0.5, 1), got {threshold}")
+
+
 def select_relevant(report: EvalReport, threshold: float = 0.7) -> list[int]:
     """Ids of correctly classified trials with confident posteriors.
 
     A trial qualifies when its predicted label matches the true label and
-    the predicted-class confidence max(p, 1-p) reaches the threshold.
-    Order follows the report. A threshold of 1 is rejected: posteriors
-    are clipped to at most 1 - 1e-15, so it could never be reached.
+    the predicted-class confidence max(p, 1-p) reaches the threshold, which
+    lies in (0.5, 1). Order follows the report.
     """
-    if not 0.5 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0.5, 1), got {threshold}")
+    _check_threshold(threshold)
     p = report.posteriors
     keep = ((report.predicted_labels == report.true_labels)
             & (np.maximum(p, 1.0 - p) >= threshold))
     return report.trial_ids[keep].tolist()
+
+
+def _check_k_folds(k: int) -> None:
+    if k < 2:
+        raise ValueError(f"k_folds must be >= 2, got {k}")
 
 
 def stratified_folds(labels: np.ndarray, k: int, seed: int = 42) -> list[np.ndarray]:
@@ -308,8 +318,7 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int = 42) -> list[np.ndar
     StratificationError when some fold would miss a class.
     """
     labels = np.asarray(labels)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _check_k_folds(k)
     counts = [int(np.sum(labels == c)) for c in (0, 1)]
     if min(counts) < k:
         raise StratificationError(

@@ -55,10 +55,7 @@ class SpatialFilterBank:
         object.__setattr__(self, "patterns", patterns)
         object.__setattr__(self, "eigenvalues", eigenvalues)
         nf, ch = w.shape
-        if nf % 2 != 0:
-            raise ValueError(f"n_filters must be even, got {nf}")
-        if nf > ch:
-            raise ValueError(f"n_filters={nf} exceeds channel count {ch}")
+        _check_n_filters(nf, ch)
         if patterns.shape != (ch, nf):
             raise ValueError(
                 f"patterns must have shape ({ch}, {nf}), got {patterns.shape}")

@@ -108,6 +108,10 @@ def design_bandpass(spec: FilterSpec) -> SosFilter:
         Stable second-order sections. Pass-band and stop-band behaviour is
         checked against an independent analytic oracle in the test suite.
     """
+    # a spec may carry an unbounded rate, to check the other design values
+    if not np.isfinite(spec.sampling_rate_hz):
+        raise ValueError(f"sampling_rate_hz must be finite to design a "
+                         f"filter, got {spec.sampling_rate_hz}")
     if spec.family == "butterworth":
         sos = signal.butter(spec.order, spec.band_hz, btype="bandpass",
                             fs=spec.sampling_rate_hz, output="sos")
@@ -148,7 +152,10 @@ def magnitude_db(filt: SosFilter, freqs_hz) -> np.ndarray:
 
 def response_grid(filt: SosFilter, n_points: int = RESPONSE_POINTS
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(frequency_hz, magnitude_db) on a log-spaced grid up to Nyquist."""
+    """(frequency_hz, magnitude_db) on a log-spaced grid of n_points >= 2
+    frequencies up to Nyquist."""
+    if n_points < 2:
+        raise ValueError(f"n_points must be >= 2, got {n_points}")
     nyq = filt.sampling_rate_hz / 2.0
     low, high = filt.spec.band_hz
     f_min = min(low / 10.0, 1e-2)

@@ -33,10 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import (TslrModel, EvalReport, cross_validate, evaluate,
+from .classify import (TslrModel, EvalReport, _check_k_folds,
+                       _check_threshold, cross_validate, evaluate,
                        select_relevant, train)
-from .csp import (SpatialFilterBank, fit_csp, select_channels,
-                  trial_covariances)
+from .csp import (SpatialFilterBank, _check_n_filters, fit_csp,
+                  select_channels, trial_covariances)
 from .data import (ScatterSet, TrialSet, _derived, _integer, _number,
                    _read_json, _write_json, default_n_train, load_trialset,
                    read_manifest, split_rows)
@@ -157,16 +158,13 @@ class PipelineConfig:
         if self.band_mode == "concat" and self.dataset_kind == "errp":
             raise ValueError("band_mode 'concat' requires dataset_kind "
                              "'motor_imagery' (errp has a single band)")
-        if self.k_folds < 2:
-            raise ValueError(f"k_folds must be >= 2, got {self.k_folds}")
-        if self.n_filters < 2 or self.n_filters % 2 != 0:
-            raise ValueError(
-                f"n_filters must be a positive even number, got {self.n_filters}")
-        # posteriors are clipped below 1, so a threshold of 1 selects nothing
-        if not 0.5 < self.posterior_threshold < 1.0:
-            raise ValueError(
-                f"posterior_threshold must be in (0.5, 1), "
-                f"got {self.posterior_threshold}")
+        with _prefix_errors("config key 'k_folds'"):
+            _check_k_folds(self.k_folds)
+        # an unbounded channel count checks all but the recording's limit
+        with _prefix_errors("config key 'n_filters'"):
+            _check_n_filters(self.n_filters, math.inf)
+        with _prefix_errors("config key 'posterior_threshold'"):
+            _check_threshold(self.posterior_threshold)
         # with no penalty the solver never converges on separable folds
         if self.lam is not None and not 0 < self.lam < math.inf:
             raise ValueError(f"lambda must be > 0 and finite, got {self.lam}")
@@ -588,9 +586,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     a stage run on its own uses, and shared by all stages. Returns artifact
     name -> path, in `ARTIFACTS` order.
     """
-    # fit-csp is the first stage to read trials, so load errors keep its name
+    # each side's load errors name the first stage that reads that side,
+    # as when the stage runs on its own
     with _prefix_errors("stage fit-csp"):
-        split = (_side(cfg, None, _TRAIN), _side(cfg, None, _TEST))
+        train_set = _side(cfg, None, _TRAIN)
+    with _prefix_errors("stage evaluate"):
+        split = (train_set, _side(cfg, None, _TEST))
     for stage in stages().values():
         stage(cfg, split)
     return {name: cfg.out_path(name) for name in ARTIFACTS}

@@ -130,6 +130,25 @@ class TestSolver:
             fit_l1_logistic(x, y, 0.01, max_iter=2, tol=1e-12)
         assert exc.value.gap > 1e-12
 
+    def test_iteration_cap_counts_the_converged_iterate(self):
+        # a fit that converges at iteration n returns under max_iter=n,
+        # with the same result, and raises under max_iter=n-1
+        rng = np.random.default_rng(9)
+        for n, d, lam in [(40, 6, 0.05), (60, 10, 1e-3), (30, 5, 0.2)]:
+            x, y = random_problem(rng, n=n, d=d)
+            fit = fit_l1_logistic(x, y, lam)
+            capped = fit_l1_logistic(x, y, lam, max_iter=fit.n_iter)
+            assert capped.n_iter == fit.n_iter
+            assert np.array_equal(capped.w, fit.w) and capped.b == fit.b
+            with pytest.raises(ConvergenceError) as exc:
+                fit_l1_logistic(x, y, lam, max_iter=fit.n_iter - 1)
+            assert exc.value.gap > 1e-6
+            assert f"after {fit.n_iter - 1} iterations" in str(exc.value)
+
+    def test_negative_iteration_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            fit_l1_logistic(np.zeros((4, 2)), np.zeros(4), 0.1, max_iter=-1)
+
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError, match="lam"):
             fit_l1_logistic(np.zeros((4, 2)), np.zeros(4), -0.1)

@@ -94,6 +94,21 @@ class TestFilterResponseCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--points", "0", "n_points must be >= 2, got 0"),
+        ("--points", "-3", "n_points must be >= 2, got -3"),
+        ("--points", "1", "n_points must be >= 2, got 1"),
+        ("--fs", "inf", "sampling_rate_hz must be finite to design a "
+                        "filter, got inf"),
+    ])
+    def test_unusable_input_rejected(self, tmp_path, capsys, option, value,
+                                     message):
+        out = tmp_path / "x.csv"
+        assert main(["filter-response", "--out", str(out), option,
+                     value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_full_run_writes_artifacts(self, dataset, tmp_path, capsys):
@@ -199,6 +214,27 @@ class TestExitCodes:
             f"error: stage cv: trial {row['id']}: zero power; cannot "
             f"normalize its covariance\n")
 
+    @pytest.mark.parametrize("row, stage", [(25, "evaluate"),
+                                            (5, "fit-csp")])
+    def test_short_trial_file_names_first_stage_to_read_it(
+            self, dataset, tmp_path, capsys, row, stage):
+        # run loads each side of the split under the name of the first
+        # stage that reads it, so it fails as that stage does on its own
+        data = tmp_path / "data"
+        shutil.copytree(dataset.parent, data)
+        entry = json.loads((data / "manifest.json").read_text())["trials"][row]
+        trial_file = data / entry["file"]
+        trial_file.write_bytes(trial_file.read_bytes()[:-8])
+        cfg = write_config(tmp_path / "cfg.json", data / "manifest.json",
+                           tmp_path / "out")
+        assert main([stage, "--config", str(cfg)]) == 2
+        lone = capsys.readouterr().err
+        assert lone == (f"error: stage {stage}: trial {entry['id']}: file "
+                        f"{entry['file']} holds 599 values, expected "
+                        f"6x100=600\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == lone
+
     @pytest.mark.parametrize("key, value, message", [
         ("k_folds", "3", "'k_folds' must be an integer"),
         ("k_folds", True, "'k_folds' must be an integer"),
@@ -240,6 +276,12 @@ class TestExitCodes:
          "config key 'filter': passband_ripple_db must be a positive finite"),
         ("filter", {"stopband_atten_db": float("inf")},
          "config key 'filter': stopband_atten_db must be a positive finite"),
+        ("n_filters", 3, "config key 'n_filters': n_filters must be a "
+                         "positive even number, got 3"),
+        ("k_folds", 1, "config key 'k_folds': k_folds must be >= 2, got 1"),
+        ("posterior_threshold", 1.0, "config key 'posterior_threshold': "
+                                     "posterior_threshold must be in "
+                                     "(0.5, 1), got 1.0"),
     ])
     def test_config_value_checked_up_front(self, dataset, tmp_path, capsys,
                                            key, value, message):

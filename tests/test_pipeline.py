@@ -494,3 +494,19 @@ class TestStageErrors:
         cfg = make_config(manifest, tmp_path / "empty")
         with pytest.raises(FileNotFoundError):
             stage_train(cfg)
+
+
+def test_readme_library_use_runs(tmp_path):
+    # the README's example imports every name from its own submodule; the
+    # package root exports none
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library use")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    manifest, _ = generate_fixture(FixtureSpec(), seed=3,
+                                   out_dir=tmp_path / "data")
+    assert '"data/manifest.json"' in code
+    namespace = {}
+    exec(code.replace('"data/manifest.json"', repr(str(manifest))),
+         namespace)
+    assert namespace["report"].trial_ids.size == 60
+    assert namespace["kept"]
