@@ -56,8 +56,9 @@ class FilterSpec:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.sampling_rate_hz <= 0:
-            raise ValueError("sampling_rate_hz must be positive")
+        if not self.sampling_rate_hz > 0:
+            raise ValueError(f"sampling_rate_hz must be positive, "
+                             f"got {self.sampling_rate_hz}")
         low, high = self.band_hz
         if not 0.0 < low < high:
             raise ValueError(f"band edges must satisfy 0 < low < high, "

@@ -4,9 +4,11 @@ A graph is built from a set of trial covariances: edge weights are the
 absolute values of the element-wise mean covariance with the diagonal
 zeroed. Metrics are weighted throughout: Onnela clustering with weights
 scaled by the global maximum, participation against modules found by
-greedy modularity maximization, local efficiency over inverse-weight path
-lengths, and plain node strength. `node_metrics` gives a graph's four
-metrics as name -> per-node values, in `METRICS` order.
+greedy modularity maximization (Newman 2004), local efficiency over
+inverse-weight path lengths (Latora & Marchiori 2001), and plain node
+strength. `node_metrics` gives a graph's four metrics as name -> per-node
+values, in `METRICS` order. Everything is dense numpy: Floyd-Warshall for
+shortest paths, one argmax over the gain matrix per merge.
 """
 
 from __future__ import annotations
@@ -14,17 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 def assign_modules(weights: np.ndarray) -> np.ndarray:
     """Greedy agglomerative modularity maximization (Newman).
 
     Starts from singleton communities and repeatedly merges the pair with
     the largest modularity gain while a strictly positive gain exists.
-    Pairs are scanned in ascending index order and only a strictly larger
-    gain replaces the incumbent, so ties resolve to the lowest indices and
-    the outcome is deterministic. Module ids are relabeled by first node.
+    Each merge keeps the smaller community index, so a community is
+    labelled by its lowest node. Ties resolve to the first pair in
+    row-major order, so the outcome is deterministic. Module ids are
+    relabeled by first node.
     """
     weights = np.asarray(weights, dtype=np.float64)
     n = weights.shape[0]
@@ -36,42 +37,50 @@ def assign_modules(weights: np.ndarray) -> np.ndarray:
     # community-pair weight fractions and community strength fractions
     e = weights / total
     a = e.sum(axis=1)
-    active = list(range(n))
+    active = np.ones(n, dtype=bool)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
 
-    while len(active) > 1:
-        best_gain = 0.0
-        best_pair = None
-        for ii, ci in enumerate(active):
-            for cj in active[ii + 1:]:
-                gain = 2.0 * (e[ci, cj] - a[ci] * a[cj])
-                if gain > best_gain:
-                    best_gain = gain
-                    best_pair = (ci, cj)
-        if best_pair is None:
+    while True:
+        gain = 2.0 * (e - np.outer(a, a))
+        gain[~(upper & active & active[:, None])] = 0.0
+        ci, cj = divmod(int(np.argmax(gain)), n)
+        if not gain[ci, cj] > 0.0:
             break
-        ci, cj = best_pair
         e[ci, :] += e[cj, :]
         e[:, ci] += e[:, cj]
         a[ci] += a[cj]
-        active.remove(cj)
+        active[cj] = False
         membership[membership == cj] = ci
 
-    # stable relabel: module ids in order of first appearance
-    ids = {}
-    out = np.empty(n, dtype=int)
-    for i, c in enumerate(membership):
-        if c not in ids:
-            ids[c] = len(ids)
-        out[i] = ids[c]
-    return out
+    # lowest-node labels are ascending in first appearance
+    return np.unique(membership, return_inverse=True)[1]
+
+
+def _check_weights(w: np.ndarray, node_names: tuple[str, ...]) -> None:
+    """Raise ValueError unless w is an n x n finite, symmetric,
+    non-negative matrix with a zero diagonal, n = len(node_names)."""
+    n = len(node_names)
+    if w.shape != (n, n):
+        raise ValueError(
+            f"weights must be {n}x{n} for {n} nodes, got {w.shape}")
+    if not np.isfinite(w).all():
+        i, j = np.argwhere(~np.isfinite(w))[0]
+        raise ValueError(f"weights must be finite, got {w[i, j]} between "
+                         f"{node_names[i]!r} and {node_names[j]!r}")
+    if not np.allclose(w, w.T, rtol=0.0, atol=1e-12 * max(1.0, w.max(initial=0.0))):
+        raise ValueError("weights must be symmetric")
+    if np.any(w < 0.0):
+        raise ValueError("weights must be non-negative")
+    if np.any(np.diag(w) != 0.0):
+        raise ValueError("diagonal must be zero")
 
 
 @dataclass(frozen=True)
 class ConnectivityGraph:
     """Undirected weighted graph over named nodes.
 
-    weights is symmetric with non-negative entries and a zero diagonal;
-    modules assigns every node a community id.
+    weights is finite and symmetric with non-negative entries and a zero
+    diagonal; modules assigns every node a community id.
     """
 
     node_names: tuple[str, ...]
@@ -86,17 +95,8 @@ class ConnectivityGraph:
         m.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "modules", m)
-        n = len(self.node_names)
-        if w.shape != (n, n):
-            raise ValueError(
-                f"weights must be {n}x{n} for {n} nodes, got {w.shape}")
-        if not np.allclose(w, w.T, rtol=0.0, atol=1e-12 * max(1.0, w.max(initial=0.0))):
-            raise ValueError("weights must be symmetric")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be non-negative")
-        if np.any(np.diag(w) != 0.0):
-            raise ValueError("diagonal must be zero")
-        if m.shape != (n,):
+        _check_weights(w, self.node_names)
+        if m.shape != (len(self.node_names),):
             raise ValueError("one module id per node is required")
 
     @property
@@ -114,7 +114,7 @@ def build_graph(covariances, node_names) -> ConnectivityGraph:
     covariance|, zero diagonal.
 
     Modules are assigned by greedy modularity maximization on the
-    resulting weights.
+    resulting weights, once they are known to be valid.
     """
     covs = np.asarray(covariances, dtype=np.float64)
     if not len(covs):
@@ -122,7 +122,9 @@ def build_graph(covariances, node_names) -> ConnectivityGraph:
     mean = covs.mean(axis=0)
     w = np.abs(0.5 * (mean + mean.T))
     np.fill_diagonal(w, 0.0)
-    return ConnectivityGraph(tuple(node_names), w, assign_modules(w))
+    node_names = tuple(node_names)
+    _check_weights(w, node_names)
+    return ConnectivityGraph(node_names, w, assign_modules(w))
 
 
 def node_strength(g: ConnectivityGraph) -> np.ndarray:
@@ -171,22 +173,14 @@ def participation_coefficient(g: ConnectivityGraph) -> np.ndarray:
     return out
 
 
-def _pairwise_shortest(weights: np.ndarray) -> np.ndarray:
-    """All-pairs shortest path lengths with edge length 1/weight."""
-    n = weights.shape[0]
-    rows, cols = np.nonzero(weights)
-    lengths = 1.0 / weights[rows, cols]
-    graph = csr_matrix((lengths, (rows, cols)), shape=(n, n))
-    return dijkstra(graph, directed=False)
-
-
 def local_efficiency(g: ConnectivityGraph) -> np.ndarray:
     """Mean inverse shortest path between neighbors, within their subgraph.
 
     For each node, take the subgraph induced by its neighbors (the node
-    itself excluded), measure shortest paths with edge length 1/weight,
-    and average 1/distance over all neighbor pairs; unreachable pairs
-    contribute 0. Nodes with fewer than two neighbors score 0.
+    itself excluded), measure shortest paths with edge length 1/weight by
+    Floyd-Warshall, and average 1/distance over all neighbor pairs;
+    unreachable pairs have distance inf and so contribute 0. Nodes with
+    fewer than two neighbors score 0.
     """
     w = g.weights
     out = np.zeros(g.n_nodes)
@@ -195,12 +189,11 @@ def local_efficiency(g: ConnectivityGraph) -> np.ndarray:
         if nb.size < 2:
             continue
         sub = w[np.ix_(nb, nb)]
-        dist = _pairwise_shortest(sub)
-        iu = np.triu_indices(nb.size, 1)
-        inv = np.zeros(iu[0].size)
-        reachable = np.isfinite(dist[iu])
-        inv[reachable] = 1.0 / dist[iu][reachable]
-        out[i] = float(inv.mean())
+        dist = np.divide(1.0, sub, out=np.full_like(sub, np.inf),
+                         where=sub > 0.0)
+        for via in range(nb.size):
+            np.minimum(dist, dist[:, via, None] + dist[via], out=dist)
+        out[i] = float((1.0 / dist[np.triu_indices(nb.size, 1)]).mean())
     return out
 
 

@@ -2,8 +2,9 @@
 
 Deliberately slow and literal: triple loops, explicit Floyd-Warshall,
 from-scratch community sums. The package implementations are vectorized
-and partly scipy-backed; the tests require the two routes to agree to
-near machine precision on batches of random graphs.
+numpy (a Floyd-Warshall pass per pivot, a gain-matrix argmax per merge);
+the tests require the two routes to agree to near machine precision on
+batches of random graphs.
 """
 
 import numpy as np

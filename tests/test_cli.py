@@ -100,6 +100,7 @@ class TestFilterResponseCommand:
         ("--points", "1", "n_points must be >= 2, got 1"),
         ("--fs", "inf", "sampling_rate_hz must be finite to design a "
                         "filter, got inf"),
+        ("--fs", "nan", "sampling_rate_hz must be positive, got nan"),
     ])
     def test_unusable_input_rejected(self, tmp_path, capsys, option, value,
                                      message):
@@ -352,6 +353,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: stage graph: [Errno 2] ")
         assert ARTIFACTS["test_covariances"] in err
+
+    def test_non_finite_covariance_names_the_stage(self, dataset, tmp_path,
+                                                   capsys):
+        cfg = write_config(tmp_path / "cfg.json", dataset, tmp_path / "out")
+        assert main(["run", "--config", str(cfg)]) == 0
+        path = tmp_path / "out" / ARTIFACTS["test_covariances"]
+        covs = np.load(path)
+        covs[:, 0, 1] = np.inf
+        np.save(path, covs)
+        graph_path = tmp_path / "out" / ARTIFACTS["graph_all_class0"]
+        graph_path.unlink()
+        capsys.readouterr()
+        assert main(["graph", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: stage graph: weights must be finite, got inf between ")
+        assert not graph_path.exists()
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit):

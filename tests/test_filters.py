@@ -41,6 +41,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="band edges"):
             FilterSpec("butterworth", 4, (1.0, 300.0), FS)
 
+    @pytest.mark.parametrize("fs", [0.0, -1.0, float("nan")])
+    def test_rate_must_be_positive(self, fs):
+        # a NaN rate is named as the rate, not as a band past fs/2 = nan
+        with pytest.raises(ValueError,
+                           match=f"sampling_rate_hz must be positive, got {fs}"):
+            FilterSpec("butterworth", 4, (1.0, 10.0), fs)
+
 
 class TestStability:
     def test_unstable_sections_rejected(self):

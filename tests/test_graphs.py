@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse.csgraph import shortest_path
 
 import graph_oracle as ref
 from relconn.graphs import (ConnectivityGraph, assign_modules, build_graph,
@@ -48,6 +50,22 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="diagonal"):
             ConnectivityGraph(("a", "b"), np.eye(2), np.zeros(2, dtype=int))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_first(self, bad):
+        # symmetric in its non-finite entries: named as non-finite, not
+        # as asymmetric, and never reaching the metrics
+        w = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match=f"weights must be finite, got "
+                                             f"{bad} between 'a' and 'b'"):
+            ConnectivityGraph(("a", "b"), w, np.zeros(2, dtype=int))
+
+    def test_non_finite_covariance_rejected_before_modules(self):
+        # modules would divide by an infinite total weight first
+        covs = np.eye(3)[None].repeat(2, axis=0)
+        covs[1, 2, 0] = np.inf
+        with pytest.raises(ValueError, match="got inf between 'a' and 'c'"):
+            build_graph(covs, ("a", "b", "c"))
+
     def test_module_length_checked(self):
         with pytest.raises(ValueError, match="module"):
             ConnectivityGraph(("a", "b"), np.zeros((2, 2)),
@@ -67,6 +85,15 @@ class TestAssignModules:
         # gains, and the final cross-pair gain is exactly zero, so the
         # greedy pass stops at two opposite pairs
         assert assign_modules(ring(4)).tolist() == [0, 0, 1, 1]
+
+    def test_tie_goes_to_lowest_pair(self):
+        # the unit path 1-3-2-4-0 merges {0,4}, then {1,3}; node 2 then
+        # gains exactly 1/16 from joining either, and the lowest pair
+        # (community 0, node 2) wins
+        w = np.zeros((5, 5))
+        for i, j in ((1, 3), (3, 2), (2, 4), (4, 0)):
+            w[i, j] = w[j, i] = 1.0
+        assert assign_modules(w).tolist() == [0, 1, 0, 1, 0]
 
     def test_empty_graph(self):
         assert assign_modules(np.zeros((5, 5))).tolist() == [0, 1, 2, 3, 4]
@@ -227,3 +254,59 @@ class TestSeparability:
                               participation_coefficient(g))
         assert np.array_equal(m["local_efficiency"], local_efficiency(g))
         assert np.array_equal(m["strength"], node_strength(g))
+
+
+def dijkstra_local_efficiency(w):
+    """Local efficiency through scipy's shortest paths: an algorithm
+    independent of the package's Floyd-Warshall, fast enough for the
+    64-node graphs the loop oracle cannot reach."""
+    out = np.zeros(w.shape[0])
+    for i in range(w.shape[0]):
+        nb = np.flatnonzero(w[i] > 0.0)
+        if nb.size < 2:
+            continue
+        sub = w[np.ix_(nb, nb)]
+        # dense input: a zero length is a missing edge
+        lengths = np.divide(1.0, sub, out=np.zeros_like(sub), where=sub > 0.0)
+        dist = shortest_path(lengths, directed=False)
+        out[i] = np.mean(1.0 / dist[np.triu_indices(nb.size, 1)])
+    return out
+
+
+random_graphs = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+                     density=st.floats(0.1, 1.0))
+
+
+class TestMetricProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(**random_graphs, k=st.integers(-30, 30), ties=st.booleans())
+    def test_power_of_two_scaling_is_exact(self, seed, n, density, k, ties):
+        rng = np.random.default_rng(seed)
+        w = random_weights(rng, n, density)
+        if ties:
+            w = np.round(w)
+        g, g2 = graph_from(w), graph_from(w * 2.0 ** k)
+        assert np.array_equal(g2.modules, g.modules)
+        for metric in (clustering_coefficient, participation_coefficient):
+            assert np.array_equal(metric(g2), metric(g))
+        for metric in (node_strength, local_efficiency):
+            assert np.array_equal(metric(g2), metric(g) * 2.0 ** k)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(**random_graphs)
+    def test_node_permutation_permutes_metrics(self, seed, n, density):
+        rng = np.random.default_rng(seed)
+        w = random_weights(rng, n, density)
+        perm = rng.permutation(n)
+        g, gp = graph_from(w), graph_from(w[np.ix_(perm, perm)])
+        for metric in (node_strength, clustering_coefficient,
+                       local_efficiency):
+            assert_allclose(metric(gp), metric(g)[perm], rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([22, 64]),
+           density=st.floats(0.05, 1.0))
+    def test_local_efficiency_matches_dijkstra(self, seed, n, density):
+        w = random_weights(np.random.default_rng(seed), n, density)
+        assert_allclose(local_efficiency(graph_from(w)),
+                        dijkstra_local_efficiency(w), rtol=1e-12, atol=0.0)
