@@ -27,22 +27,22 @@ from .geometry import ReferencePoint, SpdMatrix, tangent_map
 
 def sigmoid(z):
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e^-|z| never overflows: 1 / (1 + e^-z) where z >= 0, e^z / (1 + e^z)
+    # elsewhere
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _loss(z, y):
-    # log(1 + e^z) - y*z, computed stably
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+    # mean of log(1 + e^z) - y*z, computed stably
+    return float((np.logaddexp(0.0, z) - y * z).sum() / z.shape[0])
 
 
 def _grad(z, x, y):
     r = sigmoid(z) - y
-    return x.T @ r / x.shape[0], float(np.mean(r))
+    n = x.shape[0]
+    return x.T @ r / n, float(r.sum() / n)
 
 
 def logistic_loss(w, b, x, y):
@@ -60,14 +60,12 @@ def soft_threshold(v, t):
 
 
 def _kkt_gap(w, g_w, g_b, lam) -> float:
-    """Largest first-order optimality violation of the penalized problem."""
-    active = w != 0.0
-    gap = abs(g_b)
-    if np.any(active):
-        gap = max(gap, float(np.max(np.abs(g_w[active] + lam * np.sign(w[active])))))
-    if np.any(~active):
-        gap = max(gap, float(np.max(np.maximum(np.abs(g_w[~active]) - lam, 0.0))))
-    return gap
+    """Largest first-order optimality violation of the penalized problem:
+    |g + lam sign(w)| where w != 0, max(|g| - lam, 0) where w == 0, and
+    |g_b| for the bias."""
+    violation = np.where(w != 0.0, np.abs(g_w + lam * np.sign(w)),
+                         np.maximum(np.abs(g_w) - lam, 0.0))
+    return float(np.max(violation, initial=abs(g_b)))
 
 
 @dataclass

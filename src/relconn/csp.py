@@ -20,7 +20,7 @@ from scipy.linalg import eigh
 
 from .data import ScatterSet
 from .errors import NumericError
-from .geometry import SpdMatrix, shrink_covariance
+from .geometry import SpdMatrix, _first_indefinite, shrink_covariance
 
 
 @dataclass(frozen=True)
@@ -88,25 +88,38 @@ class SpatialFilterBank:
                    np.array(d["eigenvalues"], dtype=np.float64))
 
 
-def _normalized(train: ScatterSet) -> np.ndarray:
-    """Each trial's scatter matrix divided by its trace; a trial with zero
-    power is a NumericError naming it."""
-    s = train.matrices
-    tr = np.trace(s, axis1=1, axis2=2)
+def _traces_and_class_sums(
+        train: ScatterSet) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
+    """Each trial's trace and the whole set's `_class_sums`. A trial with
+    zero power is a NumericError naming it.
+
+    Memoized on the set (`_memoized`), so `fit_csp` and `fold_banks` on
+    one training set share a single pass; no normalized stack outlives it.
+    """
+    tr = np.trace(train.matrices, axis1=1, axis2=2)
     bad = np.flatnonzero(tr <= 0.0)
     if bad.size:
         raise NumericError(f"trial {train.ids[bad[0]]}: zero power; cannot "
                            f"normalize its covariance")
-    return s / tr[:, None, None]
+    return (tr, *_class_sums(train, tr, np.arange(len(train))))
 
 
-def _class_sums(normalized: np.ndarray,
-                labels: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
-    """Per class 0 and 1: the sum of its normalized scatter matrices, and
-    how many there are."""
-    in_class = [labels == label for label in (0, 1)]
-    return ([normalized[rows].sum(axis=0) for rows in in_class],
-            [int(np.count_nonzero(rows)) for rows in in_class])
+def _class_sums(train: ScatterSet, tr: np.ndarray,
+                rows: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
+    """Per class 0 and 1: the sum of the trace-normalized scatter matrices
+    of the given rows, and how many there are.
+
+    The rows are gathered once, in class order, and normalized after the
+    gather; that gives the bits of gathering normalized rows, since
+    (S / tr)[h] is S[h] / tr[h] element by element.
+    """
+    labels = train.labels[rows]
+    rows = rows[np.argsort(labels, kind="stable")]
+    normalized = train.matrices[rows]
+    normalized /= tr[rows, None, None]
+    n0 = len(rows) - int(np.count_nonzero(labels))
+    return ([normalized[:n0].sum(axis=0), normalized[n0:].sum(axis=0)],
+            [n0, len(rows) - n0])
 
 
 def _class_means(sums, counts) -> tuple[SpdMatrix, SpdMatrix]:
@@ -128,7 +141,8 @@ def class_mean_covariances(train: ScatterSet) -> tuple[SpdMatrix, SpdMatrix]:
     Shrinkage toward the scaled identity keeps the means usable when trials
     are rank deficient.
     """
-    return _class_means(*_class_sums(_normalized(train), train.labels))
+    _, sums, counts = train._memoized(_traces_and_class_sums)
+    return _class_means(sums, counts)
 
 
 def _check_n_filters(n_filters: int, n_channels: int) -> None:
@@ -184,23 +198,22 @@ def fit_csp(train: ScatterSet, n_filters: int = 6) -> SpatialFilterBank:
 def fold_banks(train: ScatterSet, folds: Iterable[np.ndarray],
                n_filters: int = 6) -> list[SpatialFilterBank]:
     """One filter bank per fold, in fold order, each fit on the trials
-    outside that fold.
+    outside that fold. Each fold is an array of row indices, as
+    `classify.stratified_folds` gives.
 
     The same fit as `fit_csp` on each fold's complement, without
     re-normalizing it: every scatter matrix is trace-normalized once and
-    summed per class, and a fold's class mean is (class sum - the fold's
-    class sum) / count. The means differ from the complement's own in the
-    last bits only, so where two eigenvalues nearly tie a fold may keep
-    other filters than `fit_csp` on its complement would. Errors are
-    `fit_csp`'s.
+    summed per class, in the pass `fit_csp` on the same set shares, and a
+    fold's class mean is (class sum - the fold's class sum) / count. The
+    means differ from the complement's own in the last bits only, so where
+    two eigenvalues nearly tie a fold may keep other filters than
+    `fit_csp` on its complement would. Errors are `fit_csp`'s.
     """
     _check_n_filters(n_filters, train.n_channels)
-    normalized = _normalized(train)
-    sums, counts = _class_sums(normalized, train.labels)
+    tr, sums, counts = train._memoized(_traces_and_class_sums)
     banks = []
     for held_out in folds:
-        held_sums, held_counts = _class_sums(normalized[held_out],
-                                             train.labels[held_out])
+        held_sums, held_counts = _class_sums(train, tr, held_out)
         means = _class_means([t - h for t, h in zip(sums, held_sums)],
                              [t - h for t, h in zip(counts, held_counts)])
         banks.append(_bank(*means, n_filters))
@@ -229,13 +242,12 @@ def trial_covariances(bank: SpatialFilterBank, s: ScatterSet) -> np.ndarray:
         raise NumericError(
             f"trial {s.ids[bad[0]]}: zero covariance after projection")
     cov = shrink_covariance(cov)
-    w_min = np.linalg.eigvalsh(cov)[:, 0]
-    bad = np.flatnonzero(w_min <= 0.0)
-    if bad.size:
-        i = bad[0]
+    indefinite = _first_indefinite(cov)
+    if indefinite is not None:
+        i, w_min = indefinite
         raise NumericError(
             f"trial {s.ids[i]}: covariance is not positive definite "
-            f"(smallest eigenvalue {w_min[i]:.6e})")
+            f"(smallest eigenvalue {w_min:.6e})")
     return cov
 
 

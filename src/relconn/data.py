@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,8 +43,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def _derived(obj, **fields):
     """A copy of a validated container with some array fields replaced,
-    without validating again: the new arrays derive from validated ones."""
+    without validating again: the new arrays derive from validated ones.
+    The copy starts with no memo (`_TrialStack._memoized`), since what the
+    original memoized came from its own arrays."""
     new = copy.copy(obj)
+    new.__dict__.pop("_memo", None)
     new.__dict__.update({k: _readonly(v) for k, v in fields.items()})
     return new
 
@@ -111,6 +115,15 @@ class _TrialStack:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def _memoized(self, compute):
+        """compute(self), computed on the first call and kept with this
+        container, so stages that share it share the result. A container
+        made by `subset` or `_derived` starts with an empty memo."""
+        memo = self.__dict__.setdefault("_memo", {})
+        if compute not in memo:
+            memo[compute] = compute(self)
+        return memo[compute]
 
     @property
     def n_channels(self) -> int:
@@ -329,15 +342,18 @@ def load_trialset(manifest_path, rows=None) -> TrialSet:
         rows = rows(len(m))
     chosen = np.arange(len(m))[slice(None) if rows is None else rows]
     n_ch, n_sa = m.n_channels, m.n_samples
-    samples = np.empty((len(chosen), n_ch, n_sa))
+    samples = np.empty((len(chosen), n_ch, n_sa), dtype="<f8")
+    n_bytes = n_ch * n_sa * samples.itemsize
     for i, j in enumerate(chosen):
         tid, name = m.ids[j], m.files[j]
-        raw = np.fromfile(m.root / name, dtype="<f8")
-        if raw.size != n_ch * n_sa:
-            raise SchemaError(
-                f"trial {tid}: file {name} holds {raw.size} values, "
-                f"expected {n_ch}x{n_sa}={n_ch * n_sa}")
-        samples[i] = raw.reshape(n_ch, n_sa)
+        # read straight into the file's row of the stack, with no copy
+        with open(m.root / name, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != n_bytes or fh.readinto(samples[i]) != n_bytes:
+                raise SchemaError(
+                    f"trial {tid}: file {name} holds {size} bytes, expected "
+                    f"{n_ch}x{n_sa}={n_ch * n_sa} float64 values, "
+                    f"{n_bytes} bytes")
 
     return TrialSet(samples, m.labels[chosen], m.ids[chosen],
                     m.channel_names, m.sampling_rate_hz, m.class_names)

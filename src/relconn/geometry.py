@@ -67,23 +67,42 @@ def _symmetrized(a: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     return 0.5 * (a + _transpose(a))
 
 
+def _first_indefinite(a: np.ndarray) -> tuple[int, float] | None:
+    """The index and smallest eigenvalue of the first matrix of a stack
+    (index 0 for one matrix) that is not positive definite, or None.
+
+    One batched Cholesky factorization tests every matrix; eigenvalues are
+    computed only when it fails, to name the culprit. A matrix whose
+    factorization fails but whose smallest eigenvalue is positive passes.
+    """
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        w_min = np.linalg.eigvalsh(a)[..., 0]
+        bad = np.flatnonzero(w_min <= 0.0)
+        if bad.size:
+            return int(bad[0]), float(w_min.flat[bad[0]])
+    return None
+
+
 @dataclass(frozen=True)
 class SpdMatrix:
     """A validated symmetric positive definite matrix.
 
-    Construction symmetrizes the input and verifies that the smallest
-    eigenvalue is strictly positive; violations raise NumericError.
+    Construction symmetrizes the input and verifies that it is positive
+    definite (`_first_indefinite`); a violation raises NumericError naming
+    the smallest eigenvalue.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
         a = _symmetrized(_checked(self.values, ndims=(2,)))
-        w = np.linalg.eigvalsh(a)
-        if w[0] <= 0.0:
+        indefinite = _first_indefinite(a)
+        if indefinite is not None:
             raise NumericError(
                 f"matrix is not positive definite (smallest eigenvalue "
-                f"{w[0]:.6e})")
+                f"{indefinite[1]:.6e})")
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit
 
-from relconn.classify import (EvalReport, TslrModel,
-                              cross_validate, evaluate, fit_l1_logistic,
+from relconn.classify import (EvalReport, TslrModel, _grad, _kkt_gap,
+                              _loss, cross_validate, evaluate, fit_l1_logistic,
                               logistic_grad, logistic_loss,
                               select_relevant, sigmoid, soft_threshold,
                               stratified_folds, train)
@@ -235,6 +235,88 @@ class TestSolverOptimality:
                       <= slack)
         assert np.all(np.abs(g_w[~nonzero]) <= lam + slack)
         assert np.all(np.diff(fit.objective_history) <= 1e-12)
+
+
+def masked_sigmoid(z):
+    """The logistic function as two masked branches, each with its own
+    exp: 1 / (1 + e^-z) where z >= 0, e^z / (1 + e^z) elsewhere."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def mean_loss(z, y):
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
+def mean_grad(z, x, y):
+    r = masked_sigmoid(z) - y
+    return x.T @ r / x.shape[0], float(np.mean(r))
+
+
+def masked_kkt_gap(w, g_w, g_b, lam):
+    """The optimality residual as separate maxima over the active and the
+    inactive coefficients."""
+    active = w != 0.0
+    gap = abs(g_b)
+    if np.any(active):
+        gap = max(gap, float(np.max(np.abs(g_w[active]
+                                           + lam * np.sign(w[active])))))
+    if np.any(~active):
+        gap = max(gap, float(np.max(np.maximum(np.abs(g_w[~active]) - lam,
+                                               0.0))))
+    return gap
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+# margins: ordinary values, the overflow region of exp (|z| >= 700) and
+# both signed zeros
+_MARGINS = (st.floats(-50.0, 50.0)
+            | st.floats(700.0, 1e6) | st.floats(-1e6, -700.0)
+            | st.sampled_from([0.0, -0.0, 709.78, -745.2]))
+# coefficients: exact zeros of both signs are inactive
+_COEFS = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])
+
+
+class TestSolverHelperBits:
+    """The solver helpers give the bits of the masked, `np.mean` formulas
+    they replace. `recomputed_margins_fit` calls the same helpers, so it
+    cannot see a change in their bits; this oracle can."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), n=st.integers(1, 30), d=st.integers(1, 6))
+    def test_sigmoid_loss_and_gradient(self, data, n, d):
+        z = np.array(data.draw(st.lists(_MARGINS, min_size=n, max_size=n)))
+        y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                        min_size=n, max_size=n)))
+        x = np.array(data.draw(st.lists(st.floats(-5.0, 5.0),
+                                        min_size=n * d, max_size=n * d)))
+        x = x.reshape(n, d)
+        assert bits(sigmoid(z)) == bits(masked_sigmoid(z))
+        assert bits(_loss(z, y)) == bits(mean_loss(z, y))
+        (g_w, g_b), (ref_w, ref_b) = _grad(z, x, y), mean_grad(z, x, y)
+        assert bits(g_w) == bits(ref_w) and bits(g_b) == bits(ref_b)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), d=st.integers(1, 8),
+           g_b=st.floats(-1.0, 1.0), lam=st.floats(0.0, 1.0))
+    def test_kkt_gap(self, data, d, g_b, lam):
+        w = np.array(data.draw(st.lists(_COEFS, min_size=d, max_size=d)))
+        g_w = np.array(data.draw(st.lists(st.floats(-2.0, 2.0),
+                                          min_size=d, max_size=d)))
+        assert bits(_kkt_gap(w, g_w, g_b, lam)) == bits(
+            masked_kkt_gap(w, g_w, g_b, lam))
+
+    def test_scalar_and_signed_zero_margins(self):
+        for z in (0.0, -0.0, 700.0, -700.0, 1e300, -1e300):
+            assert bits(sigmoid(z)) == bits(masked_sigmoid(z))
 
 
 def identity_bank(n=2):

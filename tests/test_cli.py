@@ -231,8 +231,8 @@ class TestExitCodes:
         assert main([stage, "--config", str(cfg)]) == 2
         lone = capsys.readouterr().err
         assert lone == (f"error: stage {stage}: trial {entry['id']}: file "
-                        f"{entry['file']} holds 599 values, expected "
-                        f"6x100=600\n")
+                        f"{entry['file']} holds 4792 bytes, expected "
+                        f"6x100=600 float64 values, 4800 bytes\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == lone
 

@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from relconn.csp import (SpatialFilterBank, class_mean_covariances, fit_csp,
-                         select_channels, trial_covariances)
+                         fold_banks, select_channels, trial_covariances)
 from relconn.data import ScatterSet, TrialSet
 from relconn.errors import NumericError
+from relconn.fixtures import FixtureSpec, synthesize_trialset
 from relconn.geometry import shrink_covariance
 
 
@@ -182,6 +183,43 @@ class TestPlantedRecovery:
             assert max(cosines) > 0.999
 
 
+def assert_same_bank(got, expected):
+    assert np.array_equal(got.w, expected.w)
+    assert np.array_equal(got.patterns, expected.patterns)
+    assert np.array_equal(got.eigenvalues, expected.eigenvalues)
+
+
+class TestSharedClassSums:
+    """`fit_csp` and `fold_banks` share one class-sum pass per set; a set
+    made from it by `subset` has other trials and must not reuse it."""
+
+    @staticmethod
+    def fresh(ts, rows=slice(None)):
+        """A new set holding copies of the given rows, with no history."""
+        return ScatterSet(ts.matrices[rows].copy(), ts.n_samples,
+                          ts.labels[rows], ts.ids[rows], ts.channel_names,
+                          ts.class_names)
+
+    @pytest.mark.parametrize("first", ["fit_csp", "fold_banks"])
+    def test_fits_after_the_shared_pass_equal_fresh_fits(self, first):
+        ts, _ = synthesize_trialset(
+            FixtureSpec(n_channels=6, n_per_class=12, duration_s=0.5), 5)
+        ts = ScatterSet.from_trials(ts)
+        folds = [np.arange(i, len(ts), 3) for i in range(3)]
+        if first == "fit_csp":
+            fit_csp(ts, 4)
+        else:
+            fold_banks(ts, folds, 4)
+        for rows in (folds[0], np.arange(len(ts))[::2], slice(3, None)):
+            assert_same_bank(fit_csp(ts.subset(rows), 4),
+                             fit_csp(self.fresh(ts, rows), 4))
+        # the set itself reuses its pass with the same bits
+        assert_same_bank(fit_csp(ts, 4), fit_csp(self.fresh(ts), 4))
+        for got, expected in zip(fold_banks(ts, folds, 4),
+                                 fold_banks(self.fresh(ts), folds, 4)):
+            assert_same_bank(got, expected)
+
+
 class TestProjectAndCovariance:
     @staticmethod
     def shrunk(z):
@@ -238,6 +276,22 @@ class TestProjectAndCovariance:
         with pytest.raises(NumericError, match="trial 17: zero power"):
             class_mean_covariances(scatter_set(
                 [np.ones((2, 5))] * 3 + [np.zeros((2, 5))], ids=[3, 5, 9, 17]))
+
+    def test_indefinite_trial_is_named_with_its_smallest_eigenvalue(self):
+        # only trial 17 is indefinite; its trace is positive, so it passes
+        # the zero-covariance check. With 2 samples the covariance is the
+        # scatter matrix, and shrinking diag(3, -1) moves -1 by 2e-6.
+        bank = SpatialFilterBank(np.eye(2), np.eye(2), np.array([0.6, 0.4]))
+        good = np.diag([2.0, 1.0])
+        s = ScatterSet(np.stack([good, good, np.diag([3.0, -1.0]), good]), 2,
+                       [0, 1, 0, 1], [3, 5, 17, 9], ("a", "b"))
+        with pytest.raises(NumericError) as err:
+            trial_covariances(bank, s)
+        assert str(err.value) == (
+            "trial 17: covariance is not positive definite (smallest "
+            "eigenvalue -9.999980e-01)")
+        # the good trials alone pass
+        assert trial_covariances(bank, s.subset([0, 1, 3])).shape == (3, 2, 2)
 
 
 class TestSelectChannels:

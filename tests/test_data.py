@@ -171,6 +171,21 @@ class TestManifestRoundTrip:
         with pytest.raises(SchemaError, match="trial 2"):
             load_trialset(manifest)
 
+    @pytest.mark.parametrize("change", [3, -3, 8])
+    def test_partial_value_is_a_size_mismatch(self, tmp_path, change):
+        # 3 x 8 float64 values are 192 bytes; a file 3 bytes longer holds
+        # a trailing partial value, which must not be dropped silently
+        manifest = save_trialset(make_set(), tmp_path)
+        victim = tmp_path / "trials" / "trial_00002.bin"
+        raw = victim.read_bytes()
+        victim.write_bytes(raw + b"\0" * change if change > 0
+                           else raw[:change])
+        with pytest.raises(SchemaError) as err:
+            load_trialset(manifest)
+        assert str(err.value) == (
+            f"trial 2: file trials/trial_00002.bin holds {192 + change} "
+            f"bytes, expected 3x8=24 float64 values, 192 bytes")
+
     def test_missing_trial_file(self, tmp_path):
         manifest = save_trialset(make_set(), tmp_path)
         (tmp_path / "trials" / "trial_00001.bin").unlink()

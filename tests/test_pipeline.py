@@ -1,7 +1,6 @@
 """Pipeline stages: artifact determinism, stage isolation, leakage guards."""
 
 import json
-import os
 import shutil
 from collections import Counter
 from dataclasses import replace
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import relconn.data
 from relconn import pipeline
 from relconn.cli import main
 from relconn.data import TrialSet, load_trialset, save_trialset
@@ -339,15 +339,15 @@ class TestSideOnlyLoad:
                                             monkeypatch):
         manifest, _ = dataset
         reads = Counter()
-        fromfile = np.fromfile
 
-        def counting_fromfile(file, *args, **kwargs):
-            # np.load reads artifacts through an open file object
-            if isinstance(file, (str, os.PathLike)):
+        def counting_open(file, *args, **kwargs):
+            # the loader opens each trial file it reads once
+            if Path(file).suffix == ".bin":
                 reads[Path(file).resolve()] += 1
-            return fromfile(file, *args, **kwargs)
+            return open(file, *args, **kwargs)
 
-        monkeypatch.setattr(np, "fromfile", counting_fromfile)
+        # a module global named open shadows the builtin inside data.py
+        monkeypatch.setattr(relconn.data, "open", counting_open, raising=False)
         run_pipeline(make_config(manifest, tmp_path / "out"))
         files = Path(manifest).parent.resolve().glob("trials/*.bin")
         assert reads == Counter(files)
