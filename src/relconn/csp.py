@@ -7,7 +7,8 @@ class 0 relative to class 1 and a value near 0 the opposite. The filters with
 the most extreme eigenvalues from both ends are kept.
 
 `fold_banks` fits one bank per cross-validation fold from class sums that
-all folds share.
+all folds share. A bank projects scatter matrices (`trial_covariances`) or
+raw trials, before they are band-passed (`project_trials`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .data import ScatterSet
+from .data import ScatterSet, TrialSet, _derived
 from .errors import NumericError
 from .geometry import SpdMatrix, _first_indefinite, shrink_covariance
 
@@ -220,22 +221,49 @@ def fold_banks(train: ScatterSet, folds: Iterable[np.ndarray],
     return banks
 
 
+def _check_channels(bank: SpatialFilterBank, n_channels: int) -> None:
+    if n_channels != bank.n_channels:
+        raise ValueError(f"trials have {n_channels} channels, bank "
+                         f"expects {bank.n_channels}")
+
+
+def project_trials(bank: SpatialFilterBank, ts: TrialSet) -> TrialSet:
+    """The trials' signals through the bank, W x: one channel per filter,
+    named filter0, filter1, ... W is linear across channels, so it
+    commutes with a band-pass, which is linear in time."""
+    _check_channels(bank, ts.n_channels)
+    # a signal that overflows here is named by the band-pass's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = bank.w @ ts.samples
+    return _derived(ts, samples=samples,
+                    channel_names=tuple(f"filter{j}"
+                                        for j in range(bank.n_filters)))
+
+
 def trial_covariances(bank: SpatialFilterBank, s: ScatterSet) -> np.ndarray:
     """Shrunk sample covariances of the trials projected through the bank.
 
     For scatter matrix S over T samples this is W S W' / (T - 1), the
-    covariance of the projected signal W x, symmetrized and blended with
-    the scaled identity so it stays positive definite for rank-deficient
-    trials. Returns a (k, n_filters, n_filters) stack of SPD matrices;
-    errors name the offending trial id.
+    covariance of the projected signal W x (`_shrunk_covariances`).
+    Returns a (k, n_filters, n_filters) stack of SPD matrices; errors name
+    the offending trial id.
     """
-    if s.n_channels != bank.n_channels:
-        raise ValueError(f"trials have {s.n_channels} channels, bank "
-                         f"expects {bank.n_channels}")
+    _check_channels(bank, s.n_channels)
+    return _shrunk_covariances(s, bank.w @ s.matrices @ bank.w.T)
+
+
+def _shrunk_covariances(s: ScatterSet, projected: np.ndarray) -> np.ndarray:
+    """Sample covariances from the projected scatter matrices of s's
+    trials (W S W', or s's own matrices when s was computed from projected
+    signals): divided by T - 1, symmetrized and blended with the scaled
+    identity so they stay positive definite for rank-deficient trials. A
+    trial with zero power, or whose covariance is not positive definite,
+    is a NumericError naming it.
+    """
     if s.n_samples < 2:
         raise ValueError(
             f"need at least 2 samples per trial, got {s.n_samples}")
-    cov = bank.w @ s.matrices @ bank.w.T / (s.n_samples - 1)
+    cov = projected / (s.n_samples - 1)
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     bad = np.flatnonzero(np.trace(cov, axis1=-2, axis2=-1) <= 0.0)
     if bad.size:

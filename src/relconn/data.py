@@ -6,8 +6,9 @@ lives from load through the band-pass. After that every layer uses a trial
 only through its channel scatter matrix S = x x', so preprocessing turns
 the samples into a `ScatterSet`: one (n_trials, n_channels, n_channels)
 stack plus the number of samples each matrix sums over. Both containers
-are validated once, at construction; `subset` and the filter outputs are
-derived from validated data and skip the checks.
+are validated once, at construction; `subset`, the filter outputs and the
+trials projected through a filter bank are derived from validated data and
+skip the checks.
 
 A dataset is a JSON manifest next to one raw binary file per trial.  The
 manifest carries the shared geometry (channel count, samples per trial,
@@ -15,7 +16,8 @@ channel names, sampling rate, class names) and a trial table with integer
 ids, labels in {0, 1}, and relative file paths.  Each binary file holds the
 samples of one trial as little-endian float64, row-major, channels x samples.
 `read_manifest` checks every manifest row without opening a trial file;
-`load_trialset` does that check, then reads the chosen rows' files.
+`load_trialset` does that check (or takes a manifest that passed it), then
+reads the chosen rows' files.
 """
 
 from __future__ import annotations
@@ -42,13 +44,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _derived(obj, **fields):
-    """A copy of a validated container with some array fields replaced,
-    without validating again: the new arrays derive from validated ones.
+    """A copy of a validated container with some fields replaced, without
+    validating again: the new arrays derive from validated ones and are
+    stored read-only, and new `channel_names` must name the new channels.
     The copy starts with no memo (`_TrialStack._memoized`), since what the
     original memoized came from its own arrays."""
     new = copy.copy(obj)
     new.__dict__.pop("_memo", None)
-    new.__dict__.update({k: _readonly(v) for k, v in fields.items()})
+    new.__dict__.update({k: _readonly(v) if isinstance(v, np.ndarray) else v
+                         for k, v in fields.items()})
     return new
 
 
@@ -306,7 +310,7 @@ def read_manifest(manifest_path) -> Manifest:
         tuple(row["file"] for row in table))
 
 
-def load_trialset(manifest_path, rows=None) -> TrialSet:
+def load_trialset(manifest, rows=None) -> TrialSet:
     """Load a trial set, or some of its trials, from a JSON manifest.
 
     Every manifest row is checked (`read_manifest`), but only the chosen
@@ -315,8 +319,9 @@ def load_trialset(manifest_path, rows=None) -> TrialSet:
 
     Parameters
     ----------
-    manifest_path : str or Path
-        Path to the manifest. Trial file paths are resolved relative to it.
+    manifest : str, Path or Manifest
+        Path to the manifest, or a manifest `read_manifest` already read
+        and checked. Trial file paths are resolved relative to it.
     rows : slice, index array, boolean mask or callable, optional
         The manifest rows to load, in the order `TrialSet.subset` would
         pick them; a callable is given the manifest's trial count and
@@ -337,7 +342,8 @@ def load_trialset(manifest_path, rows=None) -> TrialSet:
     DataError
         If the selection is empty or a chosen trial holds non-finite values.
     """
-    m = read_manifest(manifest_path)
+    m = (manifest if isinstance(manifest, Manifest)
+         else read_manifest(manifest))
     if callable(rows):
         rows = rows(len(m))
     chosen = np.arange(len(m))[slice(None) if rows is None else rows]

@@ -7,19 +7,21 @@ reproduces them byte for byte. All JSON is written with sorted keys and
 no timestamps; identical configuration and data give identical bytes.
 
 Preprocessing band-passes the raw samples, cuts the epoch window and
-reduces every trial to its channel scatter matrix S = x x'; every later
-stage works on that `ScatterSet` only. Trials reach the stages through
-one loader, which reads and preprocesses one side of the train/test split
-from that side's manifest rows only: `fit-csp`, `train` and `cv` read the
-training rows, `evaluate` the test rows. A stage run on its own (one CLI
-subcommand) loads its side; `run_pipeline` loads each side once and hands
-both to every stage. Band-passing is causal and per trial, so a trial's
-scatter matrix comes out bit for bit the same either way.
+reduces every trial to its channel scatter matrix S = x x'. Trials reach
+the stages through one loader, which reads one side of the train/test
+split from that side's manifest rows only: `fit-csp`, `train` and `cv`
+read the training rows and work on their `ScatterSet`; `evaluate` reads
+the test rows as a `TrialSet`, projects them through the fitted filter
+bank and preprocesses the n_filters projected signals of each trial
+instead of its channels. A stage run on its own (one CLI subcommand)
+loads its side; `run_pipeline` reads the manifest once, loads each side
+once and hands both to every stage. Band-passing is causal and per trial,
+so a trial's scatter matrix comes out bit for bit the same either way.
 
 `evaluate` keeps the test trials' projected covariances
 (`40_test_covariances.npy`), so `select`, `graph` and `report` read
 artifacts only and rerun at a new threshold without the recording.
-`graph` still checks the whole manifest and the split.
+`graph` run on its own still checks the whole manifest and the split.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ import numpy as np
 from .classify import (TslrModel, EvalReport, _check_k_folds,
                        _check_threshold, cross_validate, evaluate,
                        select_relevant, train)
-from .csp import (SpatialFilterBank, _check_n_filters, fit_csp,
-                  select_channels, trial_covariances)
-from .data import (ScatterSet, TrialSet, _derived, _integer, _number,
-                   _read_json, _write_json, default_n_train, load_trialset,
-                   read_manifest, split_rows)
+from .csp import (SpatialFilterBank, _check_n_filters, _shrunk_covariances,
+                  fit_csp, project_trials, select_channels)
+from .data import (Manifest, ScatterSet, TrialSet, _derived, _integer,
+                   _number, _read_json, _write_json, default_n_train,
+                   load_trialset, read_manifest, split_rows)
 from .errors import SchemaError
 from .filters import (FilterSpec, _check_window, apply_filter,
                       design_bandpass, epoch_bounds, extract_epoch)
@@ -287,18 +289,30 @@ def preprocess(cfg: PipelineConfig, ts: TrialSet) -> ScatterSet:
                       ts.channel_names, ts.class_names)
 
 
-Split = tuple[ScatterSet, ScatterSet]
+Split = tuple[ScatterSet, TrialSet]
 _TRAIN, _TEST = 0, 1
 
 
-def _side(cfg: PipelineConfig, split: Split | None, side: int) -> ScatterSet:
+def _side(cfg: PipelineConfig, split: Split | None, side: int,
+          manifest: Manifest | None = None) -> ScatterSet | TrialSet:
     """One side of the (train, test) split: taken from `split` when one is
-    given, else loaded and preprocessed on its own, from that side's
-    manifest rows only."""
+    given, else loaded on its own, from that side's manifest rows only,
+    with `manifest` as read already or read from the config's path.
+
+    The training side is preprocessed. The test side stays raw trials,
+    checked against the values that need the recording (the band below
+    Nyquist, the epoch inside a trial), so that evaluate reports them
+    before it reads the model.
+    """
     if split is not None:
         return split[side]
-    return preprocess(cfg, load_trialset(
-        cfg.manifest, lambda n: split_rows(n, cfg.resolved_n_train(n))[side]))
+    ts = load_trialset(cfg.manifest if manifest is None else manifest,
+                       lambda n: split_rows(n, cfg.resolved_n_train(n))[side])
+    if side == _TRAIN:
+        return preprocess(cfg, ts)
+    cfg.filter_specs(ts.sampling_rate_hz)
+    epoch_bounds(ts, *cfg.epoch_window())
+    return ts
 
 
 def _unique_node_names(picks) -> list[str]:
@@ -374,18 +388,30 @@ def stage_cv(cfg: PipelineConfig, split: Split | None = None) -> list[Path]:
         return [path]
 
 
+def _projected_covariances(cfg: PipelineConfig, bank: SpatialFilterBank,
+                           ts: TrialSet) -> tuple[ScatterSet, np.ndarray]:
+    """The trials' preprocessed scatter matrices through the bank, W S W',
+    and their shrunk covariances, as `trial_covariances` gives them up to
+    rounding: the raw trials are projected before they are preprocessed,
+    so n_filters signals per trial are band-passed, not every channel."""
+    projected = preprocess(cfg, project_trials(bank, ts))
+    return projected, _shrunk_covariances(projected, projected.matrices)
+
+
 def stage_evaluate(cfg: PipelineConfig,
                    split: Split | None = None) -> list[Path]:
     """Score the model on the held-out split.
 
     Writes the aggregates, the per-trial outcome table and the test
-    trials' projected covariances in the table's row order.
+    trials' projected covariances (`_projected_covariances`) in the
+    table's row order.
     """
     with _prefix_errors("stage evaluate"):
         test_set = _side(cfg, split, _TEST)
         model = TslrModel.from_dict(_read_json(cfg.out_path("model")))
-        covs = trial_covariances(model.filter_bank, test_set)
-        report = evaluate(model, test_set, covs)
+        projected, covs = _projected_covariances(cfg, model.filter_bank,
+                                                 test_set)
+        report = evaluate(model, projected, covs)
         paths = [cfg.out_path("eval_report"), cfg.out_path("eval_per_trial"),
                  cfg.out_path("test_covariances")]
         _write_json(paths[0], report.to_dict())
@@ -457,17 +483,28 @@ def stage_graph(cfg: PipelineConfig,
 
     One graph per class from all held-out trials and one from the selected
     subset, then the node-metric table. The graphs average the projected
-    covariances that evaluate kept; no trial file is opened.
+    covariances that evaluate kept; no trial file is opened. The test
+    trials' ids, labels and class names come from the split when one is
+    given, else from the manifest, which is then checked whole.
     """
     with _prefix_errors("stage graph"):
-        # the manifest and split are checked before any artifact is read
-        manifest = read_manifest(cfg.manifest)
-        test = split_rows(len(manifest),
-                          cfg.resolved_n_train(len(manifest)))[_TEST]
+        # run on its own, graph checks the manifest and the split before
+        # it reads any artifact
+        if split is not None:
+            test = split[_TEST]
+            ids, labels, class_names = (test.ids, test.labels,
+                                        test.class_names)
+        else:
+            manifest = read_manifest(cfg.manifest)
+            rows = split_rows(len(manifest),
+                              cfg.resolved_n_train(len(manifest)))[_TEST]
+            ids, labels, class_names = (manifest.ids[rows],
+                                        manifest.labels[rows],
+                                        manifest.class_names)
         bank, node_names = _load_bank(cfg)
         report = _load_report(cfg)
-        if not (np.array_equal(report.trial_ids, manifest.ids[test])
-                and np.array_equal(report.true_labels, manifest.labels[test])):
+        if not (np.array_equal(report.trial_ids, ids)
+                and np.array_equal(report.true_labels, labels)):
             raise SchemaError(f"{cfg.out_path('eval_per_trial')} does not "
                               f"list the manifest's test trials; rerun "
                               f"evaluate")
@@ -494,7 +531,7 @@ def stage_graph(cfg: PipelineConfig,
                     **graph.to_dict(),
                     "condition": condition,
                     "class_index": class_index,
-                    "class_name": manifest.class_names[class_index],
+                    "class_name": class_names[class_index],
                     "n_trials": n_trials,
                 })
                 paths.append(path)
@@ -565,12 +602,14 @@ def stage_report(cfg: PipelineConfig,
 def stages() -> dict[str, Callable[..., list[Path]]]:
     """Stage name -> stage function, in run order.
 
-    Every stage takes the config and, optionally, the preprocessed
-    (train, test) split. When no split is given, a stage that reads trials
-    loads and preprocesses only its side of it (`_side`): fit-csp, train
-    and cv the training rows, evaluate the test rows.
+    Every stage takes the config and, optionally, the (train, test)
+    split: the training trials' `ScatterSet` and the test trials' raw
+    `TrialSet`. When no split is given, a stage that reads trials loads
+    only its side of it (`_side`): fit-csp, train and cv the training
+    rows, evaluate the test rows.
     Select, graph and report read artifacts only; graph also checks the
-    manifest and the split. Each returns the paths it wrote. The map is
+    test trials' ids and labels against the split's, or, run on its own,
+    the manifest and the split. Each returns the paths it wrote. The map is
     built on every call, so it holds whatever function each name is bound
     to at that time.
     """
@@ -582,16 +621,17 @@ def stages() -> dict[str, Callable[..., list[Path]]]:
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     """Run every stage in order.
 
-    Each side of the split is loaded and preprocessed once, by the loader
-    a stage run on its own uses, and shared by all stages. Returns artifact
-    name -> path, in `ARTIFACTS` order.
+    The manifest is read once, and each side of the split is loaded from
+    it once, by the loader a stage run on its own uses, and shared by all
+    stages. Returns artifact name -> path, in `ARTIFACTS` order.
     """
     # each side's load errors name the first stage that reads that side,
     # as when the stage runs on its own
     with _prefix_errors("stage fit-csp"):
-        train_set = _side(cfg, None, _TRAIN)
+        manifest = read_manifest(cfg.manifest)
+        train_set = _side(cfg, None, _TRAIN, manifest)
     with _prefix_errors("stage evaluate"):
-        split = (train_set, _side(cfg, None, _TEST))
+        split = (train_set, _side(cfg, None, _TEST, manifest))
     for stage in stages().values():
         stage(cfg, split)
     return {name: cfg.out_path(name) for name in ARTIFACTS}

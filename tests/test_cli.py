@@ -236,6 +236,24 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == lone
 
+    def test_non_finite_test_filter_output_fails_in_evaluate(
+            self, dataset, tmp_path, capsys):
+        # only evaluate band-passes the test trials, so under run the
+        # training stages write their artifacts before this trial fails
+        data = tmp_path / "data"
+        shutil.copytree(dataset.parent, data)
+        entry = json.loads((data / "manifest.json").read_text())["trials"][25]
+        (data / entry["file"]).write_bytes(np.full(600, 1e308).tobytes())
+        cfg = write_config(tmp_path / "cfg.json", data / "manifest.json",
+                           tmp_path / "out")
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: stage evaluate: trial {entry['id']}: filter output is "
+            f"non-finite\n")
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == sorted(ARTIFACTS[name] for name in (
+            "filter_bank", "selected_channels", "model", "cv_summary"))
+
     @pytest.mark.parametrize("key, value, message", [
         ("k_folds", "3", "'k_folds' must be an integer"),
         ("k_folds", True, "'k_folds' must be an integer"),
@@ -318,15 +336,31 @@ class TestExitCodes:
         ("filter", {"band_hz": [1, 150]}, "band edges must lie below fs/2"),
         ("epoch", [0.0, 2.0], "exceeds the 100 samples per trial"),
     ])
+    @pytest.mark.parametrize("stage", ["fit-csp", "evaluate"])
     def test_recording_bound_value_checked_at_load(self, dataset, tmp_path,
                                                    capsys, key, value,
-                                                   message):
-        # the Nyquist limit and the trial length come with the recording
+                                                   message, stage):
+        # the Nyquist limit and the trial length come with the recording;
+        # a lone evaluate reports them before it reads a model (none here)
         cfg = write_config(tmp_path / "cfg.json", dataset, tmp_path / "out",
                            **{key: value})
-        assert main(["fit-csp", "--config", str(cfg)]) == 2
+        assert main([stage, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "error: stage fit-csp:" in err and message in err
+        assert f"error: stage {stage}:" in err and message in err
+
+    def test_model_of_another_channel_count_exits_two(self, dataset,
+                                                      tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", dataset, tmp_path / "out")
+        assert main(["run", "--config", str(cfg)]) == 0
+        wide = tmp_path / "wide"
+        assert main(["fixture", "--out", str(wide), "--seed", "3",
+                     "--channels", "8", "--trials-per-class", "16",
+                     "--duration", "0.5"]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg),
+                     "--manifest", str(wide / "manifest.json")]) == 2
+        assert ("error: stage evaluate: trials have 8 channels, bank "
+                "expects 6" in capsys.readouterr().err)
 
     def test_select_without_a_class_exits_two(self, tmp_path, capsys):
         # on the default (S) fixture nothing reaches this confidence, so

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import relconn.data
 from relconn import pipeline
 from relconn.cli import main
-from relconn.data import TrialSet, load_trialset, save_trialset
+from relconn.csp import SpatialFilterBank, trial_covariances
+from relconn.data import TrialSet, load_trialset, read_manifest, save_trialset
 from relconn.errors import SchemaError
 from relconn.filters import apply_filter, design_bandpass, extract_epoch
 from relconn.fixtures import FixtureSpec, generate_fixture
@@ -228,6 +230,70 @@ class TestPreprocess:
         whole = preprocess(cfg, ts)
         monkeypatch.setattr(pipeline, "CHUNK_TRIALS", 5)
         assert np.array_equal(preprocess(cfg, ts).matrices, whole.matrices)
+
+
+class TestProjectBeforeBandPass:
+    """evaluate projects the raw test trials through the filter bank and
+    then preprocesses them; both maps are linear, so that gives the
+    projected scatter matrices of the preprocessed trials."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_channels=st.integers(2, 8),
+           concat=st.booleans(), data=st.data())
+    def test_matches_projecting_the_preprocessed_trials(
+            self, seed, n_channels, concat, data):
+        n_filters = data.draw(st.sampled_from(range(2, n_channels + 1, 2)))
+        rng = np.random.default_rng(seed)
+        ts = TrialSet(rng.standard_normal((5, n_channels, 60)),
+                      [0, 1, 0, 1, 1], 10 + np.arange(5),
+                      tuple(f"c{i}" for i in range(n_channels)), 100.0)
+        cfg = (PipelineConfig("motor_imagery", "m.json", "out",
+                              band_mode="concat", epoch_override=(0.1, 0.4))
+               if concat else PipelineConfig("errp", "m.json", "out",
+                                             epoch_override=(0.1, 0.4)))
+        bank = SpatialFilterBank(rng.standard_normal((n_filters, n_channels)),
+                                 rng.standard_normal((n_channels, n_filters)),
+                                 np.linspace(0.9, 0.1, n_filters))
+        projected, covs = pipeline._projected_covariances(cfg, bank, ts)
+        reference = preprocess(cfg, ts)
+        assert projected.n_samples == reference.n_samples
+        assert projected.ids.tolist() == ts.ids.tolist()
+        assert projected.labels.tolist() == ts.labels.tolist()
+        for got, want in (
+                (projected.matrices, bank.w @ reference.matrices @ bank.w.T),
+                (covs, trial_covariances(bank, reference))):
+            # within 1e-12 of each matrix's largest entry
+            scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("how", ["run", "evaluate"])
+    def test_test_trials_are_band_passed_as_filter_outputs(
+            self, tmp_path, monkeypatch, how):
+        # with 10 channels and 4 filters the test trials reach the
+        # band-pass with 4 channels, the training trials with 10
+        manifest, _ = generate_fixture(
+            FixtureSpec(n_channels=10, n_per_class=16, duration_s=0.5),
+            seed=3, out_dir=tmp_path / "data")
+        cfg = make_config(manifest, tmp_path / "out", n_filters=4)
+        if how == "evaluate":
+            run_pipeline(cfg)
+        test_ids = set(read_manifest(manifest).ids[cfg.n_train:].tolist())
+        widths = {}
+
+        def recording_filter(filt, ts):
+            for tid in ts.ids.tolist():
+                widths.setdefault(tid, set()).add(ts.samples.shape[1])
+            return apply_filter(filt, ts)
+
+        monkeypatch.setattr(pipeline, "apply_filter", recording_filter)
+        if how == "run":
+            run_pipeline(cfg)
+        else:
+            stage_evaluate(cfg)
+        assert {tid: widths[tid] for tid in test_ids} == {
+            tid: {4} for tid in test_ids}
+        assert all(widths[tid] == {10} for tid in set(widths) - test_ids)
+        assert len(widths) == (32 if how == "run" else len(test_ids))
 
 
 class TestRunDeterminism:
