@@ -492,8 +492,7 @@ def stage_graph(cfg: PipelineConfig,
         # it reads any artifact
         if split is not None:
             test = split[_TEST]
-            ids, labels, class_names = (test.ids, test.labels,
-                                        test.class_names)
+            ids, labels, class_names = test.ids, test.labels, test.class_names
         else:
             manifest = read_manifest(cfg.manifest)
             rows = split_rows(len(manifest),
