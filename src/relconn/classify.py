@@ -338,10 +338,10 @@ def cross_validate(train_set: ScatterSet, k: int = 10,
 
     Every fold refits the spatial filters, the tangent reference and the
     weights on its training trials alone, so no information from a
-    held-out fold leaks into its model. The folds share the class sums
-    their filters are downdated from (`csp.fold_banks`), and each fold
-    projects the scatter stack once and slices that into its training and
-    held-out rows. Fold assignment is deterministic for a given seed.
+    held-out fold leaks into its model. The filters come from one pass
+    over the folds (`csp.fold_banks`), and each fold projects the scatter
+    stack once and slices that into its training and held-out rows. Fold
+    assignment is deterministic for a given seed.
     """
     folds = stratified_folds(train_set.labels, k, seed)
     accuracies = []

@@ -46,11 +46,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _derived(obj, **fields):
     """A copy of a validated container with some fields replaced, without
     validating again: the new arrays derive from validated ones and are
-    stored read-only, and new `channel_names` must name the new channels.
-    The copy starts with no memo (`_TrialStack._memoized`), since what the
-    original memoized came from its own arrays."""
+    stored read-only, and new `channel_names` must name the new channels."""
     new = copy.copy(obj)
-    new.__dict__.pop("_memo", None)
     new.__dict__.update({k: _readonly(v) if isinstance(v, np.ndarray) else v
                          for k, v in fields.items()})
     return new
@@ -119,15 +116,6 @@ class _TrialStack:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def _memoized(self, compute):
-        """compute(self), computed on the first call and kept with this
-        container, so stages that share it share the result. A container
-        made by `subset` or `_derived` starts with an empty memo."""
-        memo = self.__dict__.setdefault("_memo", {})
-        if compute not in memo:
-            memo[compute] = compute(self)
-        return memo[compute]
 
     @property
     def n_channels(self) -> int:
@@ -322,10 +310,9 @@ def load_trialset(manifest, rows=None) -> TrialSet:
     manifest : str, Path or Manifest
         Path to the manifest, or a manifest `read_manifest` already read
         and checked. Trial file paths are resolved relative to it.
-    rows : slice, index array, boolean mask or callable, optional
+    rows : slice, index array or boolean mask, optional
         The manifest rows to load, in the order `TrialSet.subset` would
-        pick them; a callable is given the manifest's trial count and
-        returns such a selection. All rows when omitted.
+        pick them. All rows when omitted.
 
     Returns
     -------
@@ -344,8 +331,6 @@ def load_trialset(manifest, rows=None) -> TrialSet:
     """
     m = (manifest if isinstance(manifest, Manifest)
          else read_manifest(manifest))
-    if callable(rows):
-        rows = rows(len(m))
     chosen = np.arange(len(m))[slice(None) if rows is None else rows]
     n_ch, n_sa = m.n_channels, m.n_samples
     samples = np.empty((len(chosen), n_ch, n_sa), dtype="<f8")

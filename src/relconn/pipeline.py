@@ -293,6 +293,11 @@ Split = tuple[ScatterSet, TrialSet]
 _TRAIN, _TEST = 0, 1
 
 
+def _side_rows(cfg: PipelineConfig, manifest: Manifest, side: int) -> slice:
+    """The manifest rows of one side of the (train, test) split."""
+    return split_rows(len(manifest), cfg.resolved_n_train(len(manifest)))[side]
+
+
 def _side(cfg: PipelineConfig, split: Split | None, side: int,
           manifest: Manifest | None = None) -> ScatterSet | TrialSet:
     """One side of the (train, test) split: taken from `split` when one is
@@ -306,8 +311,9 @@ def _side(cfg: PipelineConfig, split: Split | None, side: int,
     """
     if split is not None:
         return split[side]
-    ts = load_trialset(cfg.manifest if manifest is None else manifest,
-                       lambda n: split_rows(n, cfg.resolved_n_train(n))[side])
+    if manifest is None:
+        manifest = read_manifest(cfg.manifest)
+    ts = load_trialset(manifest, _side_rows(cfg, manifest, side))
     if side == _TRAIN:
         return preprocess(cfg, ts)
     cfg.filter_specs(ts.sampling_rate_hz)
@@ -495,8 +501,7 @@ def stage_graph(cfg: PipelineConfig,
             ids, labels, class_names = test.ids, test.labels, test.class_names
         else:
             manifest = read_manifest(cfg.manifest)
-            rows = split_rows(len(manifest),
-                              cfg.resolved_n_train(len(manifest)))[_TEST]
+            rows = _side_rows(cfg, manifest, _TEST)
             ids, labels, class_names = (manifest.ids[rows],
                                         manifest.labels[rows],
                                         manifest.class_names)

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from relconn.classify import stratified_folds
 from relconn.cli import main
 from relconn.data import TrialSet, save_trialset
 from relconn.filters import FilterSpec, design_bandpass, write_response_csv
@@ -205,15 +206,33 @@ class TestExitCodes:
         # front; a silent trial still stops it, by id
         data = tmp_path / "data"
         shutil.copytree(dataset.parent, data)
-        row = json.loads((data / "manifest.json").read_text())["trials"][5]
-        trial_file = data / row["file"]
-        trial_file.write_bytes(bytes(trial_file.stat().st_size))
+        trials = json.loads((data / "manifest.json").read_text())["trials"]
+        self.silence(data, trials[5])
         cfg = write_config(tmp_path / "cfg.json", data / "manifest.json",
                            tmp_path / "out")
         assert main(["cv", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err == (
-            f"error: stage cv: trial {row['id']}: zero power; cannot "
+            f"error: stage cv: trial {trials[5]['id']}: zero power; cannot "
             f"normalize its covariance\n")
+        # with a second silent trial of the other class, higher up but in
+        # an earlier fold, every stage still names the lower row: naming
+        # the first silent trial fold by fold or class by class would not
+        labels = np.array([row["label"] for row in trials[:22]])
+        fold_of = {row: f for f, rows in enumerate(
+            stratified_folds(labels, 3, seed=42)) for row in rows}
+        assert labels[5] == 1 and labels[6] == 0 and fold_of[6] < fold_of[5]
+        self.silence(data, trials[6])
+        for command, stage in (("fit-csp", "fit-csp"), ("cv", "cv"),
+                               ("run", "fit-csp")):
+            assert main([command, "--config", str(cfg)]) == 3
+            assert capsys.readouterr().err == (
+                f"error: stage {stage}: trial {trials[5]['id']}: zero power; "
+                f"cannot normalize its covariance\n")
+
+    @staticmethod
+    def silence(data, row):
+        trial_file = data / row["file"]
+        trial_file.write_bytes(bytes(trial_file.stat().st_size))
 
     @pytest.mark.parametrize("row, stage", [(25, "evaluate"),
                                             (5, "fit-csp")])

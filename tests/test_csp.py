@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from relconn import csp
+from relconn.classify import stratified_folds
 from relconn.csp import (SpatialFilterBank, class_mean_covariances, fit_csp,
                          fold_banks, select_channels, trial_covariances)
 from relconn.data import ScatterSet, TrialSet
 from relconn.errors import NumericError
-from relconn.fixtures import FixtureSpec, synthesize_trialset
 from relconn.geometry import shrink_covariance
 
 
@@ -189,35 +190,66 @@ def assert_same_bank(got, expected):
     assert np.array_equal(got.eigenvalues, expected.eigenvalues)
 
 
-class TestSharedClassSums:
-    """`fit_csp` and `fold_banks` share one class-sum pass per set; a set
-    made from it by `subset` has other trials and must not reuse it."""
+def random_scatter_set(n_channels, n_per_class, seed):
+    """Full-rank scatter matrices of trials whose power spans two orders of
+    magnitude, the classes shuffled."""
+    rng = np.random.default_rng(seed)
+    n = 2 * n_per_class
+    x = rng.standard_normal((n, n_channels, 2 * n_channels))
+    x *= rng.uniform(0.5, 50.0, (n, 1, 1))
+    return ScatterSet(x @ np.swapaxes(x, 1, 2), x.shape[2],
+                      rng.permutation(np.arange(n) % 2), np.arange(n),
+                      tuple(f"c{i}" for i in range(n_channels)))
 
-    @staticmethod
-    def fresh(ts, rows=slice(None)):
-        """A new set holding copies of the given rows, with no history."""
-        return ScatterSet(ts.matrices[rows].copy(), ts.n_samples,
-                          ts.labels[rows], ts.ids[rows], ts.channel_names,
-                          ts.class_names)
 
-    @pytest.mark.parametrize("first", ["fit_csp", "fold_banks"])
-    def test_fits_after_the_shared_pass_equal_fresh_fits(self, first):
-        ts, _ = synthesize_trialset(
-            FixtureSpec(n_channels=6, n_per_class=12, duration_s=0.5), 5)
-        ts = ScatterSet.from_trials(ts)
-        folds = [np.arange(i, len(ts), 3) for i in range(3)]
-        if first == "fit_csp":
-            fit_csp(ts, 4)
-        else:
-            fold_banks(ts, folds, 4)
-        for rows in (folds[0], np.arange(len(ts))[::2], slice(3, None)):
-            assert_same_bank(fit_csp(ts.subset(rows), 4),
-                             fit_csp(self.fresh(ts, rows), 4))
-        # the set itself reuses its pass with the same bits
-        assert_same_bank(fit_csp(ts, 4), fit_csp(self.fresh(ts), 4))
-        for got, expected in zip(fold_banks(ts, folds, 4),
-                                 fold_banks(self.fresh(ts), folds, 4)):
-            assert_same_bank(got, expected)
+class TestFoldBanks:
+    """`fold_banks` on folds that partition the rows: one pass over the
+    folds, each fold's means downdated from their sum."""
+
+    @pytest.mark.parametrize("folds", [
+        [np.arange(0, 14), np.arange(12, 24)],
+        [np.arange(0, 12), np.arange(12, 23)],
+        [],
+        [np.arange(24), np.array([], dtype=int)],
+    ], ids=["overlap", "row-left-out", "no-folds", "empty-fold"])
+    def test_folds_must_partition_the_rows(self, folds):
+        ts = random_scatter_set(4, 12, seed=0)
+        with pytest.raises(ValueError, match="folds must partition the 24 "
+                                             "rows: each row in exactly one "
+                                             "fold, and no fold empty"):
+            fold_banks(ts, folds, 2)
+
+    def test_folds_as_lists_equal_folds_as_arrays(self):
+        ts = random_scatter_set(4, 12, seed=1)
+        folds = stratified_folds(ts.labels, 3, seed=1)
+        got = fold_banks(ts, [rows.tolist() for rows in folds], 2)
+        expected = fold_banks(ts, folds, 2)
+        assert len(got) == len(expected) == 3
+        for a, b in zip(got, expected):
+            assert_same_bank(a, b)
+
+    @pytest.mark.parametrize("n_channels, n_per_class, k", [
+        (6, 30, 5), (22, 60, 10), (64, 280, 10)])
+    def test_downdated_means_match_the_complements_own(
+            self, monkeypatch, n_channels, n_per_class, k):
+        ts = random_scatter_set(n_channels, n_per_class, seed=n_channels)
+        folds = stratified_folds(ts.labels, k, seed=42)
+        fold_means = []
+        real_bank = csp._bank
+
+        def recording_bank(mean0, mean1, n_filters):
+            fold_means.append((mean0.values, mean1.values))
+            return real_bank(mean0, mean1, n_filters)
+
+        monkeypatch.setattr(csp, "_bank", recording_bank)
+        fold_banks(ts, folds, 2)
+        assert len(fold_means) == k
+        for held_out, means in zip(folds, fold_means):
+            own = class_mean_covariances(
+                ts.subset(np.delete(np.arange(len(ts)), held_out)))
+            for got, expected in zip(means, own):
+                assert_allclose(got, expected.values, rtol=0.0,
+                                atol=1e-13 * np.abs(expected.values).max())
 
 
 class TestProjectAndCovariance:
