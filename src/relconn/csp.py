@@ -18,9 +18,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
-from .data import ScatterSet, TrialSet, _derived
+from .data import CHUNK_TRIALS, ScatterSet, TrialSet, _derived
 from .errors import NumericError
 from .geometry import SpdMatrix, _first_indefinite, shrink_covariance
 
@@ -106,17 +105,30 @@ def _class_sums(train: ScatterSet, tr: np.ndarray,
     """Per class 0 and 1: the sum of the trace-normalized scatter matrices
     of the given rows, and how many there are.
 
-    The rows are gathered once, in class order, and normalized after the
-    gather; that gives the bits of gathering normalized rows, since
-    (S / tr)[h] is S[h] / tr[h] element by element.
+    Each class's rows are added in the given order, as one `np.sum` over
+    their stack would add them: one row after the other along axis 0. The
+    stack is never gathered whole. The rows are taken CHUNK_TRIALS at a
+    time, each normalized as it is taken ((S / tr)[h] is S[h] / tr[h]
+    element by element), and each chunk is summed with the running total
+    of the chunks before it as its first row, so the additions and their
+    order, and with them the bits, are those of the one sum.
     """
     labels = train.labels[rows]
-    rows = rows[np.argsort(labels, kind="stable")]
-    normalized = train.matrices[rows]
-    normalized /= tr[rows, None, None]
-    n0 = len(rows) - int(np.count_nonzero(labels))
-    return ([normalized[:n0].sum(axis=0), normalized[n0:].sum(axis=0)],
-            [n0, len(rows) - n0])
+    sums, counts = [], []
+    for c in (0, 1):
+        picked = rows[labels == c]
+        total = np.zeros(train.matrices.shape[1:])
+        for start in range(0, len(picked), CHUNK_TRIALS):
+            block = picked[start:start + CHUNK_TRIALS]
+            first = 0 if start == 0 else 1
+            stack = np.empty((first + len(block), *total.shape))
+            stack[:first] = total
+            np.take(train.matrices, block, axis=0, out=stack[first:])
+            stack[first:] /= tr[block, None, None]
+            total = stack.sum(axis=0)
+        sums.append(total)
+        counts.append(len(picked))
+    return sums, counts
 
 
 def _class_means(sums, counts) -> tuple[SpdMatrix, SpdMatrix]:
@@ -155,6 +167,8 @@ def _bank(mean0: SpdMatrix, mean1: SpdMatrix,
     """The CSP filters of two class means: the generalized eigenvectors of
     mean0 against mean0 + mean1 with the n_filters most extreme
     eigenvalues, half from each end."""
+    from scipy.linalg import eigh
+
     composite = mean0.values + mean1.values
     try:
         lam, vecs = eigh(mean0.values, composite)

@@ -1,6 +1,6 @@
 """Stacked trial containers and the on-disk dataset format.
 
-A `TrialSet` holds the raw samples of every trial in one read-only
+A `TrialSet` holds the raw samples of some trials in one read-only
 (n_trials, n_channels, n_samples) array, with label and id vectors. It
 lives from load through the band-pass. After that every layer uses a trial
 only through its channel scatter matrix S = x x', so preprocessing turns
@@ -15,9 +15,13 @@ manifest carries the shared geometry (channel count, samples per trial,
 channel names, sampling rate, class names) and a trial table with integer
 ids, labels in {0, 1}, and relative file paths.  Each binary file holds the
 samples of one trial as little-endian float64, row-major, channels x samples.
-`read_manifest` checks every manifest row without opening a trial file;
-`load_trialset` does that check (or takes a manifest that passed it), then
-reads the chosen rows' files.
+`read_manifest` checks every manifest row without opening a trial file,
+and `check_trial_files` checks the size of each file of some rows without
+opening one. `load_trialset` reads the chosen rows' files into one
+`TrialSet`; `read_chunks` reads a manifest's rows one chunk of trials at
+a time, so its reader holds one chunk of raw samples, not all of them.
+Datasets are written trial by trial, each file as its trial comes
+(`save_trialset`, and `fixtures.generate_fixture` as it draws them).
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +38,9 @@ import numpy as np
 from .errors import DataError, SchemaError
 
 MANIFEST_NAME = "manifest.json"
+# trials read, band-passed or summed at a time: bounds the raw samples and
+# filter outputs held in memory
+CHUNK_TRIALS = 64
 
 _MANIFEST_KEYS = {"channels", "samples", "channel_names", "sampling_rate_hz",
                   "class_names", "trials"}
@@ -225,9 +233,12 @@ def _number(value, field: str) -> float:
 
 @dataclass(frozen=True)
 class Manifest:
-    """A checked manifest: the shared trial geometry and the trial table,
-    as `ids`, `labels` and `files` in manifest row order. Trial file paths
-    are relative to `root`, the manifest's directory."""
+    """A checked manifest, or some of its rows (`subset`): the shared
+    trial geometry and the trial table, as `ids`, `labels` and `files` in
+    row order. Trial file paths are relative to `root`, the manifest's
+    directory. Its `sampling_rate_hz` and `n_samples` are those of its
+    trials, so a band or epoch window is checked against it before any
+    sample is read."""
 
     root: Path
     n_channels: int
@@ -241,6 +252,20 @@ class Manifest:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @property
+    def trial_bytes(self) -> int:
+        """The size of every trial file: channels x samples float64 values."""
+        return self.n_channels * self.n_samples * 8
+
+    def subset(self, index) -> "Manifest":
+        """The rows picked by a slice, index array or boolean mask, in
+        that order, with the same geometry and root."""
+        rows = np.arange(len(self))[index]
+        return replace(
+            self, ids=_readonly(self.ids[rows]),
+            labels=_readonly(self.labels[rows]),
+            files=tuple(self.files[j] for j in rows))
 
 
 def read_manifest(manifest_path) -> Manifest:
@@ -298,6 +323,31 @@ def read_manifest(manifest_path) -> Manifest:
         tuple(row["file"] for row in table))
 
 
+def _size_error(m: Manifest, tid, name: str, size: int) -> SchemaError:
+    return SchemaError(
+        f"trial {tid}: file {name} holds {size} bytes, expected "
+        f"{m.n_channels}x{m.n_samples}={m.n_channels * m.n_samples} float64 "
+        f"values, {m.trial_bytes} bytes")
+
+
+def check_trial_files(m: Manifest) -> None:
+    """Check that every trial file of a manifest's rows exists and has the
+    size of channels x samples float64 values, in row order, by `os.stat`
+    alone: no file is opened and no sample read.
+
+    Raises
+    ------
+    FileNotFoundError
+        If a trial file is missing.
+    SchemaError
+        If a trial file has another size.
+    """
+    for tid, name in zip(m.ids, m.files):
+        size = os.stat(m.root / name).st_size
+        if size != m.trial_bytes:
+            raise _size_error(m, tid, name, size)
+
+
 def load_trialset(manifest, rows=None) -> TrialSet:
     """Load a trial set, or some of its trials, from a JSON manifest.
 
@@ -309,7 +359,8 @@ def load_trialset(manifest, rows=None) -> TrialSet:
     ----------
     manifest : str, Path or Manifest
         Path to the manifest, or a manifest `read_manifest` already read
-        and checked. Trial file paths are resolved relative to it.
+        and checked (or a `Manifest.subset` of one). Trial file paths are
+        resolved relative to it.
     rows : slice, index array or boolean mask, optional
         The manifest rows to load, in the order `TrialSet.subset` would
         pick them. All rows when omitted.
@@ -331,23 +382,56 @@ def load_trialset(manifest, rows=None) -> TrialSet:
     """
     m = (manifest if isinstance(manifest, Manifest)
          else read_manifest(manifest))
-    chosen = np.arange(len(m))[slice(None) if rows is None else rows]
-    n_ch, n_sa = m.n_channels, m.n_samples
-    samples = np.empty((len(chosen), n_ch, n_sa), dtype="<f8")
-    n_bytes = n_ch * n_sa * samples.itemsize
-    for i, j in enumerate(chosen):
-        tid, name = m.ids[j], m.files[j]
+    if rows is not None:
+        m = m.subset(rows)
+    samples = np.empty((len(m), m.n_channels, m.n_samples), dtype="<f8")
+    for i, (tid, name) in enumerate(zip(m.ids, m.files)):
         # read straight into the file's row of the stack, with no copy
         with open(m.root / name, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            if size != n_bytes or fh.readinto(samples[i]) != n_bytes:
-                raise SchemaError(
-                    f"trial {tid}: file {name} holds {size} bytes, expected "
-                    f"{n_ch}x{n_sa}={n_ch * n_sa} float64 values, "
-                    f"{n_bytes} bytes")
+            if size != m.trial_bytes or fh.readinto(samples[i]) != size:
+                raise _size_error(m, tid, name, size)
 
-    return TrialSet(samples, m.labels[chosen], m.ids[chosen],
-                    m.channel_names, m.sampling_rate_hz, m.class_names)
+    return TrialSet(samples, m.labels, m.ids, m.channel_names,
+                    m.sampling_rate_hz, m.class_names)
+
+
+def read_chunks(m: Manifest, n_trials: int) -> Iterator[TrialSet]:
+    """A manifest's trials in row order, n_trials at a time: each chunk is
+    a `TrialSet` that `load_trialset` reads, and validates, only when the
+    one before it has been taken, so at most one chunk of raw samples is
+    held at a time. Errors are `load_trialset`'s, for the first faulty
+    chunk."""
+    for start in range(0, len(m), n_trials):
+        yield load_trialset(m, slice(start, start + n_trials))
+
+
+def _write_trials(out_dir, trials: Iterable[tuple[int, int, np.ndarray]],
+                  n_samples: int, channel_names, sampling_rate_hz: float,
+                  class_names) -> Path:
+    """Write a dataset trial by trial: each (id, label, channels x samples
+    array) that `trials` yields goes to its own binary file as it comes,
+    and the manifest, listing them in that order, follows the last.
+    Returns the manifest path."""
+    out_dir = Path(out_dir)
+    (out_dir / "trials").mkdir(parents=True, exist_ok=True)
+
+    rows = []
+    for tid, label, x in trials:
+        rel = f"trials/trial_{tid:05d}.bin"
+        (out_dir / rel).write_bytes(np.ascontiguousarray(x, "<f8").tobytes())
+        rows.append({"id": tid, "label": label, "file": rel})
+
+    manifest_path = out_dir / MANIFEST_NAME
+    _write_json(manifest_path, {
+        "channels": len(channel_names),
+        "samples": n_samples,
+        "channel_names": list(channel_names),
+        "sampling_rate_hz": sampling_rate_hz,
+        "class_names": list(class_names),
+        "trials": rows,
+    })
+    return manifest_path
 
 
 def save_trialset(ts: TrialSet, out_dir) -> Path:
@@ -356,26 +440,10 @@ def save_trialset(ts: TrialSet, out_dir) -> Path:
     Returns the manifest path. Loading it back reproduces the sample
     values bit for bit (raw float64 little-endian, row-major).
     """
-    out_dir = Path(out_dir)
-    trial_dir = out_dir / "trials"
-    trial_dir.mkdir(parents=True, exist_ok=True)
-
-    rows = []
-    for tid, label, x in zip(ts.ids.tolist(), ts.labels.tolist(), ts.samples):
-        rel = f"trials/trial_{tid:05d}.bin"
-        (out_dir / rel).write_bytes(np.ascontiguousarray(x, "<f8").tobytes())
-        rows.append({"id": tid, "label": label, "file": rel})
-
-    manifest_path = out_dir / MANIFEST_NAME
-    _write_json(manifest_path, {
-        "channels": ts.n_channels,
-        "samples": ts.n_samples,
-        "channel_names": list(ts.channel_names),
-        "sampling_rate_hz": ts.sampling_rate_hz,
-        "class_names": list(ts.class_names),
-        "trials": rows,
-    })
-    return manifest_path
+    return _write_trials(out_dir, zip(ts.ids.tolist(), ts.labels.tolist(),
+                                      ts.samples),
+                         ts.n_samples, ts.channel_names, ts.sampling_rate_hz,
+                         ts.class_names)
 
 
 def default_n_train(n_total: int) -> int:

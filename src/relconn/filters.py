@@ -3,7 +3,9 @@
 Filters are designed with the bilinear transform (scipy.signal) and stored
 as second-order sections, which stay numerically stable even for bands that
 sit far below the Nyquist frequency. Application is causal (one-directional)
-with zero initial conditions.
+with zero initial conditions. scipy is imported by the functions that use
+it, not with the module, so a process that only reads artifacts never
+loads it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .data import TrialSet, _derived
 from .errors import FilterDesignError, NumericError
@@ -113,6 +114,8 @@ def design_bandpass(spec: FilterSpec) -> SosFilter:
     if not np.isfinite(spec.sampling_rate_hz):
         raise ValueError(f"sampling_rate_hz must be finite to design a "
                          f"filter, got {spec.sampling_rate_hz}")
+    from scipy import signal
+
     if spec.family == "butterworth":
         sos = signal.butter(spec.order, spec.band_hz, btype="bandpass",
                             fs=spec.sampling_rate_hz, output="sos")
@@ -127,6 +130,8 @@ def design_bandpass(spec: FilterSpec) -> SosFilter:
 def apply_filter(filt: SosFilter, ts: TrialSet) -> TrialSet:
     """Filter every channel of every trial causally (zero initial
     conditions), in one call over the whole stack."""
+    from scipy import signal
+
     # sosfilt wants writable sections; they are stored read-only
     out = signal.sosfilt(np.array(filt.sections), ts.samples, axis=-1)
     bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
@@ -138,6 +143,8 @@ def apply_filter(filt: SosFilter, ts: TrialSet) -> TrialSet:
 
 def frequency_response(filt: SosFilter, freqs_hz) -> np.ndarray:
     """Complex response of the filter at the given frequencies (Hz)."""
+    from scipy import signal
+
     freqs_hz = np.asarray(freqs_hz, dtype=float)
     _, h = signal.sosfreqz(filt.sections, worN=freqs_hz,
                            fs=filt.sampling_rate_hz)

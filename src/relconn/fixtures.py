@@ -14,17 +14,23 @@ lack. This mirrors session-to-session nonstationarity and is what gives the
 validation covariances class-distinct off-diagonal structure after spatial
 filtering; the filters exactly diagonalize the calibration class means, so
 without it the projected mean covariances would be structureless.
+
+One draw loop serves both outputs: `synthesize_trialset` stacks the trials
+in memory, and `generate_fixture` writes each trial's file as soon as the
+trial is drawn, so it holds one trial at a time. For a seed both give the
+same trials, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import (TrialSet, _write_json, default_n_train, save_trialset,
+from .data import (TrialSet, _write_json, _write_trials, default_n_train,
                    split_rows)
 
 
@@ -154,11 +160,13 @@ def _background_covariance(spec: FixtureSpec) -> np.ndarray:
     return np.diag(mid) * (1.0 - rho) + rho * scale
 
 
-def synthesize_trialset(spec: FixtureSpec, seed: int) -> tuple[TrialSet, dict]:
-    """Generate a trial set in memory.
+def _plan(spec: FixtureSpec, seed: int
+          ) -> tuple[np.ndarray, dict, Iterator[np.ndarray]]:
+    """The trials' labels, the ground-truth dict, and the trials' samples,
+    drawn one at a time in id order as the iterator is advanced.
 
-    Returns the set and a ground-truth dict with the planted irrelevant
-    trial ids and the session split.
+    The random stream is used in one order: the two label shuffles, then
+    the irrelevant picks, then the draws.
     """
     rng = np.random.default_rng(seed)
     n_train = spec.resolved_n_train()
@@ -194,35 +202,49 @@ def synthesize_trialset(spec: FixtureSpec, seed: int) -> tuple[TrialSet, dict]:
         picks = rng.choice(size, size=n_irr, replace=False)
         irrelevant[start + picks] = True
 
-    chol_cache: dict[tuple, np.ndarray] = {}
-
-    def draw(cov: np.ndarray) -> np.ndarray:
-        key = cov.tobytes()
-        if key not in chol_cache:
-            chol_cache[key] = np.linalg.cholesky(cov)
-        return chol_cache[key] @ rng.standard_normal((spec.n_channels, n_samples))
-
-    samples = np.empty((n_total, spec.n_channels, n_samples))
-    for tid in range(n_total):
-        label = int(labels[tid])
-        in_validation = tid >= n_train
-        if irrelevant[tid]:
-            cov = background + noise
-        else:
-            cov = (a0 if label == 0 else a1) + noise
-            if in_validation:
-                cov = cov + (shift0 if label == 0 else shift1)
-        samples[tid] = draw(cov)
-
-    channel_names = tuple(f"ch{i + 1:02d}" for i in range(spec.n_channels))
-    ts = TrialSet(samples, labels, np.arange(n_total), channel_names,
-                  spec.sampling_rate_hz, spec.class_names)
     truth = {
         "seed": seed,
         "n_train": n_train,
         "irrelevant_ids": [int(i) for i in np.flatnonzero(irrelevant)],
         "spec": spec.to_dict(),
     }
+
+    def draws() -> Iterator[np.ndarray]:
+        chol_cache: dict[bytes, np.ndarray] = {}
+        for tid in range(n_total):
+            label = int(labels[tid])
+            if irrelevant[tid]:
+                cov = background + noise
+            else:
+                cov = (a0 if label == 0 else a1) + noise
+                if tid >= n_train:
+                    cov = cov + (shift0 if label == 0 else shift1)
+            key = cov.tobytes()
+            if key not in chol_cache:
+                chol_cache[key] = np.linalg.cholesky(cov)
+            yield chol_cache[key] @ rng.standard_normal(
+                (spec.n_channels, n_samples))
+
+    return labels, truth, draws()
+
+
+def _channel_names(spec: FixtureSpec) -> tuple[str, ...]:
+    return tuple(f"ch{i + 1:02d}" for i in range(spec.n_channels))
+
+
+def synthesize_trialset(spec: FixtureSpec, seed: int) -> tuple[TrialSet, dict]:
+    """Generate a trial set in memory.
+
+    Returns the set and a ground-truth dict with the planted irrelevant
+    trial ids and the session split.
+    """
+    labels, truth, draws = _plan(spec, seed)
+    samples = np.empty((spec.n_trials, spec.n_channels, spec.n_samples))
+    for tid, x in enumerate(draws):
+        samples[tid] = x
+    ts = TrialSet(samples, labels, np.arange(spec.n_trials),
+                  _channel_names(spec), spec.sampling_rate_hz,
+                  spec.class_names)
     return ts, truth
 
 
@@ -231,11 +253,17 @@ def generate_fixture(spec: FixtureSpec, seed: int, out_dir) -> tuple[Path, Path]
 
     Produces a manifest with one binary file per trial plus a
     fixture_truth.json sidecar recording the planted irrelevant trial ids
-    and the intended train/test split.
+    and the intended train/test split. Each trial file is written as soon
+    as its trial is drawn, so one trial's samples are held at a time; the
+    files have the bytes `save_trialset(synthesize_trialset(spec, seed))`
+    writes.
     """
     out_dir = Path(out_dir)
-    ts, truth = synthesize_trialset(spec, seed)
-    manifest_path = save_trialset(ts, out_dir)
+    labels, truth, draws = _plan(spec, seed)
+    manifest_path = _write_trials(
+        out_dir, zip(range(spec.n_trials), labels.tolist(), draws),
+        spec.n_samples, _channel_names(spec), spec.sampling_rate_hz,
+        spec.class_names)
     truth_path = out_dir / "fixture_truth.json"
     _write_json(truth_path, truth)
     return manifest_path, truth_path

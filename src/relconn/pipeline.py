@@ -8,15 +8,20 @@ no timestamps; identical configuration and data give identical bytes.
 
 Preprocessing band-passes the raw samples, cuts the epoch window and
 reduces every trial to its channel scatter matrix S = x x'. Trials reach
-the stages through one loader, which reads one side of the train/test
-split from that side's manifest rows only: `fit-csp`, `train` and `cv`
-read the training rows and work on their `ScatterSet`; `evaluate` reads
-the test rows as a `TrialSet`, projects them through the fitted filter
-bank and preprocesses the n_filters projected signals of each trial
-instead of its channels. A stage run on its own (one CLI subcommand)
-loads its side; `run_pipeline` reads the manifest once, loads each side
-once and hands both to every stage. Band-passing is causal and per trial,
-so a trial's scatter matrix comes out bit for bit the same either way.
+the stages from one side of the train/test split, that side's manifest
+rows only, and are read from file `CHUNK_TRIALS` at a time: each chunk is
+reduced before the next is read, so a stage holds one chunk of raw
+samples, never a side. `fit-csp`, `train` and `cv` work on the training
+side's `ScatterSet`; `evaluate` reads the test rows chunk by chunk,
+projects each chunk through the fitted filter bank and preprocesses the
+n_filters projected signals of each trial instead of its channels. A
+stage run on its own reads its side; `run_pipeline` reads the manifest
+once, preprocesses the training side once, and hands every stage that
+`ScatterSet` and the test side's manifest rows. Before any sample is
+read, a side's trial files are checked by size and the band and epoch
+against the manifest's sampling rate and trial length. Band-passing is
+causal and per trial, so a trial's scatter matrix comes out bit for bit
+the same either way.
 
 `evaluate` keeps the test trials' projected covariances
 (`40_test_covariances.npy`), so `select`, `graph` and `report` read
@@ -40,9 +45,10 @@ from .classify import (TslrModel, EvalReport, _check_k_folds,
                        select_relevant, train)
 from .csp import (SpatialFilterBank, _check_n_filters, _shrunk_covariances,
                   fit_csp, project_trials, select_channels)
-from .data import (Manifest, ScatterSet, TrialSet, _derived, _integer,
-                   _number, _read_json, _write_json, default_n_train,
-                   load_trialset, read_manifest, split_rows)
+from .data import (CHUNK_TRIALS, Manifest, ScatterSet, TrialSet, _derived,
+                   _integer, _number, _read_json, _write_json,
+                   check_trial_files, default_n_train, read_chunks,
+                   read_manifest, split_rows)
 from .errors import SchemaError
 from .filters import (FilterSpec, _check_window, apply_filter,
                       design_bandpass, epoch_bounds, extract_epoch)
@@ -260,65 +266,90 @@ def _write_npy(path: Path, a: np.ndarray) -> None:
         np.save(fh, np.ascontiguousarray(a), allow_pickle=False)
 
 
-# trials band-passed at a time: bounds the filtered copy held in memory
-CHUNK_TRIALS = 64
-
-
-def preprocess(cfg: PipelineConfig, ts: TrialSet) -> ScatterSet:
+def preprocess(cfg: PipelineConfig, trials: TrialSet | Manifest,
+               bank: SpatialFilterBank | None = None) -> ScatterSet:
     """Band-pass every trial, cut the epoch window and keep each trial's
     scatter matrix x x'.
+
+    `trials` is a `TrialSet` in memory, or a manifest's rows, whose trial
+    files are then read as they are needed (`data.read_chunks`). Either
+    way the trials go through in chunks of `CHUNK_TRIALS`, and each chunk
+    is reduced to its rows of the scatter stack before the next is taken,
+    so at most one chunk of raw samples and its filter outputs is held.
+    With a `bank`, each chunk's raw trials are first projected through it
+    (`csp.project_trials`), and the stack holds the n_filters x n_filters
+    scatter matrices of the projected signals.
 
     The filter is causal, so samples after the epoch's end cannot change
     the epoch and are not filtered. In concat mode the band outputs are
     joined along time; the scatter matrix of the joined signal is the sum
     of the per-band scatter matrices, so that sum is what is kept, without
-    building the join.
+    building the join. The band and the epoch are checked against the
+    trials' sampling rate and length before any chunk is taken.
     """
     filts = [design_bandpass(s)
-             for s in cfg.filter_specs(ts.sampling_rate_hz)]
+             for s in cfg.filter_specs(trials.sampling_rate_hz)]
     onset, duration = cfg.epoch_window()
-    _, stop = epoch_bounds(ts, onset, duration)
-    head = _derived(ts, samples=ts.samples[..., :stop])
-    scatter = np.zeros((len(ts), ts.n_channels, ts.n_channels))
-    for start in range(0, len(ts), CHUNK_TRIALS):
-        chunk = head.subset(slice(start, start + CHUNK_TRIALS))
+    start, stop = epoch_bounds(trials, onset, duration)
+    chunks = (read_chunks(trials, CHUNK_TRIALS)
+              if isinstance(trials, Manifest)
+              else (trials.subset(slice(i, i + CHUNK_TRIALS))
+                    for i in range(0, len(trials), CHUNK_TRIALS)))
+    n = trials.n_channels if bank is None else bank.n_filters
+    scatter = np.zeros((len(trials), n, n))
+    done = 0
+    for chunk in chunks:
+        if bank is not None:
+            chunk = project_trials(bank, chunk)
+        names = chunk.channel_names
+        head = _derived(chunk, samples=chunk.samples[..., :stop])
+        rows = scatter[done:done + len(chunk)]
+        done += len(chunk)
         for filt in filts:
-            x = extract_epoch(apply_filter(filt, chunk), onset, duration).samples
-            scatter[start:start + len(chunk)] += x @ np.swapaxes(x, 1, 2)
-    return ScatterSet(scatter, len(filts) * x.shape[2], ts.labels, ts.ids,
-                      ts.channel_names, ts.class_names)
+            x = extract_epoch(apply_filter(filt, head), onset, duration).samples
+            rows += x @ np.swapaxes(x, 1, 2)
+        # let this chunk's samples and filter output go before the next
+        # chunk is read
+        del chunk, head, x
+    return ScatterSet(scatter, len(filts) * (stop - start), trials.labels,
+                      trials.ids, names, trials.class_names)
 
 
-Split = tuple[ScatterSet, TrialSet]
+# the training side's scatter matrices, and the test side's manifest rows
+Split = tuple[ScatterSet, Manifest]
 _TRAIN, _TEST = 0, 1
 
 
-def _side_rows(cfg: PipelineConfig, manifest: Manifest, side: int) -> slice:
+def _side_rows(cfg: PipelineConfig, manifest: Manifest, side: int) -> Manifest:
     """The manifest rows of one side of the (train, test) split."""
-    return split_rows(len(manifest), cfg.resolved_n_train(len(manifest)))[side]
+    return manifest.subset(
+        split_rows(len(manifest), cfg.resolved_n_train(len(manifest)))[side])
 
 
 def _side(cfg: PipelineConfig, split: Split | None, side: int,
-          manifest: Manifest | None = None) -> ScatterSet | TrialSet:
+          manifest: Manifest | None = None) -> ScatterSet | Manifest:
     """One side of the (train, test) split: taken from `split` when one is
-    given, else loaded on its own, from that side's manifest rows only,
-    with `manifest` as read already or read from the config's path.
+    given, else from that side's manifest rows only, with `manifest` as
+    read already or read from the config's path.
 
-    The training side is preprocessed. The test side stays raw trials,
-    checked against the values that need the recording (the band below
-    Nyquist, the epoch inside a trial), so that evaluate reports them
-    before it reads the model.
+    Before any sample is read, the side's trial files are checked by size
+    (`data.check_trial_files`), and the band against the Nyquist frequency
+    and the epoch against the trial length. The training side is then
+    preprocessed from file, chunk by chunk. The test side stays as its
+    manifest rows, which evaluate reads chunk by chunk; its checks are
+    made here, so that evaluate reports them before it reads the model.
     """
     if split is not None:
         return split[side]
     if manifest is None:
         manifest = read_manifest(cfg.manifest)
-    ts = load_trialset(manifest, _side_rows(cfg, manifest, side))
+    rows = _side_rows(cfg, manifest, side)
+    check_trial_files(rows)
     if side == _TRAIN:
-        return preprocess(cfg, ts)
-    cfg.filter_specs(ts.sampling_rate_hz)
-    epoch_bounds(ts, *cfg.epoch_window())
-    return ts
+        return preprocess(cfg, rows)
+    cfg.filter_specs(rows.sampling_rate_hz)
+    epoch_bounds(rows, *cfg.epoch_window())
+    return rows
 
 
 def _unique_node_names(picks) -> list[str]:
@@ -395,12 +426,14 @@ def stage_cv(cfg: PipelineConfig, split: Split | None = None) -> list[Path]:
 
 
 def _projected_covariances(cfg: PipelineConfig, bank: SpatialFilterBank,
-                           ts: TrialSet) -> tuple[ScatterSet, np.ndarray]:
+                           trials: TrialSet | Manifest
+                           ) -> tuple[ScatterSet, np.ndarray]:
     """The trials' preprocessed scatter matrices through the bank, W S W',
     and their shrunk covariances, as `trial_covariances` gives them up to
     rounding: the raw trials are projected before they are preprocessed,
-    so n_filters signals per trial are band-passed, not every channel."""
-    projected = preprocess(cfg, project_trials(bank, ts))
+    chunk by chunk, so n_filters signals per trial are band-passed, not
+    every channel."""
+    projected = preprocess(cfg, trials, bank)
     return projected, _shrunk_covariances(projected, projected.matrices)
 
 
@@ -413,10 +446,10 @@ def stage_evaluate(cfg: PipelineConfig,
     table's row order.
     """
     with _prefix_errors("stage evaluate"):
-        test_set = _side(cfg, split, _TEST)
+        test_rows = _side(cfg, split, _TEST)
         model = TslrModel.from_dict(_read_json(cfg.out_path("model")))
         projected, covs = _projected_covariances(cfg, model.filter_bank,
-                                                 test_set)
+                                                 test_rows)
         report = evaluate(model, projected, covs)
         paths = [cfg.out_path("eval_report"), cfg.out_path("eval_per_trial"),
                  cfg.out_path("test_covariances")]
@@ -496,19 +529,12 @@ def stage_graph(cfg: PipelineConfig,
     with _prefix_errors("stage graph"):
         # run on its own, graph checks the manifest and the split before
         # it reads any artifact
-        if split is not None:
-            test = split[_TEST]
-            ids, labels, class_names = test.ids, test.labels, test.class_names
-        else:
-            manifest = read_manifest(cfg.manifest)
-            rows = _side_rows(cfg, manifest, _TEST)
-            ids, labels, class_names = (manifest.ids[rows],
-                                        manifest.labels[rows],
-                                        manifest.class_names)
+        test = (split[_TEST] if split is not None
+                else _side_rows(cfg, read_manifest(cfg.manifest), _TEST))
         bank, node_names = _load_bank(cfg)
         report = _load_report(cfg)
-        if not (np.array_equal(report.trial_ids, ids)
-                and np.array_equal(report.true_labels, labels)):
+        if not (np.array_equal(report.trial_ids, test.ids)
+                and np.array_equal(report.true_labels, test.labels)):
             raise SchemaError(f"{cfg.out_path('eval_per_trial')} does not "
                               f"list the manifest's test trials; rerun "
                               f"evaluate")
@@ -535,7 +561,7 @@ def stage_graph(cfg: PipelineConfig,
                     **graph.to_dict(),
                     "condition": condition,
                     "class_index": class_index,
-                    "class_name": class_names[class_index],
+                    "class_name": test.class_names[class_index],
                     "n_trials": n_trials,
                 })
                 paths.append(path)
@@ -607,10 +633,10 @@ def stages() -> dict[str, Callable[..., list[Path]]]:
     """Stage name -> stage function, in run order.
 
     Every stage takes the config and, optionally, the (train, test)
-    split: the training trials' `ScatterSet` and the test trials' raw
-    `TrialSet`. When no split is given, a stage that reads trials loads
-    only its side of it (`_side`): fit-csp, train and cv the training
-    rows, evaluate the test rows.
+    split: the training trials' `ScatterSet` and the test side's manifest
+    rows, which evaluate reads. When no split is given, a stage that reads
+    trials reads only its side of it (`_side`): fit-csp, train and cv the
+    training rows, evaluate the test rows.
     Select, graph and report read artifacts only; graph also checks the
     test trials' ids and labels against the split's, or, run on its own,
     the manifest and the split. Each returns the paths it wrote. The map is
@@ -625,12 +651,13 @@ def stages() -> dict[str, Callable[..., list[Path]]]:
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     """Run every stage in order.
 
-    The manifest is read once, and each side of the split is loaded from
-    it once, by the loader a stage run on its own uses, and shared by all
-    stages. Returns artifact name -> path, in `ARTIFACTS` order.
+    The manifest is read once. The training side is preprocessed from it
+    once and the test side's rows checked, by the code a stage run on its
+    own uses, before any stage runs; both are shared by all stages.
+    Returns artifact name -> path, in `ARTIFACTS` order.
     """
-    # each side's load errors name the first stage that reads that side,
-    # as when the stage runs on its own
+    # each side's errors name the first stage that reads that side, as
+    # when the stage runs on its own
     with _prefix_errors("stage fit-csp"):
         manifest = read_manifest(cfg.manifest)
         train_set = _side(cfg, None, _TRAIN, manifest)

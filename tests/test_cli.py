@@ -234,26 +234,60 @@ class TestExitCodes:
         trial_file = data / row["file"]
         trial_file.write_bytes(bytes(trial_file.stat().st_size))
 
+    @pytest.mark.parametrize("fault", ["short", "missing"])
     @pytest.mark.parametrize("row, stage", [(25, "evaluate"),
                                             (5, "fit-csp")])
     def test_short_trial_file_names_first_stage_to_read_it(
-            self, dataset, tmp_path, capsys, row, stage):
-        # run loads each side of the split under the name of the first
-        # stage that reads it, so it fails as that stage does on its own
+            self, dataset, tmp_path, capsys, row, stage, fault):
+        # run checks each side of the split under the name of the first
+        # stage that reads it, so it fails as that stage does on its own,
+        # and before any stage writes; sizes are checked before any
+        # sample is read, so a lone evaluate names the file before it
+        # reads a model (there is none here)
         data = tmp_path / "data"
         shutil.copytree(dataset.parent, data)
         entry = json.loads((data / "manifest.json").read_text())["trials"][row]
         trial_file = data / entry["file"]
-        trial_file.write_bytes(trial_file.read_bytes()[:-8])
+        if fault == "short":
+            trial_file.write_bytes(trial_file.read_bytes()[:-8])
+            message = (f"trial {entry['id']}: file {entry['file']} holds "
+                       f"4792 bytes, expected 6x100=600 float64 values, "
+                       f"4800 bytes")
+        else:
+            trial_file.unlink()
+            message = f"[Errno 2] No such file or directory: '{trial_file}'"
         cfg = write_config(tmp_path / "cfg.json", data / "manifest.json",
                            tmp_path / "out")
         assert main([stage, "--config", str(cfg)]) == 2
         lone = capsys.readouterr().err
-        assert lone == (f"error: stage {stage}: trial {entry['id']}: file "
-                        f"{entry['file']} holds 4792 bytes, expected "
-                        f"6x100=600 float64 values, 4800 bytes\n")
+        assert lone == f"error: stage {stage}: {message}\n"
         assert main(["run", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == lone
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_test_sample_fails_in_evaluate(self, dataset,
+                                                      tmp_path, capsys):
+        # test trials are read chunk by chunk inside evaluate, so under
+        # run the training stages write their artifacts before a
+        # non-finite test sample is found; a training one stops fit-csp
+        data = tmp_path / "data"
+        shutil.copytree(dataset.parent, data)
+        rows = json.loads((data / "manifest.json").read_text())["trials"]
+        for row in (25, 5):
+            samples = np.zeros(600)
+            samples[7] = np.nan
+            (data / rows[row]["file"]).write_bytes(samples.tobytes())
+            cfg = write_config(tmp_path / "cfg.json", data / "manifest.json",
+                               tmp_path / f"out{row}")
+            assert main(["run", "--config", str(cfg)]) == 2
+            stage = "evaluate" if row == 25 else "fit-csp"
+            assert capsys.readouterr().err == (
+                f"error: stage {stage}: trial {rows[row]['id']}: non-finite "
+                f"values in samples\n")
+        written = sorted(p.name for p in (tmp_path / "out25").iterdir())
+        assert written == sorted(ARTIFACTS[name] for name in (
+            "filter_bank", "selected_channels", "model", "cv_summary"))
+        assert not (tmp_path / "out5").exists()
 
     def test_non_finite_test_filter_output_fails_in_evaluate(
             self, dataset, tmp_path, capsys):

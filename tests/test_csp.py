@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from relconn import csp
@@ -96,6 +97,39 @@ class TestClassMeans:
             [rng.standard_normal((3, 40))]])
         with pytest.raises(ValueError, match="class 1 has 1"):
             class_mean_covariances(ts)
+
+
+class TestClassSums:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_channels=st.integers(2, 8),
+           data=st.data())
+    def test_equal_the_gathered_sum_bit_for_bit(self, seed, n_channels,
+                                                data):
+        # summed CHUNK_TRIALS rows at a time with the running total
+        # carried, a class's sum is bit for bit the one np.sum over the
+        # gathered, normalized rows, at least one class spanning chunks
+        n = data.draw(st.integers(2 * csp.CHUNK_TRIALS + 1, 300))
+        rows = np.array(data.draw(st.permutations(range(n))))
+        rows = rows[:data.draw(st.integers(2 * csp.CHUNK_TRIALS + 1, n))]
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal((n, n_channels, n_channels))
+             * 10.0 ** rng.uniform(-4, 4, (n, 1, 1)))
+        train = ScatterSet(x @ np.swapaxes(x, 1, 2), 10,
+                           rng.integers(0, 2, n), np.arange(n),
+                           tuple(f"c{i}" for i in range(n_channels)))
+        tr = np.trace(train.matrices, axis1=1, axis2=2)
+
+        # the gather-and-sum formula: rows in class order, then one sum
+        labels = train.labels[rows]
+        ordered = rows[np.argsort(labels, kind="stable")]
+        normalized = train.matrices[ordered]
+        normalized /= tr[ordered, None, None]
+        n0 = len(rows) - int(np.count_nonzero(labels))
+
+        sums, counts = csp._class_sums(train, tr, rows)
+        assert counts == [n0, len(rows) - n0]
+        assert np.array_equal(sums[0], normalized[:n0].sum(axis=0))
+        assert np.array_equal(sums[1], normalized[n0:].sum(axis=0))
 
 
 class TestAnalyticTwoChannel:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from relconn.data import load_trialset
+from relconn.data import load_trialset, save_trialset
 from relconn.fixtures import (FixtureSpec, _background_covariance,
                               _class_covariances, _session_couplings,
                               generate_fixture, synthesize_trialset)
@@ -166,7 +166,7 @@ class TestSynthesis:
 class TestGenerateFixture:
     def test_files_and_round_trip(self, tmp_path):
         spec = FixtureSpec(n_per_class=6, duration_s=0.25)
-        manifest, truth_path = generate_fixture(spec, 3, tmp_path)
+        manifest, truth_path = generate_fixture(spec, 3, tmp_path / "fixture")
         assert manifest.exists() and truth_path.exists()
         truth = json.loads(truth_path.read_text())
         assert truth["seed"] == 3
@@ -178,3 +178,13 @@ class TestGenerateFixture:
         assert np.array_equal(ts.samples, expected.samples)
         assert ts.ids.tolist() == expected.ids.tolist() == list(range(12))
         assert ts.labels.tolist() == expected.labels.tolist()
+        # written as drawn, trial by trial, every file has the bytes of the
+        # stacked set saved whole, the manifest's included
+        def files(root):
+            return {p.relative_to(root).as_posix(): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()}
+
+        written = files(manifest.parent)
+        assert written.pop(truth_path.name) == truth_path.read_bytes()
+        saved = files(save_trialset(expected, tmp_path / "saved").parent)
+        assert len(saved) == 13 and written == saved

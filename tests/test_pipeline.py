@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -223,13 +224,55 @@ class TestPreprocess:
         assert extract_epoch(ts, 0.1, 0.2).samples.shape[2] < ts.n_samples
         assert np.array_equal(out.matrices, whole)
 
-    def test_chunks_do_not_change_the_result(self, dataset, monkeypatch):
+    @pytest.mark.parametrize("side", [pipeline._TRAIN, pipeline._TEST],
+                             ids=["train", "test"])
+    def test_chunks_do_not_change_the_result(self, dataset, monkeypatch,
+                                             side):
+        # 23 training and 9 test trials: neither side is a multiple of 5.
+        # Read from file 5 trials at a time, or cut 5 at a time from the
+        # side in memory, a side's scatter stack is bit for bit that of
+        # the side loaded whole and preprocessed 64 trials at a time
         manifest, _ = dataset
-        ts = load_trialset(manifest)
-        cfg = make_config(manifest, "unused")
+        cfg = make_config(manifest, "unused", n_train=23)
+        rows = pipeline._side_rows(cfg, read_manifest(manifest), side)
+        ts = load_trialset(rows)
         whole = preprocess(cfg, ts)
+        read = []
+
+        def recording_load(*args, **kwargs):
+            chunk = load_trialset(*args, **kwargs)
+            read.append(len(chunk))
+            return chunk
+
         monkeypatch.setattr(pipeline, "CHUNK_TRIALS", 5)
-        assert np.array_equal(preprocess(cfg, ts).matrices, whole.matrices)
+        monkeypatch.setattr(relconn.data, "load_trialset", recording_load)
+        for got in (preprocess(cfg, rows), preprocess(cfg, ts)):
+            assert np.array_equal(got.matrices, whole.matrices)
+            assert got.n_samples == whole.n_samples
+            assert got.ids.tolist() == whole.ids.tolist() == rows.ids.tolist()
+            assert got.labels.tolist() == whole.labels.tolist()
+        assert read == ([5, 5, 5, 5, 3] if side == pipeline._TRAIN
+                        else [5, 4])
+
+    def test_run_holds_less_than_its_raw_training_side(self, tmp_path):
+        # trials are read, band-passed and reduced a chunk at a time, so
+        # the run's allocations never reach the 5.4 MB of raw samples of
+        # its 280 training trials (6 channels x 400 samples)
+        manifest, _ = generate_fixture(
+            FixtureSpec(n_per_class=200, duration_s=2.0), seed=3,
+            out_dir=tmp_path / "data")
+        cfg = make_config(manifest, tmp_path / "out", n_train=None)
+        raw_side = cfg.resolved_n_train(400) * 6 * 400 * 8
+        # scipy is imported on first use; its modules are not the run's
+        import scipy.linalg  # noqa: F401
+        import scipy.signal  # noqa: F401
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < raw_side
 
 
 class TestProjectBeforeBandPass:
