@@ -6,10 +6,12 @@ in [0, 1], where a value near 1 marks a direction whose variance is high for
 class 0 relative to class 1 and a value near 0 the opposite. The filters with
 the most extreme eigenvalues from both ends are kept.
 
-`fold_banks` fits one bank per cross-validation fold from one pass over
-the folds, which partition the trials. A bank projects scatter matrices
-(`trial_covariances`) or raw trials, before they are band-passed
-(`project_trials`).
+The class means come from per-class sums of the trace-normalized scatter
+matrices, which add a class's trials one at a time in row order
+(`_class_sums`). `fold_banks` fits one bank per cross-validation fold from
+one pass over the folds, which partition the trials. A bank projects
+scatter matrices (`trial_covariances`) or raw trials, before they are
+band-passed (`project_trials`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CHUNK_TRIALS, ScatterSet, TrialSet, _derived
+from .data import ScatterSet, TrialSet, _derived
 from .errors import NumericError
 from .geometry import SpdMatrix, _first_indefinite, shrink_covariance
 
@@ -105,27 +107,20 @@ def _class_sums(train: ScatterSet, tr: np.ndarray,
     """Per class 0 and 1: the sum of the trace-normalized scatter matrices
     of the given rows, and how many there are.
 
-    Each class's rows are added in the given order, as one `np.sum` over
-    their stack would add them: one row after the other along axis 0. The
-    stack is never gathered whole. The rows are taken CHUNK_TRIALS at a
-    time, each normalized as it is taken ((S / tr)[h] is S[h] / tr[h]
-    element by element), and each chunk is summed with the running total
-    of the chunks before it as its first row, so the additions and their
-    order, and with them the bits, are those of the one sum.
+    Each class's rows are added one at a time in the given order, starting
+    from the class's first row, or from zeros when it has none. These are
+    the additions, in the same order, that `np.sum` makes along axis 0 of
+    their gathered, normalized stack ((S / tr)[h] is S[h] / tr[h] element
+    by element), so the bits are the same, and no stack is gathered.
     """
     labels = train.labels[rows]
     sums, counts = [], []
     for c in (0, 1):
         picked = rows[labels == c]
-        total = np.zeros(train.matrices.shape[1:])
-        for start in range(0, len(picked), CHUNK_TRIALS):
-            block = picked[start:start + CHUNK_TRIALS]
-            first = 0 if start == 0 else 1
-            stack = np.empty((first + len(block), *total.shape))
-            stack[:first] = total
-            np.take(train.matrices, block, axis=0, out=stack[first:])
-            stack[first:] /= tr[block, None, None]
-            total = stack.sum(axis=0)
+        total = (train.matrices[picked[0]] / tr[picked[0]] if picked.size
+                 else np.zeros(train.matrices.shape[1:]))
+        for h in picked[1:]:
+            total += train.matrices[h] / tr[h]
         sums.append(total)
         counts.append(len(picked))
     return sums, counts

@@ -16,10 +16,12 @@ channel names, sampling rate, class names) and a trial table with integer
 ids, labels in {0, 1}, and relative file paths.  Each binary file holds the
 samples of one trial as little-endian float64, row-major, channels x samples.
 `read_manifest` checks every manifest row without opening a trial file,
-and `check_trial_files` checks the size of each file of some rows without
-opening one. `load_trialset` reads the chosen rows' files into one
-`TrialSet`; `read_chunks` reads a manifest's rows one chunk of trials at
-a time, so its reader holds one chunk of raw samples, not all of them.
+and `Manifest.subset` picks rows. `check_trial_files` checks the size of
+each file of some rows without opening one, and `load_trialset` reads them
+into one `TrialSet`. `read_chunks`, the one chunker, hands over a
+`TrialSet`'s or a manifest's rows' trials `CHUNK_TRIALS` at a time and
+reads a manifest chunk only when it is taken, so its reader holds one
+chunk of raw samples, not all of them.
 Datasets are written trial by trial, each file as its trial comes
 (`save_trialset`, and `fixtures.generate_fixture` as it draws them).
 """
@@ -38,8 +40,8 @@ import numpy as np
 from .errors import DataError, SchemaError
 
 MANIFEST_NAME = "manifest.json"
-# trials read, band-passed or summed at a time: bounds the raw samples and
-# filter outputs held in memory
+# trials read and band-passed at a time (`read_chunks`): bounds the raw
+# samples and filter outputs held in memory
 CHUNK_TRIALS = 64
 
 _MANIFEST_KEYS = {"channels", "samples", "channel_names", "sampling_rate_hz",
@@ -348,22 +350,20 @@ def check_trial_files(m: Manifest) -> None:
             raise _size_error(m, tid, name, size)
 
 
-def load_trialset(manifest, rows=None) -> TrialSet:
-    """Load a trial set, or some of its trials, from a JSON manifest.
+def load_trialset(manifest) -> TrialSet:
+    """Load a trial set from a JSON manifest, or from some of its rows.
 
-    Every manifest row is checked (`read_manifest`), but only the chosen
+    Every manifest row is checked (`read_manifest`), but only the given
     rows' trial files are read. So a missing, resized or non-finite trial
-    file outside the chosen rows is not reported.
+    file outside them is not reported.
 
     Parameters
     ----------
     manifest : str, Path or Manifest
-        Path to the manifest, or a manifest `read_manifest` already read
-        and checked (or a `Manifest.subset` of one). Trial file paths are
-        resolved relative to it.
-    rows : slice, index array or boolean mask, optional
-        The manifest rows to load, in the order `TrialSet.subset` would
-        pick them. All rows when omitted.
+        Path to the manifest, whose trials are all loaded, or a manifest
+        `read_manifest` already read and checked, or the rows of one that
+        `Manifest.subset` picked. Trial file paths are resolved relative
+        to it.
 
     Returns
     -------
@@ -372,18 +372,16 @@ def load_trialset(manifest, rows=None) -> TrialSet:
     Raises
     ------
     FileNotFoundError
-        If the manifest or a chosen trial file is missing.
+        If the manifest or a trial file of its rows is missing.
     SchemaError
-        On any manifest fault `read_manifest` names, or a chosen trial
-        file whose size does not match the channels x samples geometry
+        On any manifest fault `read_manifest` names, or a trial file of
+        its rows whose size does not match the channels x samples geometry
         declared at the manifest top level.
     DataError
-        If the selection is empty or a chosen trial holds non-finite values.
+        If there are no rows or a trial holds non-finite values.
     """
     m = (manifest if isinstance(manifest, Manifest)
          else read_manifest(manifest))
-    if rows is not None:
-        m = m.subset(rows)
     samples = np.empty((len(m), m.n_channels, m.n_samples), dtype="<f8")
     for i, (tid, name) in enumerate(zip(m.ids, m.files)):
         # read straight into the file's row of the stack, with no copy
@@ -396,14 +394,16 @@ def load_trialset(manifest, rows=None) -> TrialSet:
                     m.sampling_rate_hz, m.class_names)
 
 
-def read_chunks(m: Manifest, n_trials: int) -> Iterator[TrialSet]:
-    """A manifest's trials in row order, n_trials at a time: each chunk is
-    a `TrialSet` that `load_trialset` reads, and validates, only when the
-    one before it has been taken, so at most one chunk of raw samples is
-    held at a time. Errors are `load_trialset`'s, for the first faulty
-    chunk."""
-    for start in range(0, len(m), n_trials):
-        yield load_trialset(m, slice(start, start + n_trials))
+def read_chunks(trials: TrialSet | Manifest) -> Iterator[TrialSet]:
+    """A trial set's trials, or a manifest's rows' trials, in row order,
+    `CHUNK_TRIALS` at a time. Each chunk is cut with `subset`; a
+    manifest's chunk is then read, and validated, by `load_trialset` only
+    when the one before it has been taken, so at most one chunk of raw
+    samples is held at a time. Errors are `load_trialset`'s, for the first
+    faulty chunk."""
+    for start in range(0, len(trials), CHUNK_TRIALS):
+        chunk = trials.subset(slice(start, start + CHUNK_TRIALS))
+        yield load_trialset(chunk) if isinstance(chunk, Manifest) else chunk
 
 
 def _write_trials(out_dir, trials: Iterable[tuple[int, int, np.ndarray]],

@@ -9,10 +9,10 @@ no timestamps; identical configuration and data give identical bytes.
 Preprocessing band-passes the raw samples, cuts the epoch window and
 reduces every trial to its channel scatter matrix S = x x'. Trials reach
 the stages from one side of the train/test split, that side's manifest
-rows only, and are read from file `CHUNK_TRIALS` at a time: each chunk is
-reduced before the next is read, so a stage holds one chunk of raw
-samples, never a side. `fit-csp`, `train` and `cv` work on the training
-side's `ScatterSet`; `evaluate` reads the test rows chunk by chunk,
+rows only, and are read from file a chunk at a time (`data.read_chunks`):
+each chunk is reduced before the next is read, so a stage holds one chunk
+of raw samples, never a side. `fit-csp`, `train` and `cv` work on the
+training side's `ScatterSet`; `evaluate` reads the test rows chunk by chunk,
 projects each chunk through the fitted filter bank and preprocesses the
 n_filters projected signals of each trial instead of its channels. A
 stage run on its own reads its side; `run_pipeline` reads the manifest
@@ -45,8 +45,8 @@ from .classify import (TslrModel, EvalReport, _check_k_folds,
                        select_relevant, train)
 from .csp import (SpatialFilterBank, _check_n_filters, _shrunk_covariances,
                   fit_csp, project_trials, select_channels)
-from .data import (CHUNK_TRIALS, Manifest, ScatterSet, TrialSet, _derived,
-                   _integer, _number, _read_json, _write_json,
+from .data import (Manifest, ScatterSet, TrialSet, _derived, _integer,
+                   _number, _read_json, _write_json,
                    check_trial_files, default_n_train, read_chunks,
                    read_manifest, split_rows)
 from .errors import SchemaError
@@ -272,10 +272,11 @@ def preprocess(cfg: PipelineConfig, trials: TrialSet | Manifest,
     scatter matrix x x'.
 
     `trials` is a `TrialSet` in memory, or a manifest's rows, whose trial
-    files are then read as they are needed (`data.read_chunks`). Either
-    way the trials go through in chunks of `CHUNK_TRIALS`, and each chunk
-    is reduced to its rows of the scatter stack before the next is taken,
-    so at most one chunk of raw samples and its filter outputs is held.
+    files are then read as they are needed. Either way `data.read_chunks`
+    hands the trials over a chunk at a time, and each chunk is reduced to
+    its rows of the scatter stack before the next is taken, so at most
+    one chunk of raw samples and its filter outputs is held. With no
+    trials the stack is empty, and `ScatterSet` rejects it (DataError).
     With a `bank`, each chunk's raw trials are first projected through it
     (`csp.project_trials`), and the stack holds the n_filters x n_filters
     scatter matrices of the projected signals.
@@ -291,14 +292,13 @@ def preprocess(cfg: PipelineConfig, trials: TrialSet | Manifest,
              for s in cfg.filter_specs(trials.sampling_rate_hz)]
     onset, duration = cfg.epoch_window()
     start, stop = epoch_bounds(trials, onset, duration)
-    chunks = (read_chunks(trials, CHUNK_TRIALS)
-              if isinstance(trials, Manifest)
-              else (trials.subset(slice(i, i + CHUNK_TRIALS))
-                    for i in range(0, len(trials), CHUNK_TRIALS)))
     n = trials.n_channels if bank is None else bank.n_filters
     scatter = np.zeros((len(trials), n, n))
+    # with no chunk, ScatterSet rejects the empty stack before it checks
+    # these names against it
+    names = trials.channel_names
     done = 0
-    for chunk in chunks:
+    for chunk in read_chunks(trials):
         if bank is not None:
             chunk = project_trials(bank, chunk)
         names = chunk.channel_names
@@ -425,31 +425,22 @@ def stage_cv(cfg: PipelineConfig, split: Split | None = None) -> list[Path]:
         return [path]
 
 
-def _projected_covariances(cfg: PipelineConfig, bank: SpatialFilterBank,
-                           trials: TrialSet | Manifest
-                           ) -> tuple[ScatterSet, np.ndarray]:
-    """The trials' preprocessed scatter matrices through the bank, W S W',
-    and their shrunk covariances, as `trial_covariances` gives them up to
-    rounding: the raw trials are projected before they are preprocessed,
-    chunk by chunk, so n_filters signals per trial are band-passed, not
-    every channel."""
-    projected = preprocess(cfg, trials, bank)
-    return projected, _shrunk_covariances(projected, projected.matrices)
-
-
 def stage_evaluate(cfg: PipelineConfig,
                    split: Split | None = None) -> list[Path]:
     """Score the model on the held-out split.
 
     Writes the aggregates, the per-trial outcome table and the test
-    trials' projected covariances (`_projected_covariances`) in the
-    table's row order.
+    trials' projected covariances in the table's row order.
     """
     with _prefix_errors("stage evaluate"):
         test_rows = _side(cfg, split, _TEST)
         model = TslrModel.from_dict(_read_json(cfg.out_path("model")))
-        projected, covs = _projected_covariances(cfg, model.filter_bank,
-                                                 test_rows)
+        # the raw trials are projected through the bank before they are
+        # band-passed, so n_filters signals per trial are filtered, not
+        # every channel; the covariances then match `trial_covariances`
+        # of the preprocessed trials only to rounding
+        projected = preprocess(cfg, test_rows, model.filter_bank)
+        covs = _shrunk_covariances(projected, projected.matrices)
         report = evaluate(model, projected, covs)
         paths = [cfg.out_path("eval_report"), cfg.out_path("eval_per_trial"),
                  cfg.out_path("test_covariances")]

@@ -105,12 +105,11 @@ class TestClassSums:
            data=st.data())
     def test_equal_the_gathered_sum_bit_for_bit(self, seed, n_channels,
                                                 data):
-        # summed CHUNK_TRIALS rows at a time with the running total
-        # carried, a class's sum is bit for bit the one np.sum over the
-        # gathered, normalized rows, at least one class spanning chunks
-        n = data.draw(st.integers(2 * csp.CHUNK_TRIALS + 1, 300))
+        # added one row at a time in the given order, a class's sum is
+        # bit for bit the one np.sum over the gathered, normalized rows
+        n = data.draw(st.integers(129, 300))
         rows = np.array(data.draw(st.permutations(range(n))))
-        rows = rows[:data.draw(st.integers(2 * csp.CHUNK_TRIALS + 1, n))]
+        rows = rows[:data.draw(st.integers(129, n))]
         rng = np.random.default_rng(seed)
         x = (rng.standard_normal((n, n_channels, n_channels))
              * 10.0 ** rng.uniform(-4, 4, (n, 1, 1)))

@@ -15,9 +15,10 @@ from numpy.testing import assert_allclose
 import relconn.data
 from relconn import pipeline
 from relconn.cli import main
-from relconn.csp import SpatialFilterBank, trial_covariances
+from relconn.csp import (SpatialFilterBank, _shrunk_covariances,
+                         trial_covariances)
 from relconn.data import TrialSet, load_trialset, read_manifest, save_trialset
-from relconn.errors import SchemaError
+from relconn.errors import DataError, SchemaError
 from relconn.filters import apply_filter, design_bandpass, extract_epoch
 from relconn.fixtures import FixtureSpec, generate_fixture
 from relconn.pipeline import (ARTIFACTS, PipelineConfig, preprocess,
@@ -244,7 +245,7 @@ class TestPreprocess:
             read.append(len(chunk))
             return chunk
 
-        monkeypatch.setattr(pipeline, "CHUNK_TRIALS", 5)
+        monkeypatch.setattr(relconn.data, "CHUNK_TRIALS", 5)
         monkeypatch.setattr(relconn.data, "load_trialset", recording_load)
         for got in (preprocess(cfg, rows), preprocess(cfg, ts)):
             assert np.array_equal(got.matrices, whole.matrices)
@@ -253,6 +254,16 @@ class TestPreprocess:
             assert got.labels.tolist() == whole.labels.tolist()
         assert read == ([5, 5, 5, 5, 3] if side == pipeline._TRAIN
                         else [5, 4])
+
+    @pytest.mark.parametrize("bank", [False, True], ids=["plain", "bank"])
+    def test_no_rows_is_a_data_error(self, dataset, bank):
+        # no chunk is read, so the stack is empty and no signal named
+        manifest, _ = dataset
+        cfg = make_config(manifest, "unused")
+        bank = (SpatialFilterBank(np.eye(2, 6), np.eye(6, 2), [0.9, 0.1])
+                if bank else None)
+        with pytest.raises(DataError, match="non-empty"):
+            preprocess(cfg, read_manifest(manifest).subset([]), bank)
 
     def test_run_holds_less_than_its_raw_training_side(self, tmp_path):
         # trials are read, band-passed and reduced a chunk at a time, so
@@ -297,7 +308,8 @@ class TestProjectBeforeBandPass:
         bank = SpatialFilterBank(rng.standard_normal((n_filters, n_channels)),
                                  rng.standard_normal((n_channels, n_filters)),
                                  np.linspace(0.9, 0.1, n_filters))
-        projected, covs = pipeline._projected_covariances(cfg, bank, ts)
+        projected = preprocess(cfg, ts, bank)
+        covs = _shrunk_covariances(projected, projected.matrices)
         reference = preprocess(cfg, ts)
         assert projected.n_samples == reference.n_samples
         assert projected.ids.tolist() == ts.ids.tolist()
@@ -337,6 +349,37 @@ class TestProjectBeforeBandPass:
             tid: {4} for tid in test_ids}
         assert all(widths[tid] == {10} for tid in set(widths) - test_ids)
         assert len(widths) == (32 if how == "run" else len(test_ids))
+
+
+class TestScaling:
+    """Every sample times a power of two c: the band-pass is linear and
+    trace normalization cancels c exactly, so what rests on the CSP fit
+    and the classifier keeps its bytes, and the graphs, |mean covariance|
+    of the projected test trials, scale by exactly c^2."""
+
+    UNCHANGED = ("filter_bank", "selected_channels", "cv_summary",
+                 "eval_report", "selected_trials")
+    GRAPHS = ("graph_all_class0", "graph_all_class1",
+              "graph_selected_class0", "graph_selected_class1")
+
+    @pytest.mark.parametrize("c", [4.0, 0.25])
+    def test_power_of_two_keeps_the_fit_and_scales_graph_weights(
+            self, completed_run, tmp_path, c):
+        cfg, blobs = completed_run
+        data = Path(shutil.copytree(Path(cfg.manifest).parent,
+                                    tmp_path / "data"))
+        for path in (data / "trials").iterdir():
+            path.write_bytes((np.fromfile(path, "<f8") * c).tobytes())
+        scaled = replace(cfg, manifest=str(data / "manifest.json"),
+                         out_dir=str(tmp_path / "out"))
+        run_pipeline(scaled)
+        for name in self.UNCHANGED:
+            assert scaled.out_path(name).read_bytes() == blobs[name], name
+        for name in self.GRAPHS:
+            got = np.array(json.loads(scaled.out_path(name).read_text())
+                           ["weights"])
+            want = np.array(json.loads(blobs[name])["weights"])
+            assert np.array_equal(got, c ** 2 * want), name
 
 
 class TestRunDeterminism:
