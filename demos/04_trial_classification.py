@@ -21,7 +21,8 @@ nnz = int(np.count_nonzero(model.weights))
 print(f"\nmodel: {nnz}/{model.weights.size} nonzero weights, "
       f"bias {model.bias:+.3f}, {model.n_iter} iterations")
 
-mean, std = cross_validate(train_set, k=5, lam=model.lam)
+mean, std = cross_validate(train_set, k=5, n_filters=6, seed=42,
+                           lam=model.lam)
 print(f"5-fold accuracy on the training session: {mean:.1f} +/- {std:.1f}%")
 
 report = evaluate(model, test_set)

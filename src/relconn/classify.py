@@ -289,7 +289,7 @@ def _check_threshold(threshold: float) -> None:
             f"posterior_threshold must be in (0.5, 1), got {threshold}")
 
 
-def select_relevant(report: EvalReport, threshold: float = 0.7) -> list[int]:
+def select_relevant(report: EvalReport, threshold: float) -> list[int]:
     """Ids of correctly classified trials with confident posteriors.
 
     A trial qualifies when its predicted label matches the true label and
@@ -308,7 +308,7 @@ def _check_k_folds(k: int) -> None:
         raise ValueError(f"k_folds must be >= 2, got {k}")
 
 
-def stratified_folds(labels: np.ndarray, k: int, seed: int = 42) -> list[np.ndarray]:
+def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     """Deterministic stratified fold assignment.
 
     Shuffles each class with a seeded generator and deals indices
@@ -331,10 +331,10 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int = 42) -> list[np.ndar
     return [np.flatnonzero(fold_of == f) for f in range(k)]
 
 
-def cross_validate(train_set: ScatterSet, k: int = 10,
-                   lam: float | None = None, n_filters: int = 6,
-                   seed: int = 42) -> tuple[float, float]:
-    """Stratified k-fold accuracy (mean, std in percent).
+def cross_validate(train_set: ScatterSet, k: int, n_filters: int, seed: int,
+                   lam: float | None = None) -> tuple[float, float]:
+    """Stratified k-fold accuracy (mean, std in percent), with n_filters
+    filters and L1 weight lam (None: `default_lambda`, as in `train`).
 
     Every fold refits the spatial filters, the tangent reference and the
     weights on its training trials alone, so no information from a

@@ -181,7 +181,7 @@ def _bank(mean0: SpdMatrix, mean1: SpdMatrix,
     return SpatialFilterBank(w_full[keep], patterns_full[:, keep], lam[keep])
 
 
-def fit_csp(train: ScatterSet, n_filters: int = 6) -> SpatialFilterBank:
+def fit_csp(train: ScatterSet, n_filters: int) -> SpatialFilterBank:
     """Fit spatial filters on a two-class training set.
 
     Parameters
@@ -202,7 +202,7 @@ def fit_csp(train: ScatterSet, n_filters: int = 6) -> SpatialFilterBank:
 
 
 def fold_banks(train: ScatterSet, folds: Iterable[np.ndarray],
-               n_filters: int = 6) -> list[SpatialFilterBank]:
+               n_filters: int) -> list[SpatialFilterBank]:
     """One filter bank per fold, in fold order, each fit on the trials
     outside that fold. Each fold is a sequence of row indices, as
     `classify.stratified_folds` gives, and the folds must partition the

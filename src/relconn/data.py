@@ -40,6 +40,8 @@ import numpy as np
 from .errors import DataError, SchemaError
 
 MANIFEST_NAME = "manifest.json"
+# the class names of a `TrialSet` that is given none, and of every fixture
+CLASS_NAMES = ("class0", "class1")
 # trials read and band-passed at a time (`read_chunks`): bounds the raw
 # samples and filter outputs held in memory
 CHUNK_TRIALS = 64
@@ -84,12 +86,19 @@ def _check_labels_and_ids(labels: np.ndarray, ids: np.ndarray) -> None:
         raise SchemaError(f"duplicate trial id {uniq[counts > 1][0]}")
 
 
+def _check_rows_index(index) -> None:
+    """Refuse a 0-d index (an int, a numpy integer or a bool) to `subset`:
+    it would drop the trial axis."""
+    if not isinstance(index, slice) and np.ndim(index) == 0:
+        raise ValueError(f"subset index {index!r} is not a slice, an index "
+                         f"array or a boolean mask")
+
+
 class _TrialStack:
     """What both trial containers share. `_stack` names the float64 array,
     stored read-only, whose first axis runs over trials and second over
     channels. Integer `labels` (0 or 1) and unique integer `ids` run along
-    the same first axis; `channel_names` name the channels and
-    `class_names` the two classes."""
+    the same first axis, and `channel_names` name the channels."""
 
     _stack: str
 
@@ -120,8 +129,7 @@ class _TrialStack:
                 ("labels", _readonly(labels.astype(np.int64))),
                 ("ids", _readonly(ids.astype(np.int64))),
                 ("channel_names",
-                 _names(self.channel_names, "channel_names", a.shape[1])),
-                ("class_names", _names(self.class_names, "class_names", 2))):
+                 _names(self.channel_names, "channel_names", a.shape[1]))):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
@@ -134,6 +142,7 @@ class _TrialStack:
     def subset(self, index):
         """The trials picked by a slice, index array or boolean mask, in
         that order. A slice gives views."""
+        _check_rows_index(index)
         return _derived(self, labels=self.labels[index], ids=self.ids[index],
                         **{self._stack: getattr(self, self._stack)[index]})
 
@@ -141,7 +150,7 @@ class _TrialStack:
 @dataclass(frozen=True)
 class TrialSet(_TrialStack):
     """Raw samples, shape (n_trials, n_channels, n_samples), of an ordered
-    set of trials sampled at one rate."""
+    set of trials sampled at one rate, and the names of its two classes."""
 
     _stack = "samples"
     samples: np.ndarray
@@ -149,13 +158,15 @@ class TrialSet(_TrialStack):
     ids: np.ndarray
     channel_names: tuple[str, ...]
     sampling_rate_hz: float
-    class_names: tuple[str, str] = ("class0", "class1")
+    class_names: tuple[str, str] = CLASS_NAMES
 
     def __post_init__(self):
         if not self.sampling_rate_hz > 0:
             raise SchemaError(
                 f"sampling_rate_hz must be positive, got {self.sampling_rate_hz}")
         self._validate()
+        object.__setattr__(self, "class_names",
+                           _names(self.class_names, "class_names", 2))
 
     @property
     def n_samples(self) -> int:
@@ -166,7 +177,8 @@ class TrialSet(_TrialStack):
 class ScatterSet(_TrialStack):
     """Channel scatter matrices S = x x' of epoched trials, shape
     (n_trials, n_channels, n_channels). Each sums over n_samples samples,
-    so a trial's sample covariance is S / (n_samples - 1)."""
+    so a trial's sample covariance is S / (n_samples - 1). It keeps no
+    class names: no stage reads them past the raw samples."""
 
     _stack = "matrices"
     matrices: np.ndarray
@@ -174,7 +186,6 @@ class ScatterSet(_TrialStack):
     labels: np.ndarray
     ids: np.ndarray
     channel_names: tuple[str, ...]
-    class_names: tuple[str, str] = ("class0", "class1")
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -190,7 +201,7 @@ class ScatterSet(_TrialStack):
         """Scatter matrices of the trials' samples as they are."""
         x = ts.samples
         return cls(x @ np.swapaxes(x, 1, 2), ts.n_samples, ts.labels, ts.ids,
-                   ts.channel_names, ts.class_names)
+                   ts.channel_names)
 
 
 def _read_json(path) -> dict:
@@ -263,6 +274,7 @@ class Manifest:
     def subset(self, index) -> "Manifest":
         """The rows picked by a slice, index array or boolean mask, in
         that order, with the same geometry and root."""
+        _check_rows_index(index)
         rows = np.arange(len(self))[index]
         return replace(
             self, ids=_readonly(self.ids[rows]),

@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (TrialSet, _write_json, _write_trials, default_n_train,
-                   split_rows)
+from .data import (CLASS_NAMES, TrialSet, _write_json, _write_trials,
+                   default_n_train, split_rows)
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ class FixtureSpec:
 
     snr is the linear ratio of class-signal power to sensor-noise power;
     math.inf disables sensor noise. session_shift scales the validation
-    session's class-specific cross-channel coupling (0 disables it).
+    session's class-specific cross-channel coupling (0 disables it). The
+    classes are always named `data.CLASS_NAMES`.
     """
 
     n_channels: int = 6
@@ -51,7 +52,6 @@ class FixtureSpec:
     duration_s: float = 1.0
     n_train: int | None = None
     session_shift: float = 0.4
-    class_names: tuple[str, str] = ("class0", "class1")
 
     def __post_init__(self):
         if self.n_channels < 2:
@@ -107,7 +107,7 @@ class FixtureSpec:
             "duration_s": self.duration_s,
             "n_train": self.resolved_n_train(),
             "session_shift": self.session_shift,
-            "class_names": list(self.class_names),
+            "class_names": list(CLASS_NAMES),
         }
 
 
@@ -243,8 +243,7 @@ def synthesize_trialset(spec: FixtureSpec, seed: int) -> tuple[TrialSet, dict]:
     for tid, x in enumerate(draws):
         samples[tid] = x
     ts = TrialSet(samples, labels, np.arange(spec.n_trials),
-                  _channel_names(spec), spec.sampling_rate_hz,
-                  spec.class_names)
+                  _channel_names(spec), spec.sampling_rate_hz)
     return ts, truth
 
 
@@ -263,7 +262,7 @@ def generate_fixture(spec: FixtureSpec, seed: int, out_dir) -> tuple[Path, Path]
     manifest_path = _write_trials(
         out_dir, zip(range(spec.n_trials), labels.tolist(), draws),
         spec.n_samples, _channel_names(spec), spec.sampling_rate_hz,
-        spec.class_names)
+        CLASS_NAMES)
     truth_path = out_dir / "fixture_truth.json"
     _write_json(truth_path, truth)
     return manifest_path, truth_path

@@ -18,8 +18,9 @@ n_filters projected signals of each trial instead of its channels. A
 stage run on its own reads its side; `run_pipeline` reads the manifest
 once, preprocesses the training side once, and hands every stage that
 `ScatterSet` and the test side's manifest rows. Before any sample is
-read, a side's trial files are checked by size and the band and epoch
-against the manifest's sampling rate and trial length. Band-passing is
+read, the band and epoch are checked against the manifest's sampling rate
+and trial length, and the test side's trial files by size; a training
+trial file's size is checked as its chunk is read. Band-passing is
 causal and per trial, so a trial's scatter matrix comes out bit for bit
 the same either way.
 
@@ -259,23 +260,17 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
                              for v in row])
 
 
-def _write_npy(path: Path, a: np.ndarray) -> None:
-    """Write an array in .npy format; equal arrays give equal bytes."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.save(fh, np.ascontiguousarray(a), allow_pickle=False)
-
-
 def preprocess(cfg: PipelineConfig, trials: TrialSet | Manifest,
                bank: SpatialFilterBank | None = None) -> ScatterSet:
     """Band-pass every trial, cut the epoch window and keep each trial's
     scatter matrix x x'.
 
     `trials` is a `TrialSet` in memory, or a manifest's rows, whose trial
-    files are then read as they are needed. Either way `data.read_chunks`
-    hands the trials over a chunk at a time, and each chunk is reduced to
-    its rows of the scatter stack before the next is taken, so at most
-    one chunk of raw samples and its filter outputs is held. With no
+    files are then read, and checked by size, as they are needed. Either
+    way `data.read_chunks` hands the trials over a chunk at a time, and
+    each chunk is reduced to its rows of the scatter stack before the next
+    is taken, so at most one chunk of raw samples and its filter outputs
+    is held. With no
     trials the stack is empty, and `ScatterSet` rejects it (DataError).
     With a `bank`, each chunk's raw trials are first projected through it
     (`csp.project_trials`), and the stack holds the n_filters x n_filters
@@ -312,7 +307,7 @@ def preprocess(cfg: PipelineConfig, trials: TrialSet | Manifest,
         # chunk is read
         del chunk, head, x
     return ScatterSet(scatter, len(filts) * (stop - start), trials.labels,
-                      trials.ids, names, trials.class_names)
+                      trials.ids, names)
 
 
 # the training side's scatter matrices, and the test side's manifest rows
@@ -332,21 +327,21 @@ def _side(cfg: PipelineConfig, split: Split | None, side: int,
     given, else from that side's manifest rows only, with `manifest` as
     read already or read from the config's path.
 
-    Before any sample is read, the side's trial files are checked by size
-    (`data.check_trial_files`), and the band against the Nyquist frequency
-    and the epoch against the trial length. The training side is then
-    preprocessed from file, chunk by chunk. The test side stays as its
-    manifest rows, which evaluate reads chunk by chunk; its checks are
-    made here, so that evaluate reports them before it reads the model.
+    The training side is preprocessed from file, chunk by chunk, each
+    trial file checked by size as its chunk is read. The test side stays
+    as its manifest rows, which evaluate reads chunk by chunk. Its file
+    sizes (`data.check_trial_files`), band and epoch are checked here,
+    before any sample is read, so that `run` fails before any stage writes
+    and evaluate before it reads the model.
     """
     if split is not None:
         return split[side]
     if manifest is None:
         manifest = read_manifest(cfg.manifest)
     rows = _side_rows(cfg, manifest, side)
-    check_trial_files(rows)
     if side == _TRAIN:
         return preprocess(cfg, rows)
+    check_trial_files(rows)
     cfg.filter_specs(rows.sampling_rate_hz)
     epoch_bounds(rows, *cfg.epoch_window())
     return rows
@@ -411,8 +406,8 @@ def stage_cv(cfg: PipelineConfig, split: Split | None = None) -> list[Path]:
     """
     with _prefix_errors("stage cv"):
         train_set = _side(cfg, split, _TRAIN)
-        mean, std = cross_validate(train_set, cfg.k_folds, cfg.lam,
-                                   cfg.n_filters, cfg.seed)
+        mean, std = cross_validate(train_set, cfg.k_folds, cfg.n_filters,
+                                   cfg.seed, cfg.lam)
         path = cfg.out_path("cv_summary")
         _write_json(path, {
             "k_folds": cfg.k_folds,
@@ -448,7 +443,7 @@ def stage_evaluate(cfg: PipelineConfig,
         _write_csv(paths[1],
                    ["trial_id", "true_label", "predicted_label", "posterior"],
                    report.per_trial_rows())
-        _write_npy(paths[2], covs)
+        np.save(paths[2], covs, allow_pickle=False)
         return paths
 
 

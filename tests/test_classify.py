@@ -457,11 +457,11 @@ class TestStratifiedFolds:
     def test_small_class_rejected(self):
         labels = np.array([0, 0, 1, 1, 1, 1])
         with pytest.raises(StratificationError, match="cannot stratify"):
-            stratified_folds(labels, 3)
+            stratified_folds(labels, 3, seed=42)
 
     def test_k_validated(self):
         with pytest.raises(ValueError, match="k"):
-            stratified_folds(np.array([0, 1, 0, 1]), 1)
+            stratified_folds(np.array([0, 1, 0, 1]), 1, seed=42)
 
 
 class TestCrossValidate:
@@ -519,7 +519,7 @@ class TestCrossValidate:
         # two trials per class and two folds leave one per class to fit on
         ts = labeled_set([0, 1, 0, 1])
         with pytest.raises(ValueError, match="class 0 has 1 trials"):
-            cross_validate(ts, k=2, n_filters=2)
+            cross_validate(ts, k=2, n_filters=2, seed=42)
 
 
 def refit_cross_validate(train_set, k, n_filters, seed, lam=None):

@@ -241,9 +241,9 @@ class TestExitCodes:
             self, dataset, tmp_path, capsys, row, stage, fault):
         # run checks each side of the split under the name of the first
         # stage that reads it, so it fails as that stage does on its own,
-        # and before any stage writes; sizes are checked before any
-        # sample is read, so a lone evaluate names the file before it
-        # reads a model (there is none here)
+        # and before any stage writes; the test side's sizes are checked
+        # before any sample is read, so a lone evaluate names the file
+        # before it reads a model (there is none here)
         data = tmp_path / "data"
         shutil.copytree(dataset.parent, data)
         entry = json.loads((data / "manifest.json").read_text())["trials"][row]

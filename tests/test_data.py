@@ -1,6 +1,7 @@
 """Trial containers, manifest IO, and the train/test split."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -134,6 +135,36 @@ class TestScatterSet:
     def test_validated(self, matrices, error, match):
         with pytest.raises(error, match=match):
             ScatterSet(matrices, 4, [0, 1], [0, 1], ("a", "b"))
+
+
+class TestSubsetIndex:
+    """`subset` picks rows by a slice, an index array or a boolean mask. A
+    0-d index would drop the trial axis, so every container refuses it."""
+
+    @staticmethod
+    def containers(tmp_path):
+        ts = make_set(n_trials=8)
+        return ts, ScatterSet.from_trials(ts), read_manifest(
+            save_trialset(ts, tmp_path))
+
+    @pytest.mark.parametrize("index", [3, np.int64(3), True, np.bool_(False)])
+    def test_zero_d_index_refused(self, tmp_path, index):
+        for container in self.containers(tmp_path):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"subset index {index!r} is not a slice, an index "
+                    f"array or a boolean mask")):
+                container.subset(index)
+
+    def test_one_row_keeps_the_trial_axis(self, tmp_path):
+        for container in self.containers(tmp_path):
+            sub = container.subset([3])
+            assert len(sub) == 1 and sub.ids.tolist() == [3]
+
+    def test_slice_gives_views(self, tmp_path):
+        ts, scatter, _ = self.containers(tmp_path)
+        assert np.shares_memory(ts.subset(slice(2, 5)).samples, ts.samples)
+        assert np.shares_memory(scatter.subset(slice(2, 5)).matrices,
+                                scatter.matrices)
 
 
 class TestManifestRoundTrip:

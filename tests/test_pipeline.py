@@ -382,6 +382,119 @@ class TestScaling:
             assert np.array_equal(got, c ** 2 * want), name
 
 
+@pytest.fixture(scope="module", params=[3, 4, 5])
+def seeded_run(request, tmp_path_factory):
+    """A run on a 32-trial fixture drawn at each of three seeds."""
+    root = tmp_path_factory.mktemp(f"seed{request.param}")
+    manifest, _ = generate_fixture(
+        FixtureSpec(n_per_class=16, duration_s=0.5), seed=request.param,
+        out_dir=root / "data")
+    cfg = make_config(manifest, root / "out")
+    run_pipeline(cfg)
+    return cfg
+
+
+def run_on_copy(cfg, root, trial, manifest):
+    """Run `cfg` again on a copy of its dataset under `root` whose trials'
+    channels x samples arrays x are `trial(x)` and whose manifest object m
+    is `manifest(m)`; returns the copy's config."""
+    data = Path(shutil.copytree(Path(cfg.manifest).parent, root / "data"))
+    m = json.loads((data / "manifest.json").read_text())
+    for row in m["trials"]:
+        path = data / row["file"]
+        x = np.fromfile(path, "<f8").reshape(m["channels"], m["samples"])
+        path.write_bytes(np.ascontiguousarray(trial(x), "<f8").tobytes())
+    (data / "manifest.json").write_text(json.dumps(manifest(m)))
+    changed = replace(cfg, manifest=str(data / "manifest.json"),
+                      out_dir=str(root / "out"))
+    run_pipeline(changed)
+    return changed
+
+
+def read_artifact(cfg, name):
+    return json.loads(cfg.out_path(name).read_text())
+
+
+def posteriors(cfg):
+    return np.loadtxt(cfg.out_path("eval_per_trial"), delimiter=",",
+                      skiprows=1, ndmin=2)[:, 3]
+
+
+def assert_same_separability(cfg, other, tol):
+    want, got = (read_artifact(c, "separability") for c in (cfg, other))
+    for condition in ("all", "selected"):
+        for metric, value in want[condition].items():
+            assert abs(got[condition][metric] - value) <= tol, (condition,
+                                                                metric)
+
+
+# the numbers end-to-end invariances keep only to rounding; at seeds 3-5
+# they agreed within 5.2e-14
+TOL = 1e-12
+
+
+class TestChannelPermutation:
+    """Every trial's channels, and the manifest's channel names, in another
+    fixed order: the band-pass acts per channel, and the CSP filters and
+    patterns permute with the channels. So each filter picks the same
+    named channel, the projected signals agree to rounding, the cv, eval
+    and selection artifacts keep their bytes, and posteriors, graph
+    weights (relative to the largest) and separability agree within
+    TOL."""
+
+    # a fixed permutation of the fixture's 6 channels that moves each one
+    PERM = [2, 5, 0, 4, 1, 3]
+
+    def test_same_channels_picked_and_same_results(self, seeded_run,
+                                                   tmp_path):
+        cfg = seeded_run
+        permuted = run_on_copy(
+            cfg, tmp_path, lambda x: x[self.PERM],
+            lambda m: {**m, "channel_names": [m["channel_names"][i]
+                                              for i in self.PERM]})
+        for name in ("cv_summary", "eval_report", "selected_trials"):
+            assert (permuted.out_path(name).read_bytes()
+                    == cfg.out_path(name).read_bytes()), name
+        bank, got = (read_artifact(c, "filter_bank") for c in (cfg, permuted))
+        assert ([name for _, name in got["selected_channels"]]
+                == [name for _, name in bank["selected_channels"]])
+        assert got["node_names"] == bank["node_names"]
+        for name in TestScaling.GRAPHS:
+            graph, got = (read_artifact(c, name) for c in (cfg, permuted))
+            assert got["node_names"] == graph["node_names"], name
+            want = np.array(graph["weights"])
+            assert (np.abs(np.array(got["weights"]) - want).max()
+                    <= TOL * np.abs(want).max()), name
+        assert_allclose(posteriors(permuted), posteriors(cfg), rtol=0.0,
+                        atol=TOL)
+        assert_same_separability(cfg, permuted, TOL)
+
+
+class TestClassRelabelling:
+    """Every label 0 <-> 1 and the two class names swapped: CSP's
+    eigenvalues complement and the classifier mirrors, so each posterior p
+    becomes 1 - p within TOL, eval accuracy and the selected trials stay,
+    and so does the separability of the class graphs within TOL. The cv
+    summary is left out: `classify.stratified_folds` deals class 0 first,
+    so swapped labels give other folds (77.8% against 76.4% at seed 3)."""
+
+    def test_posteriors_complement_and_selection_stays(self, seeded_run,
+                                                       tmp_path):
+        cfg = seeded_run
+        swapped = run_on_copy(
+            cfg, tmp_path, lambda x: x,
+            lambda m: {**m, "class_names": m["class_names"][::-1],
+                       "trials": [{**row, "label": 1 - row["label"]}
+                                  for row in m["trials"]]})
+        assert (read_artifact(swapped, "eval_report")["accuracy"]
+                == read_artifact(cfg, "eval_report")["accuracy"])
+        assert (swapped.out_path("selected_trials").read_bytes()
+                == cfg.out_path("selected_trials").read_bytes())
+        assert_allclose(posteriors(swapped), 1.0 - posteriors(cfg),
+                        rtol=0.0, atol=TOL)
+        assert_same_separability(cfg, swapped, TOL)
+
+
 class TestRunDeterminism:
     def test_all_artifacts_written(self, completed_run):
         cfg, blobs = completed_run
