@@ -19,9 +19,10 @@ samples of one trial as little-endian float64, row-major, channels x samples.
 and `Manifest.subset` picks rows. `check_trial_files` checks the size of
 each file of some rows without opening one, and `load_trialset` reads them
 into one `TrialSet`. `read_chunks`, the one chunker, hands over a
-`TrialSet`'s or a manifest's rows' trials `CHUNK_TRIALS` at a time and
-reads a manifest chunk only when it is taken, so its reader holds one
-chunk of raw samples, not all of them.
+`TrialSet`'s or a manifest's rows' trials as many at a time as fit in
+`CHUNK_BYTES` of raw samples, and reads a manifest chunk only when it is
+taken, so its reader holds at most `CHUNK_BYTES` of raw samples, or one
+trial where a trial is larger, however many trials there are.
 Datasets are written trial by trial, each file as its trial comes
 (`save_trialset`, and `fixtures.generate_fixture` as it draws them).
 """
@@ -42,9 +43,9 @@ from .errors import DataError, SchemaError
 MANIFEST_NAME = "manifest.json"
 # the class names of a `TrialSet` that is given none, and of every fixture
 CLASS_NAMES = ("class0", "class1")
-# trials read and band-passed at a time (`read_chunks`): bounds the raw
-# samples and filter outputs held in memory
-CHUNK_TRIALS = 64
+# raw float64 samples read and band-passed at a time (`read_chunks`), at
+# least one trial: bounds the samples held in memory whatever a trial's width
+CHUNK_BYTES = 2 ** 21
 
 _MANIFEST_KEYS = {"channels", "samples", "channel_names", "sampling_rate_hz",
                   "class_names", "trials"}
@@ -87,9 +88,10 @@ def _check_labels_and_ids(labels: np.ndarray, ids: np.ndarray) -> None:
 
 
 def _check_rows_index(index) -> None:
-    """Refuse a 0-d index (an int, a numpy integer or a bool) to `subset`:
-    it would drop the trial axis."""
-    if not isinstance(index, slice) and np.ndim(index) == 0:
+    """Refuse an index to `subset` that is neither a slice nor 1-D: a 0-d
+    index (an int, a numpy integer or a bool) would drop the trial axis,
+    and a 2-D one would add an axis, or fail with no row named."""
+    if not isinstance(index, slice) and np.ndim(index) != 1:
         raise ValueError(f"subset index {index!r} is not a slice, an index "
                          f"array or a boolean mask")
 
@@ -408,13 +410,14 @@ def load_trialset(manifest) -> TrialSet:
 
 def read_chunks(trials: TrialSet | Manifest) -> Iterator[TrialSet]:
     """A trial set's trials, or a manifest's rows' trials, in row order,
-    `CHUNK_TRIALS` at a time. Each chunk is cut with `subset`; a
-    manifest's chunk is then read, and validated, by `load_trialset` only
-    when the one before it has been taken, so at most one chunk of raw
-    samples is held at a time. Errors are `load_trialset`'s, for the first
-    faulty chunk."""
-    for start in range(0, len(trials), CHUNK_TRIALS):
-        chunk = trials.subset(slice(start, start + CHUNK_TRIALS))
+    as many at a time as fit in `CHUNK_BYTES` of raw float64 samples, and
+    at least one. Each chunk is cut with `subset`; a manifest's chunk is
+    then read, and validated, by `load_trialset` only when the one before
+    it has been taken, so at most one chunk of raw samples is held at a
+    time. Errors are `load_trialset`'s, for the first faulty chunk."""
+    step = max(1, CHUNK_BYTES // (trials.n_channels * trials.n_samples * 8))
+    for start in range(0, len(trials), step):
+        chunk = trials.subset(slice(start, start + step))
         yield load_trialset(chunk) if isinstance(chunk, Manifest) else chunk
 
 

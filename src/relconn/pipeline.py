@@ -11,11 +11,12 @@ reduces every trial to its channel scatter matrix S = x x'. Trials reach
 the stages from one side of the train/test split, that side's manifest
 rows only, and are read from file a chunk at a time (`data.read_chunks`):
 each chunk is reduced before the next is read, so a stage holds one chunk
-of raw samples, never a side. `fit-csp`, `train` and `cv` work on the
-training side's `ScatterSet`; `evaluate` reads the test rows chunk by chunk,
-projects each chunk through the fitted filter bank and preprocesses the
-n_filters projected signals of each trial instead of its channels. A
-stage run on its own reads its side; `run_pipeline` reads the manifest
+of raw samples, at most `data.CHUNK_BYTES` or one trial, never a side.
+`fit-csp`, `train` and `cv` work on the training side's `ScatterSet`;
+`evaluate` reads the test rows chunk by chunk, projects each chunk
+through the fitted filter bank and preprocesses the n_filters projected
+signals of each trial instead of its channels. A stage run on its own
+reads its side; `run_pipeline` reads the manifest
 once, preprocesses the training side once, and hands every stage that
 `ScatterSet` and the test side's manifest rows. Before any sample is
 read, the band and epoch are checked against the manifest's sampling rate
@@ -267,11 +268,12 @@ def preprocess(cfg: PipelineConfig, trials: TrialSet | Manifest,
 
     `trials` is a `TrialSet` in memory, or a manifest's rows, whose trial
     files are then read, and checked by size, as they are needed. Either
-    way `data.read_chunks` hands the trials over a chunk at a time, and
-    each chunk is reduced to its rows of the scatter stack before the next
-    is taken, so at most one chunk of raw samples and its filter outputs
-    is held. With no
-    trials the stack is empty, and `ScatterSet` rejects it (DataError).
+    way `data.read_chunks` hands the trials over a chunk at a time, at
+    most `data.CHUNK_BYTES` of raw samples or one trial, and each chunk is
+    reduced to its rows of the scatter stack before the next is taken, so
+    besides the stack at most one chunk of raw samples and its filter
+    outputs is held, whatever the trials' width. With no trials the stack
+    is empty, and `ScatterSet` rejects it (DataError).
     With a `bank`, each chunk's raw trials are first projected through it
     (`csp.project_trials`), and the stack holds the n_filters x n_filters
     scatter matrices of the projected signals.

@@ -139,7 +139,8 @@ class TestScatterSet:
 
 class TestSubsetIndex:
     """`subset` picks rows by a slice, an index array or a boolean mask. A
-    0-d index would drop the trial axis, so every container refuses it."""
+    0-d index would drop the trial axis and a 2-D one would add one, so
+    every container refuses both."""
 
     @staticmethod
     def containers(tmp_path):
@@ -149,6 +150,15 @@ class TestSubsetIndex:
 
     @pytest.mark.parametrize("index", [3, np.int64(3), True, np.bool_(False)])
     def test_zero_d_index_refused(self, tmp_path, index):
+        for container in self.containers(tmp_path):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"subset index {index!r} is not a slice, an index "
+                    f"array or a boolean mask")):
+                container.subset(index)
+
+    @pytest.mark.parametrize("index", [np.array([[1, 2]]), [[1], [2]],
+                                       np.ones((2, 4), dtype=bool)])
+    def test_two_d_index_refused(self, tmp_path, index):
         for container in self.containers(tmp_path):
             with pytest.raises(ValueError, match=re.escape(
                     f"subset index {index!r} is not a slice, an index "

@@ -230,9 +230,10 @@ class TestPreprocess:
     def test_chunks_do_not_change_the_result(self, dataset, monkeypatch,
                                              side):
         # 23 training and 9 test trials: neither side is a multiple of 5.
-        # Read from file 5 trials at a time, or cut 5 at a time from the
-        # side in memory, a side's scatter stack is bit for bit that of
-        # the side loaded whole and preprocessed 64 trials at a time
+        # Read from file, or cut from the side in memory, with a budget of
+        # 5 trials' bytes, of less than one trial's or of more than the
+        # side's, a side's scatter stack is bit for bit that of the side
+        # loaded whole and preprocessed at once
         manifest, _ = dataset
         cfg = make_config(manifest, "unused", n_train=23)
         rows = pipeline._side_rows(cfg, read_manifest(manifest), side)
@@ -245,15 +246,48 @@ class TestPreprocess:
             read.append(len(chunk))
             return chunk
 
-        monkeypatch.setattr(relconn.data, "CHUNK_TRIALS", 5)
         monkeypatch.setattr(relconn.data, "load_trialset", recording_load)
-        for got in (preprocess(cfg, rows), preprocess(cfg, ts)):
-            assert np.array_equal(got.matrices, whole.matrices)
-            assert got.n_samples == whole.n_samples
-            assert got.ids.tolist() == whole.ids.tolist() == rows.ids.tolist()
-            assert got.labels.tolist() == whole.labels.tolist()
-        assert read == ([5, 5, 5, 5, 3] if side == pipeline._TRAIN
-                        else [5, 4])
+        five = [5, 5, 5, 5, 3] if side == pipeline._TRAIN else [5, 4]
+        for budget, reads in ((5 * rows.trial_bytes, five),
+                              (rows.trial_bytes - 1, [1] * len(rows)),
+                              ((len(rows) + 1) * rows.trial_bytes,
+                               [len(rows)])):
+            monkeypatch.setattr(relconn.data, "CHUNK_BYTES", budget)
+            read.clear()
+            for got in (preprocess(cfg, rows), preprocess(cfg, ts)):
+                assert np.array_equal(got.matrices, whole.matrices)
+                assert got.n_samples == whole.n_samples
+                assert (got.ids.tolist() == whole.ids.tolist()
+                        == rows.ids.tolist())
+                assert got.labels.tolist() == whole.labels.tolist()
+            assert read == reads
+
+    @pytest.mark.parametrize("bank", [False, True], ids=["plain", "bank"])
+    def test_chunk_bytes_bound_what_preprocess_holds(self, tmp_path, bank):
+        # 64 trials of 16 channels x 1000 samples, 128 KB each: 8 MB of
+        # raw samples, about four budgets. The training side's preprocess,
+        # and evaluate's, which projects each chunk through a bank first,
+        # hold the scatter stack and about one budget of raw samples and
+        # one of filter output, not the whole side
+        manifest, _ = generate_fixture(
+            FixtureSpec(n_channels=16, n_per_class=32, duration_s=5.0),
+            seed=3, out_dir=tmp_path)
+        rows = read_manifest(manifest)
+        assert len(rows) * rows.trial_bytes > 3 * relconn.data.CHUNK_BYTES
+        cfg = make_config(manifest, "unused", epoch_override=(0.0, 5.0))
+        bank = (SpatialFilterBank(np.eye(4, 16), np.eye(16, 4),
+                                  [0.9, 0.6, 0.3, 0.1]) if bank else None)
+        n = rows.n_channels if bank is None else bank.n_filters
+        stack = len(rows) * n * n * 8
+        # scipy is imported on first use; its modules are not preprocess's
+        import scipy.signal  # noqa: F401
+        tracemalloc.start()
+        try:
+            preprocess(cfg, rows, bank)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stack + 3 * relconn.data.CHUNK_BYTES
 
     @pytest.mark.parametrize("bank", [False, True], ids=["plain", "bank"])
     def test_no_rows_is_a_data_error(self, dataset, bank):
