@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csp import SpatialFilterBank, fold_banks, trial_covariances
-from .data import ScatterSet
+from .data import ScatterSet, _integer, _keep, _number
 from .errors import ConvergenceError, StratificationError
 from .geometry import ReferencePoint, SpdMatrix, tangent_map
 
@@ -150,9 +150,7 @@ class TslrModel:
     optimality_gap: float = 0.0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        w = _keep(self, "weights", self.weights)
         n = self.reference.dim
         expected = n * (n + 1) // 2
         if w.shape != (expected,):
@@ -176,12 +174,12 @@ class TslrModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TslrModel":
-        ref = ReferencePoint.from_mean(
-            SpdMatrix(np.array(d["reference_mean"], dtype=np.float64)))
-        return cls(np.array(d["weights"], dtype=np.float64),
-                   float(d["bias"]), float(d["lambda"]), ref,
+        ref = ReferencePoint.from_mean(SpdMatrix(d["reference_mean"]))
+        return cls(d["weights"], _number(d["bias"], "bias"),
+                   _number(d["lambda"], "lambda"), ref,
                    SpatialFilterBank.from_dict(d["filter_bank"]),
-                   int(d["n_iter"]), float(d["optimality_gap"]))
+                   _integer(d["n_iter"], "n_iter"),
+                   _number(d["optimality_gap"], "optimality_gap"))
 
 
 def default_lambda(n_train: int) -> float:

@@ -125,7 +125,7 @@ def main(argv=None) -> int:
     except ArithmeticError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ScatterSet, TrialSet, _derived
+from .data import ScatterSet, TrialSet, _derived, _keep
 from .errors import NumericError
 from .geometry import SpdMatrix, _first_indefinite, shrink_covariance
 
@@ -49,14 +49,9 @@ class SpatialFilterBank:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.w, dtype=np.float64)
-        patterns = np.ascontiguousarray(self.patterns, dtype=np.float64)
-        eigenvalues = np.ascontiguousarray(self.eigenvalues, dtype=np.float64)
-        for arr in (w, patterns, eigenvalues):
-            arr.setflags(write=False)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "patterns", patterns)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
+        w = _keep(self, "w", self.w)
+        patterns = _keep(self, "patterns", self.patterns)
+        eigenvalues = _keep(self, "eigenvalues", self.eigenvalues)
         nf, ch = w.shape
         _check_n_filters(nf, ch)
         if patterns.shape != (ch, nf):
@@ -86,9 +81,7 @@ class SpatialFilterBank:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpatialFilterBank":
-        return cls(np.array(d["w"], dtype=np.float64),
-                   np.array(d["patterns"], dtype=np.float64),
-                   np.array(d["eigenvalues"], dtype=np.float64))
+        return cls(d["w"], d["patterns"], d["eigenvalues"])
 
 
 def _traces(train: ScatterSet) -> np.ndarray:

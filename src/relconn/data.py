@@ -19,10 +19,8 @@ samples of one trial as little-endian float64, row-major, channels x samples.
 and `Manifest.subset` picks rows. `check_trial_files` checks the size of
 each file of some rows without opening one, and `load_trialset` reads them
 into one `TrialSet`. `read_chunks`, the one chunker, hands over a
-`TrialSet`'s or a manifest's rows' trials as many at a time as fit in
-`CHUNK_BYTES` of raw samples, and reads a manifest chunk only when it is
-taken, so its reader holds at most `CHUNK_BYTES` of raw samples, or one
-trial where a trial is larger, however many trials there are.
+`TrialSet`'s or a manifest's rows' trials a chunk at a time; its
+docstring gives the chunk rule.
 Datasets are written trial by trial, each file as its trial comes
 (`save_trialset`, and `fixtures.generate_fixture` as it draws them).
 """
@@ -43,8 +41,7 @@ from .errors import DataError, SchemaError
 MANIFEST_NAME = "manifest.json"
 # the class names of a `TrialSet` that is given none, and of every fixture
 CLASS_NAMES = ("class0", "class1")
-# raw float64 samples read and band-passed at a time (`read_chunks`), at
-# least one trial: bounds the samples held in memory whatever a trial's width
+# the bytes of raw samples in one chunk: see `read_chunks`
 CHUNK_BYTES = 2 ** 21
 
 _MANIFEST_KEYS = {"channels", "samples", "channel_names", "sampling_rate_hz",
@@ -52,8 +49,18 @@ _MANIFEST_KEYS = {"channels", "samples", "channel_names", "sampling_rate_hz",
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """`a`, a new array or view that no caller holds, made read-only."""
     a.setflags(write=False)
     return a
+
+
+def _keep(obj, name: str, a, dtype=np.float64) -> np.ndarray:
+    """Store a read-only C-contiguous copy of `a` as field `name` of a
+    frozen container and return it, so the caller's array stays writable.
+    Trial stacks are views instead (`_TrialStack`, `_derived`)."""
+    kept = _readonly(np.array(a, dtype=dtype, order="C"))
+    object.__setattr__(obj, name, kept)
+    return kept
 
 
 def _derived(obj, **fields):
@@ -294,9 +301,9 @@ def read_manifest(manifest_path) -> Manifest:
         If the manifest is missing.
     SchemaError
         On missing or mistyped manifest fields, non-integer channels,
-        samples, trial ids or labels, a sampling rate <= 0, channel or
-        class names that do not match their counts, labels outside {0, 1}
-        or duplicate ids.
+        samples, trial ids or labels, ids or labels beyond int64, a
+        sampling rate <= 0, channel or class names that do not match their
+        counts, labels outside {0, 1} or duplicate ids.
     """
     manifest_path = Path(manifest_path)
     manifest = _read_json(manifest_path)
@@ -325,8 +332,13 @@ def read_manifest(manifest_path) -> Manifest:
         for key in ("id", "label", "file"):
             if key not in row:
                 raise SchemaError(f"trial row {i} missing field {key!r}")
-        ids[i] = tid = _integer(row["id"], "trial field 'id'")
-        labels[i] = _integer(row["label"], f"trial {tid}: field 'label'")
+        try:
+            ids[i] = tid = _integer(row["id"], "trial field 'id'")
+            labels[i] = _integer(row["label"], f"trial {tid}: field 'label'")
+        except OverflowError:
+            key = "id" if not -2 ** 63 <= row["id"] < 2 ** 63 else "label"
+            raise SchemaError(f"trial row {i}: field {key!r} must fit in "
+                              f"int64, got {row[key]}") from None
         if not isinstance(row["file"], str):
             raise SchemaError(f"trial {tid}: field 'file' must be a string")
     _check_labels_and_ids(labels, ids)
@@ -414,7 +426,9 @@ def read_chunks(trials: TrialSet | Manifest) -> Iterator[TrialSet]:
     at least one. Each chunk is cut with `subset`; a manifest's chunk is
     then read, and validated, by `load_trialset` only when the one before
     it has been taken, so at most one chunk of raw samples is held at a
-    time. Errors are `load_trialset`'s, for the first faulty chunk."""
+    time, however many trials there are and however wide. This is the
+    chunk rule every reader of trial files follows. Errors are
+    `load_trialset`'s, for the first faulty chunk."""
     step = max(1, CHUNK_BYTES // (trials.n_channels * trials.n_samples * 8))
     for start in range(0, len(trials), step):
         chunk = trials.subset(slice(start, start + step))

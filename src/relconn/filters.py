@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TrialSet, _derived
+from .data import TrialSet, _derived, _keep
 from .errors import FilterDesignError, NumericError
 
 FAMILIES = ("butterworth", "elliptic")
@@ -82,9 +82,7 @@ class SosFilter:
     spec: FilterSpec
 
     def __post_init__(self):
-        sec = np.ascontiguousarray(self.sections, dtype=np.float64)
-        sec.setflags(write=False)
-        object.__setattr__(self, "sections", sec)
+        sec = _keep(self, "sections", self.sections)
         if sec.ndim != 2 or sec.shape[1] != 6:
             raise FilterDesignError(
                 f"sections must have shape (n, 6), got {sec.shape}")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _keep
 from .errors import NumericError
 
 # relative floor applied to eigenvalues before log/inverse-sqrt
@@ -103,8 +104,7 @@ class SpdMatrix:
             raise NumericError(
                 f"matrix is not positive definite (smallest eigenvalue "
                 f"{indefinite[1]:.6e})")
-        a.setflags(write=False)
-        object.__setattr__(self, "values", a)
+        _keep(self, "values", a)
 
     @property
     def dim(self) -> int:
@@ -215,8 +215,7 @@ class ReferencePoint:
 
     def __post_init__(self):
         s = _symmetrized(_checked(self.inv_sqrt, ndims=(2,)))
-        s.setflags(write=False)
-        object.__setattr__(self, "inv_sqrt", s)
+        _keep(self, "inv_sqrt", s)
         n = self.mean.dim
         ident = s @ self.mean.values @ s
         err = float(np.max(np.abs(ident - np.eye(n))))

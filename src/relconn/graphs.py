@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _keep
+
+
 def assign_modules(weights: np.ndarray) -> np.ndarray:
     """Greedy agglomerative modularity maximization (Newman).
 
@@ -89,12 +92,8 @@ class ConnectivityGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "node_names", tuple(self.node_names))
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        m = np.ascontiguousarray(self.modules, dtype=int)
-        w.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "modules", m)
+        w = _keep(self, "weights", self.weights)
+        m = _keep(self, "modules", self.modules, dtype=int)
         _check_weights(w, self.node_names)
         if m.shape != (len(self.node_names),):
             raise ValueError("one module id per node is required")

@@ -9,9 +9,9 @@ no timestamps; identical configuration and data give identical bytes.
 Preprocessing band-passes the raw samples, cuts the epoch window and
 reduces every trial to its channel scatter matrix S = x x'. Trials reach
 the stages from one side of the train/test split, that side's manifest
-rows only, and are read from file a chunk at a time (`data.read_chunks`):
-each chunk is reduced before the next is read, so a stage holds one chunk
-of raw samples, at most `data.CHUNK_BYTES` or one trial, never a side.
+rows only, and are read from file a chunk at a time (`data.read_chunks`
+gives the rule): each chunk is reduced before the next is read, so a stage
+holds one chunk of raw samples, never a side.
 `fit-csp`, `train` and `cv` work on the training side's `ScatterSet`;
 `evaluate` reads the test rows chunk by chunk, projects each chunk
 through the fitted filter bank and preprocesses the n_filters projected
@@ -48,7 +48,7 @@ from .classify import (TslrModel, EvalReport, _check_k_folds,
 from .csp import (SpatialFilterBank, _check_n_filters, _shrunk_covariances,
                   fit_csp, project_trials, select_channels)
 from .data import (Manifest, ScatterSet, TrialSet, _derived, _integer,
-                   _number, _read_json, _write_json,
+                   _names, _number, _read_json, _write_json,
                    check_trial_files, default_n_train, read_chunks,
                    read_manifest, split_rows)
 from .errors import SchemaError
@@ -86,6 +86,13 @@ ARTIFACTS = {
     "node_metrics": "70_node_metrics.csv",
     "separability": "80_separability.json",
 }
+
+# the columns of the per-trial table as `_load_report` parses them: ids and
+# labels as the int64s written (through float64, ids above 2**53 would
+# round), posteriors as float64, which reads their repr back exactly
+_PER_TRIAL_COLUMNS = np.dtype([
+    ("trial_id", np.int64), ("true_label", np.int64),
+    ("predicted_label", np.int64), ("posterior", np.float64)])
 
 
 def _text(value, field: str) -> str:
@@ -251,6 +258,21 @@ def _prefix_errors(label: str):
         raise type(e)(f"{label}: {e}") from e
 
 
+@contextmanager
+def _artifact(cfg: PipelineConfig, name: str):
+    """The JSON object an earlier stage wrote as artifact `name`, to read
+    fields from: a missing field, or a value of the wrong type or length,
+    is a SchemaError naming the file."""
+    path = cfg.out_path(name)
+    d = _read_json(path)
+    try:
+        yield d
+    except KeyError as e:
+        raise SchemaError(f"{path} has no field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{path}: {e}") from e
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -268,12 +290,11 @@ def preprocess(cfg: PipelineConfig, trials: TrialSet | Manifest,
 
     `trials` is a `TrialSet` in memory, or a manifest's rows, whose trial
     files are then read, and checked by size, as they are needed. Either
-    way `data.read_chunks` hands the trials over a chunk at a time, at
-    most `data.CHUNK_BYTES` of raw samples or one trial, and each chunk is
-    reduced to its rows of the scatter stack before the next is taken, so
-    besides the stack at most one chunk of raw samples and its filter
-    outputs is held, whatever the trials' width. With no trials the stack
-    is empty, and `ScatterSet` rejects it (DataError).
+    way `data.read_chunks` hands the trials over a chunk at a time, and
+    each chunk is reduced to its rows of the scatter stack before the next
+    is taken, so besides the stack at most one chunk of raw samples and
+    its filter outputs is held. With no trials the stack is empty, and
+    `ScatterSet` rejects it (DataError).
     With a `bank`, each chunk's raw trials are first projected through it
     (`csp.project_trials`), and the stack holds the n_filters x n_filters
     scatter matrices of the projected signals.
@@ -329,12 +350,12 @@ def _side(cfg: PipelineConfig, split: Split | None, side: int,
     given, else from that side's manifest rows only, with `manifest` as
     read already or read from the config's path.
 
-    The training side is preprocessed from file, chunk by chunk, each
-    trial file checked by size as its chunk is read. The test side stays
-    as its manifest rows, which evaluate reads chunk by chunk. Its file
-    sizes (`data.check_trial_files`), band and epoch are checked here,
-    before any sample is read, so that `run` fails before any stage writes
-    and evaluate before it reads the model.
+    The training side is preprocessed from its trial files
+    (`preprocess`). The test side stays as its manifest rows, which
+    evaluate preprocesses the same way. Its file sizes
+    (`data.check_trial_files`), band and epoch are checked here, before any
+    sample is read, so that `run` fails before any stage writes and
+    evaluate before it reads the model.
     """
     if split is not None:
         return split[side]
@@ -382,9 +403,12 @@ def stage_fit_csp(cfg: PipelineConfig,
         return paths
 
 
-def _load_bank(cfg: PipelineConfig) -> tuple[SpatialFilterBank, list[str]]:
-    d = _read_json(cfg.out_path("filter_bank"))
-    return SpatialFilterBank.from_dict(d["filter_bank"]), d["node_names"]
+def _load_bank(cfg: PipelineConfig
+               ) -> tuple[SpatialFilterBank, tuple[str, ...]]:
+    """The filter bank and one node name per filter."""
+    with _artifact(cfg, "filter_bank") as d:
+        bank = SpatialFilterBank.from_dict(d["filter_bank"])
+        return bank, _names(d["node_names"], "node_names", bank.n_filters)
 
 
 def stage_train(cfg: PipelineConfig,
@@ -431,7 +455,8 @@ def stage_evaluate(cfg: PipelineConfig,
     """
     with _prefix_errors("stage evaluate"):
         test_rows = _side(cfg, split, _TEST)
-        model = TslrModel.from_dict(_read_json(cfg.out_path("model")))
+        with _artifact(cfg, "model") as d:
+            model = TslrModel.from_dict(d)
         # the raw trials are projected through the bank before they are
         # band-passed, so n_filters signals per trial are filtered, not
         # every channel; the covariances then match `trial_covariances`
@@ -442,22 +467,20 @@ def stage_evaluate(cfg: PipelineConfig,
         paths = [cfg.out_path("eval_report"), cfg.out_path("eval_per_trial"),
                  cfg.out_path("test_covariances")]
         _write_json(paths[0], report.to_dict())
-        _write_csv(paths[1],
-                   ["trial_id", "true_label", "predicted_label", "posterior"],
+        _write_csv(paths[1], list(_PER_TRIAL_COLUMNS.names),
                    report.per_trial_rows())
         np.save(paths[2], covs, allow_pickle=False)
         return paths
 
 
 def _load_report(cfg: PipelineConfig) -> EvalReport:
-    aggregates = _read_json(cfg.out_path("eval_report"))
-    # columns trial_id, true_label, predicted_label, posterior; float
-    # parsing reads back the repr'd posteriors exactly
-    table = np.loadtxt(cfg.out_path("eval_per_trial"), delimiter=",",
-                       skiprows=1, ndmin=2)
-    ids, true, pred = table[:, :3].astype(int).T
-    return EvalReport(aggregates["accuracy"], aggregates["precision"],
-                      aggregates["recall"], ids, true, pred, table[:, 3])
+    with _artifact(cfg, "eval_report") as d:
+        aggregates = [_number(d[key], key)
+                      for key in ("accuracy", "precision", "recall")]
+    table = np.loadtxt(cfg.out_path("eval_per_trial"), _PER_TRIAL_COLUMNS,
+                       delimiter=",", skiprows=1, ndmin=1)
+    return EvalReport(*aggregates,
+                      *(table[name] for name in _PER_TRIAL_COLUMNS.names))
 
 
 def stage_select(cfg: PipelineConfig,
@@ -528,7 +551,9 @@ def stage_graph(cfg: PipelineConfig,
                               f"evaluate")
         covs = _load_test_covariances(cfg, len(report.trial_ids),
                                       bank.n_filters)
-        selected = _read_json(cfg.out_path("selected_trials"))["selected_ids"]
+        with _artifact(cfg, "selected_trials") as d:
+            selected = [_integer(v, "each entry of selected_ids")
+                        for v in d["selected_ids"]]
 
         is_selected = np.isin(report.trial_ids, selected)
         paths = []

@@ -200,6 +200,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: stage fit-csp:" in err
 
+    def test_id_beyond_int64_exits_two(self, dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset.parent, data)
+        d = json.loads((data / "manifest.json").read_text())
+        d["trials"][3]["id"] = 2 ** 70
+        (data / "manifest.json").write_text(json.dumps(d))
+        cfg = write_config(tmp_path / "cfg.json", data / "manifest.json",
+                           tmp_path / "out")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: stage fit-csp: trial row 3: field 'id' must fit in "
+            f"int64, got {2 ** 70}\n")
+
     def test_zero_power_training_trial_fails_lone_cv(self, dataset, tmp_path,
                                                      capsys):
         # cv normalizes every training trial's scatter matrix once, up

@@ -10,10 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from relconn.classify import TslrModel
+from relconn.csp import SpatialFilterBank
 from relconn.data import (_MANIFEST_KEYS, MANIFEST_NAME, ScatterSet, TrialSet,
                           load_trialset, read_manifest, save_trialset,
                           split_rows, split_train_test)
 from relconn.errors import DataError, SchemaError
+from relconn.filters import FilterSpec, SosFilter
+from relconn.geometry import ReferencePoint, SpdMatrix
+from relconn.graphs import ConnectivityGraph
 
 
 def make_set(n_trials=6, n_channels=3, n_samples=8, seed=0):
@@ -135,6 +140,46 @@ class TestScatterSet:
     def test_validated(self, matrices, error, match):
         with pytest.raises(error, match=match):
             ScatterSet(matrices, 4, [0, 1], [0, 1], ("a", "b"))
+
+
+# container -> (fields, build): build makes the container from the named
+# arrays, which the test owns
+KEPT_FIELDS = {
+    "SpatialFilterBank": (
+        {"w": np.eye(2), "patterns": np.eye(2),
+         "eigenvalues": np.array([0.75, 0.25])},
+        lambda a: SpatialFilterBank(a["w"], a["patterns"], a["eigenvalues"])),
+    "SosFilter": (
+        {"sections": np.array([[1.0, 0.0, 0.0, 1.0, -0.5, 0.0]])},
+        lambda a: SosFilter(a["sections"],
+                            FilterSpec("butterworth", 1, (1.0, 10.0), 100.0))),
+    "ConnectivityGraph": (
+        {"weights": np.array([[0.0, 1.0], [1.0, 0.0]]),
+         "modules": np.array([0, 1])},
+        lambda a: ConnectivityGraph(("a", "b"), a["weights"], a["modules"])),
+    "TslrModel": (
+        {"weights": np.zeros(3)},
+        lambda a: TslrModel(a["weights"], 0.0, 0.1,
+                            ReferencePoint.from_mean(SpdMatrix(np.eye(2))),
+                            SpatialFilterBank(np.eye(2), np.eye(2),
+                                              np.array([0.75, 0.25])))),
+}
+
+
+class TestKeptArrays:
+    """A container keeps a read-only copy of each array it is handed, so
+    the caller's own array stays writable."""
+
+    @pytest.mark.parametrize("container", sorted(KEPT_FIELDS))
+    def test_callers_arrays_stay_writable(self, container):
+        arrays, build = KEPT_FIELDS[container]
+        built = build(arrays)
+        for name, a in arrays.items():
+            assert a.flags.writeable and a.flags.c_contiguous, name
+            kept = getattr(built, name)
+            assert not kept.flags.writeable, name
+            assert not np.shares_memory(kept, a), name
+            assert np.array_equal(kept, a), name
 
 
 class TestSubsetIndex:
@@ -406,6 +451,18 @@ def manifest_faults(draw):
     if kind == "resize_file":
         return kind, row, draw(st.integers(-24, 3).filter(bool))
     return kind, row, draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@pytest.mark.parametrize("key", ["id", "label"])
+def test_manifest_value_beyond_int64(tmp_path, key):
+    manifest = save_trialset(make_set(n_trials=3), tmp_path)
+    d = json.loads(manifest.read_text())
+    d["trials"][1][key] = 2 ** 70
+    manifest.write_text(json.dumps(d))
+    with pytest.raises(SchemaError) as err:
+        read_manifest(manifest)
+    assert str(err.value) == (f"trial row 1: field {key!r} must fit in "
+                              f"int64, got {2 ** 70}")
 
 
 class TestManifestFuzz:

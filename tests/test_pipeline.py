@@ -744,6 +744,55 @@ class TestStaleArtifacts:
         assert (f"error: stage graph: {path} {message}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("stage, artifact, edit, message", [
+        ("evaluate", "model", lambda d: d.update(weights={"a": 1}),
+         ": float() argument must be"),
+        ("graph", "filter_bank", lambda d: d.update(node_names=None),
+         ": node_names must be a list of strings, got None"),
+        ("train", "filter_bank", lambda d: d.update(filter_bank=[]),
+         ": list indices must be integers"),
+        ("evaluate", "model", lambda d: d.pop("bias"),
+         " has no field 'bias'"),
+        ("graph", "filter_bank", lambda d: d.pop("node_names"),
+         " has no field 'node_names'"),
+        ("graph", "selected_trials", lambda d: d.pop("selected_ids"),
+         " has no field 'selected_ids'"),
+        ("select", "eval_report", lambda d: d.pop("accuracy"),
+         " has no field 'accuracy'"),
+        ("evaluate", "model", lambda d: d.update(bias="x"),
+         ": bias must be a number, got 'x'"),
+        ("graph", "filter_bank", lambda d: d.update(node_names=["a"]),
+         ": node_names has 1 entries, expected 6"),
+    ], ids=["weights_object", "node_names_null", "filter_bank_list",
+            "no_bias", "no_node_names", "no_selected_ids", "no_accuracy",
+            "bias_string", "one_node_name"])
+    def test_malformed_json_names_the_file(self, completed_run, tmp_path,
+                                           capsys, stage, artifact, edit,
+                                           message):
+        out, config = artifacts_copy(completed_run[0], tmp_path)
+        path = out / ARTIFACTS[artifact]
+        d = json.loads(path.read_text())
+        edit(d)
+        path.write_text(json.dumps(d))
+        assert main([stage, "--config", config]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: stage {stage}: {path}{message}")
+
+    def test_graph_needs_selected_trials_of_each_class(self, completed_run,
+                                                       tmp_path, capsys):
+        cfg = completed_run[0]
+        out, config = artifacts_copy(cfg, tmp_path)
+        manifest = read_manifest(cfg.manifest)
+        class0 = set(manifest.ids[manifest.labels == 0].tolist())
+        path = out / ARTIFACTS["selected_trials"]
+        d = json.loads(path.read_text())
+        d["selected_ids"] = [i for i in d["selected_ids"] if i in class0]
+        path.write_text(json.dumps(d))
+        assert main(["graph", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage graph: no selected trials for class 1; cannot "
+            "build a graph\n")
+
     def test_graph_rejects_a_table_of_other_trials(self, completed_run,
                                                    tmp_path, capsys):
         # with one more test row, the manifest's test rows are not the
@@ -779,6 +828,24 @@ class TestStaleArtifacts:
         assert main(["report", "--config", config]) == 2
         assert (f"error: stage report: {path} lists nodes ['x"
                 in capsys.readouterr().err)
+
+
+class TestWideIds:
+    def test_ids_above_2_to_53_select_test_trials(self, dataset, tmp_path):
+        # float64 holds every integer only up to 2**53; ids are int64
+        manifest, _ = dataset
+        data = Path(shutil.copytree(Path(manifest).parent, tmp_path / "data"))
+        d = json.loads((data / "manifest.json").read_text())
+        for k, row in enumerate(d["trials"]):
+            row["id"] = 2 ** 60 + k
+        (data / "manifest.json").write_text(json.dumps(d))
+        cfg = make_config(data / "manifest.json", tmp_path / "out")
+        run_pipeline(cfg)
+        test_ids = [row["id"] for row in d["trials"][cfg.n_train:]]
+        selected = json.loads(
+            cfg.out_path("selected_trials").read_text())["selected_ids"]
+        assert selected and len(set(selected)) == len(selected)
+        assert set(selected) <= set(test_ids)
 
 
 class TestStageErrors:
