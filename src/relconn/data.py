@@ -214,12 +214,12 @@ class ScatterSet(_TrialStack):
 
 
 def _read_json(path) -> dict:
-    """The JSON object a file holds; invalid JSON or another JSON value is
-    a SchemaError naming the file."""
+    """The JSON object a file holds; invalid JSON or UTF-8, or another JSON
+    value, is a SchemaError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             value = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise SchemaError(f"{path} is not valid JSON: {e}") from e
     if not isinstance(value, dict):
         raise SchemaError(f"{path} must hold a JSON object")
@@ -231,8 +231,7 @@ def _write_json(path: Path, obj: dict) -> None:
     objects give equal bytes; creates the parent directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _integer(value, field: str) -> int:
@@ -324,31 +323,58 @@ def read_manifest(manifest_path) -> Manifest:
     if not isinstance(table, list) or not table:
         raise SchemaError("manifest field 'trials' must be a non-empty list")
 
-    labels = np.empty(len(table), dtype=np.int64)
-    ids = np.empty(len(table), dtype=np.int64)
-    for i, row in enumerate(table):
-        if not isinstance(row, dict):
-            raise SchemaError(f"trial row {i} must be an object, got {row!r}")
-        for key in ("id", "label", "file"):
-            if key not in row:
-                raise SchemaError(f"trial row {i} missing field {key!r}")
-        try:
-            ids[i] = tid = _integer(row["id"], "trial field 'id'")
-            labels[i] = _integer(row["label"], f"trial {tid}: field 'label'")
-        except OverflowError:
-            key = "id" if not -2 ** 63 <= row["id"] < 2 ** 63 else "label"
-            raise SchemaError(f"trial row {i}: field {key!r} must fit in "
-                              f"int64, got {row[key]}") from None
-        if not isinstance(row["file"], str):
-            raise SchemaError(f"trial {tid}: field 'file' must be a string")
+    ids, labels, files = _trial_columns(table)
     _check_labels_and_ids(labels, ids)
 
     return Manifest(
         manifest_path.parent, n_ch, n_sa,
         _names(manifest["channel_names"], "channel_names", n_ch), rate,
         _names(manifest["class_names"], "class_names", 2),
-        _readonly(ids), _readonly(labels),
-        tuple(row["file"] for row in table))
+        _readonly(ids), _readonly(labels), files)
+
+
+def _trial_columns(table: list) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """A trial table's ids, labels and files, each column converted whole.
+    Rows are checked one by one (`_check_row`), naming the first fault,
+    unless every id and label is an int within int64 and every file a str.
+    """
+    try:
+        ids, labels, files = ([row[key] for row in table]
+                              for key in ("id", "label", "file"))
+        plain = ({*map(type, ids), *map(type, labels)} == {int}
+                 and {*map(type, files)} == {str}
+                 and -2 ** 63 <= min(min(ids), min(labels))
+                 and max(max(ids), max(labels)) < 2 ** 63)
+    except (TypeError, KeyError):
+        plain = False
+    if not plain:
+        for i, row in enumerate(table):
+            _check_row(i, row)
+    # a table that is not plain yet passes holds integral floats
+    return (np.array(ids, np.int64), np.array(labels, np.int64),
+            tuple(files))
+
+
+def _check_row(i: int, row) -> None:
+    """Raise a SchemaError naming row i unless it is an object with an
+    integral id and label within int64 and a string file."""
+    if not isinstance(row, dict):
+        raise SchemaError(f"trial row {i} must be an object, got {row!r}")
+    for key in ("id", "label", "file"):
+        if key not in row:
+            raise SchemaError(f"trial row {i} missing field {key!r}")
+    tid = _int64(row, i, "id", "trial field 'id'")
+    _int64(row, i, "label", f"trial {tid}: field 'label'")
+    if not isinstance(row["file"], str):
+        raise SchemaError(f"trial {tid}: field 'file' must be a string")
+
+
+def _int64(row: dict, i: int, key: str, field: str) -> int:
+    value = _integer(row[key], field)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise SchemaError(f"trial row {i}: field {key!r} must fit in int64, "
+                          f"got {row[key]}")
+    return value
 
 
 def _size_error(m: Manifest, tid, name: str, size: int) -> SchemaError:

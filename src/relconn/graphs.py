@@ -13,6 +13,7 @@ shortest paths, one argmax over the gain matrix per merge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,43 +60,41 @@ def assign_modules(weights: np.ndarray) -> np.ndarray:
     return np.unique(membership, return_inverse=True)[1]
 
 
-def _check_weights(w: np.ndarray, node_names: tuple[str, ...]) -> None:
-    """Raise ValueError unless w is an n x n finite, symmetric,
-    non-negative matrix with a zero diagonal, n = len(node_names)."""
-    n = len(node_names)
-    if w.shape != (n, n):
-        raise ValueError(
-            f"weights must be {n}x{n} for {n} nodes, got {w.shape}")
-    if not np.isfinite(w).all():
-        i, j = np.argwhere(~np.isfinite(w))[0]
-        raise ValueError(f"weights must be finite, got {w[i, j]} between "
-                         f"{node_names[i]!r} and {node_names[j]!r}")
-    if not np.allclose(w, w.T, rtol=0.0, atol=1e-12 * max(1.0, w.max(initial=0.0))):
-        raise ValueError("weights must be symmetric")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be non-negative")
-    if np.any(np.diag(w) != 0.0):
-        raise ValueError("diagonal must be zero")
-
-
 @dataclass(frozen=True)
 class ConnectivityGraph:
     """Undirected weighted graph over named nodes.
 
     weights is finite and symmetric with non-negative entries and a zero
-    diagonal; modules assigns every node a community id.
+    diagonal; modules assigns every node a community id, by default
+    `assign_modules` of the weights once they are checked.
     """
 
     node_names: tuple[str, ...]
     weights: np.ndarray
-    modules: np.ndarray
+    modules: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "node_names", tuple(self.node_names))
+        names = tuple(self.node_names)
+        object.__setattr__(self, "node_names", names)
         w = _keep(self, "weights", self.weights)
-        m = _keep(self, "modules", self.modules, dtype=int)
-        _check_weights(w, self.node_names)
-        if m.shape != (len(self.node_names),):
+        n = len(names)
+        if w.shape != (n, n):
+            raise ValueError(
+                f"weights must be {n}x{n} for {n} nodes, got {w.shape}")
+        if not np.isfinite(w).all():
+            i, j = np.argwhere(~np.isfinite(w))[0]
+            raise ValueError(f"weights must be finite, got {w[i, j]} between "
+                             f"{names[i]!r} and {names[j]!r}")
+        if not np.allclose(w, w.T, rtol=0.0,
+                           atol=1e-12 * max(1.0, w.max(initial=0.0))):
+            raise ValueError("weights must be symmetric")
+        if np.any(w < 0.0):
+            raise ValueError("weights must be non-negative")
+        if np.any(np.diag(w) != 0.0):
+            raise ValueError("diagonal must be zero")
+        m = _keep(self, "modules", assign_modules(w) if self.modules is None
+                  else self.modules, dtype=int)
+        if m.shape != (n,):
             raise ValueError("one module id per node is required")
 
     @property
@@ -113,7 +112,7 @@ def build_graph(covariances, node_names) -> ConnectivityGraph:
     covariance|, zero diagonal.
 
     Modules are assigned by greedy modularity maximization on the
-    resulting weights, once they are known to be valid.
+    resulting weights, once `ConnectivityGraph` has checked them.
     """
     covs = np.asarray(covariances, dtype=np.float64)
     if not len(covs):
@@ -121,9 +120,7 @@ def build_graph(covariances, node_names) -> ConnectivityGraph:
     mean = covs.mean(axis=0)
     w = np.abs(0.5 * (mean + mean.T))
     np.fill_diagonal(w, 0.0)
-    node_names = tuple(node_names)
-    _check_weights(w, node_names)
-    return ConnectivityGraph(node_names, w, assign_modules(w))
+    return ConnectivityGraph(tuple(node_names), w)
 
 
 def node_strength(g: ConnectivityGraph) -> np.ndarray:
@@ -138,37 +135,37 @@ def clustering_coefficient(g: ConnectivityGraph) -> np.ndarray:
     in [0, 1]. Nodes with fewer than two neighbors score 0.
     """
     w = g.weights
-    n = g.n_nodes
+    out = np.zeros(g.n_nodes)
     w_max = float(w.max(initial=0.0))
-    out = np.zeros(n)
     if w_max <= 0.0:
         return out
     w_hat = np.cbrt(w / w_max)
     degrees = (w > 0.0).sum(axis=1)
     # sum over ordered neighbor pairs of the triangle geometric means
     cycles = np.diag(w_hat @ w_hat @ w_hat)
-    for i in range(n):
-        k = int(degrees[i])
-        if k >= 2:
-            out[i] = cycles[i] / (k * (k - 1))
-    return out
+    return np.divide(cycles, degrees * (degrees - 1), out=out,
+                     where=degrees >= 2)
+
+
+# libm's pow, as in a float64's `** 2`: x * x and np.power round some apart
+_pow = np.frompyfunc(math.pow, 2, 1)
 
 
 def participation_coefficient(g: ConnectivityGraph) -> np.ndarray:
     """1 - sum over modules of (strength into module / strength)^2.
 
-    Nodes with zero strength score 0.
+    Nodes with zero strength score 0. The squares are added in ascending
+    module id order.
     """
     s = node_strength(g)
+    has = s > 0.0
+    frac = np.zeros(np.count_nonzero(has))
+    for m in np.unique(g.modules):
+        # a C-order block, whose rows numpy sums as it sums each row alone
+        into = g.weights[np.ix_(has, g.modules == m)].sum(axis=1)
+        frac += _pow(into / s[has], 2.0).astype(np.float64)
     out = np.zeros(g.n_nodes)
-    for i in range(g.n_nodes):
-        if s[i] <= 0.0:
-            continue
-        frac = 0.0
-        for m in np.unique(g.modules):
-            s_im = float(g.weights[i, g.modules == m].sum())
-            frac += (s_im / s[i]) ** 2
-        out[i] = 1.0 - frac
+    out[has] = 1.0 - frac
     return out
 
 
@@ -180,19 +177,33 @@ def local_efficiency(g: ConnectivityGraph) -> np.ndarray:
     Floyd-Warshall, and average 1/distance over all neighbor pairs;
     unreachable pairs have distance inf and so contribute 0. Nodes with
     fewer than two neighbors score 0.
+
+    Nodes with equally many neighbors share Floyd-Warshall passes over
+    their stacked subgraphs (neighbors in ascending order), a stack at
+    most 2**16 distances (512 KiB) so that it stays in cache: the cost is
+    the sum over nodes of neighbors^3, as one pass per node would be.
     """
     w = g.weights
+    adjacent = w > 0.0
+    degrees = adjacent.sum(axis=1)
     out = np.zeros(g.n_nodes)
-    for i in range(g.n_nodes):
-        nb = np.flatnonzero(w[i] > 0.0)
-        if nb.size < 2:
-            continue
-        sub = w[np.ix_(nb, nb)]
-        dist = np.divide(1.0, sub, out=np.full_like(sub, np.inf),
-                         where=sub > 0.0)
-        for via in range(nb.size):
-            np.minimum(dist, dist[:, via, None] + dist[via], out=dist)
-        out[i] = float((1.0 / dist[np.triu_indices(nb.size, 1)]).mean())
+    for k in np.unique(degrees[degrees >= 2]).tolist():
+        nodes = np.flatnonzero(degrees == k)
+        step = max(1, 2 ** 16 // (k * k))
+        for rows in (nodes[i:i + step] for i in range(0, len(nodes), step)):
+            nb = np.nonzero(adjacent[rows])[1].reshape(-1, k)
+            sub = w[nb[:, :, None], nb[:, None, :]]
+            dist = np.divide(1.0, sub, out=np.full_like(sub, np.inf),
+                             where=sub > 0.0)
+            for via in range(k):
+                np.minimum(dist, dist[:, :, via, None] + dist[:, None, via],
+                           out=dist)
+            # each node's pairs as a row of one C-order array (`take` keeps
+            # that order, indexing does not): numpy sums each row as it
+            # would sum that row alone
+            pairs = np.take(dist.reshape(len(rows), -1),
+                            np.flatnonzero(~np.tri(k, dtype=bool)), axis=1)
+            out[rows] = (1.0 / pairs).mean(axis=1)
     return out
 
 

@@ -262,14 +262,15 @@ def _prefix_errors(label: str):
 def _artifact(cfg: PipelineConfig, name: str):
     """The JSON object an earlier stage wrote as artifact `name`, to read
     fields from: a missing field, or a value of the wrong type or length,
-    is a SchemaError naming the file."""
+    or one that fails a numeric check (a matrix that is not positive
+    definite), is a SchemaError naming the file."""
     path = cfg.out_path(name)
     d = _read_json(path)
     try:
         yield d
     except KeyError as e:
         raise SchemaError(f"{path} has no field {e}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, ArithmeticError) as e:
         raise SchemaError(f"{path}: {e}") from e
 
 
@@ -477,8 +478,12 @@ def _load_report(cfg: PipelineConfig) -> EvalReport:
     with _artifact(cfg, "eval_report") as d:
         aggregates = [_number(d[key], key)
                       for key in ("accuracy", "precision", "recall")]
-    table = np.loadtxt(cfg.out_path("eval_per_trial"), _PER_TRIAL_COLUMNS,
-                       delimiter=",", skiprows=1, ndmin=1)
+    path = cfg.out_path("eval_per_trial")
+    try:
+        table = np.loadtxt(path, _PER_TRIAL_COLUMNS, delimiter=",",
+                           skiprows=1, ndmin=1)
+    except ValueError as e:
+        raise SchemaError(f"{path}: {e}") from e
     return EvalReport(*aggregates,
                       *(table[name] for name in _PER_TRIAL_COLUMNS.names))
 
@@ -578,11 +583,10 @@ def stage_graph(cfg: PipelineConfig,
                     "n_trials": n_trials,
                 })
                 paths.append(path)
-                for metric, values in node_metrics(graph).items():
-                    for node, value in zip(graph.node_names, values):
-                        metric_rows.append(
-                            (node, metric, float(value),
-                             f"{condition}:class{class_index}"))
+                metric_rows += [
+                    (node, metric, value, f"{condition}:class{class_index}")
+                    for metric, values in node_metrics(graph).items()
+                    for node, value in zip(graph.node_names, values.tolist())]
 
         paths.append(cfg.out_path("node_metrics"))
         _write_csv(paths[-1], ["node", "metric", "value", "condition"],
@@ -601,8 +605,12 @@ def _load_node_metrics(cfg: PipelineConfig
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
         next(rows, None)
-        for node, metric, value, graph in rows:
-            values.setdefault((graph, metric), []).append((node, float(value)))
+        try:
+            for node, metric, value, graph in rows:
+                values.setdefault((graph, metric), []).append(
+                    (node, float(value)))
+        except ValueError as e:
+            raise SchemaError(f"{path}, line {rows.line_num}: {e}") from e
     tables, nodes = {}, None
     for graph in (f"{condition}:class{class_index}" for class_index in (0, 1)
                   for condition in ("all", "selected")):

@@ -10,6 +10,7 @@ from relconn.classify import stratified_folds
 from relconn.cli import main
 from relconn.data import TrialSet, save_trialset
 from relconn.filters import FilterSpec, design_bandpass, write_response_csv
+from relconn.fixtures import FixtureSpec
 from relconn.pipeline import ARTIFACTS, stages
 
 
@@ -41,6 +42,18 @@ class TestFixtureCommand:
                      "--trials-per-class", "4", "--duration", "0.2"]) == 0
         truth = json.loads((tmp_path / "fixture_truth.json").read_text())
         assert truth["seed"] == 9
+
+    def test_snr_option_is_not_kept_for_the_next_call(self, tmp_path):
+        # calls in one process: an option one call set must not reach the
+        # next
+        for name, argv, snr in (("inf", ["--snr", "inf"], "inf"),
+                                ("default", [], FixtureSpec.snr)):
+            out = tmp_path / name
+            assert main(["fixture", "--out", str(out), "--seed", "3",
+                         "--trials-per-class", "4", "--duration", "0.5",
+                         *argv]) == 0
+            truth = json.loads((out / "fixture_truth.json").read_text())
+            assert truth["spec"]["snr"] == snr
 
     def test_one_class_split_rejected_up_front(self, tmp_path, capsys):
         # 4 trials split 3/1 leave the test session one class short
@@ -155,6 +168,18 @@ class TestRunCommand:
                      "--lambda", "0.5"]) == 0
         model = json.loads((out_dir / "20_model.json").read_text())
         assert model["lambda"] == 0.5
+
+    def test_threshold_override_is_not_kept_for_the_next_call(
+            self, dataset, tmp_path):
+        # calls in one process: a call without --threshold writes the
+        # config's threshold, whatever the call before it overrode
+        cfg = write_config(tmp_path / "cfg.json", dataset, tmp_path / "out",
+                           posterior_threshold=0.6)
+        assert main(["run", "--config", str(cfg)]) == 0
+        selected = tmp_path / "out" / ARTIFACTS["selected_trials"]
+        for argv, threshold in ((["--threshold", "0.9"], 0.9), ([], 0.6)):
+            assert main(["select", "--config", str(cfg), *argv]) == 0
+            assert json.loads(selected.read_text())["threshold"] == threshold
 
     def test_stagewise_matches_run(self, dataset, tmp_path):
         cfg_a = write_config(tmp_path / "a.json", dataset, tmp_path / "a")

@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 from scipy.sparse.csgraph import shortest_path
 
 import graph_oracle as ref
-from relconn.graphs import (ConnectivityGraph, assign_modules, build_graph,
-                            clustering_coefficient, local_efficiency,
-                            node_metrics, node_strength,
+from relconn.graphs import (METRICS, ConnectivityGraph, assign_modules,
+                            build_graph, clustering_coefficient,
+                            local_efficiency, node_metrics, node_strength,
                             participation_coefficient, separability)
 
 
@@ -310,3 +310,57 @@ class TestMetricProperties:
         w = random_weights(np.random.default_rng(seed), n, density)
         assert_allclose(local_efficiency(graph_from(w)),
                         dijkstra_local_efficiency(w), rtol=1e-12, atol=0.0)
+
+
+class TestStackedMetricsExact:
+    """The stacked metrics give exactly the bytes of the per-node numpy
+    versions (`graph_oracle.*_per_node`), so graph artifacts keep theirs."""
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 64),
+           density=st.floats(0.0, 1.0), scale=st.integers(-8, 8),
+           isolated=st.integers(0, 3), leaves=st.integers(0, 3),
+           own_modules=st.booleans())
+    def test_same_bytes_as_per_node(self, seed, n, density, scale, isolated,
+                                    leaves, own_modules):
+        rng = np.random.default_rng(seed)
+        w = random_weights(rng, n, density) * 10.0 ** scale
+        # isolated nodes first, then nodes left with a single neighbor
+        nodes = rng.permutation(n)
+        for k, i in enumerate(nodes[:isolated + leaves]):
+            w[i] = w[:, i] = 0.0
+            if k >= isolated:
+                j = (i + 1 + rng.integers(n - 1)) % n
+                w[i, j] = w[j, i] = rng.uniform(0.1, 2.0)
+        # arbitrary, unordered module ids as well as assigned ones
+        modules = rng.integers(-3, 5, n) if own_modules else None
+        g = graph_from(w, modules)
+        assert (clustering_coefficient(g).tobytes()
+                == ref.clustering_per_node(w).tobytes())
+        assert (participation_coefficient(g).tobytes()
+                == ref.participation_per_node(w, g.modules).tobytes())
+        assert (local_efficiency(g).tobytes()
+                == ref.local_efficiency_per_node(w).tobytes())
+
+    @pytest.mark.parametrize("shape", ["hub_and_leaves", "dense"])
+    def test_degree_extremes(self, shape):
+        # a hub of degree 63 with leaves of degree 1 and 2 (one pass per
+        # neighbor count), and 64 nodes of degree 63 (a stack of 64
+        # subgraphs, cut into passes of at most 2**16 distances)
+        rng = np.random.default_rng(7)
+        if shape == "dense":
+            w = random_weights(rng, 64, 1.0)
+        else:
+            w = np.zeros((64, 64))
+            w[0, 1:] = w[1:, 0] = rng.uniform(0.1, 2.0, 63)
+            for i in range(1, 63, 2):
+                w[i, i + 1] = w[i + 1, i] = rng.uniform(0.1, 2.0)
+        assert (local_efficiency(graph_from(w)).tobytes()
+                == ref.local_efficiency_per_node(w).tobytes())
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_graphs_of_no_or_one_node(self, n):
+        w = np.zeros((n, n))
+        g = ConnectivityGraph(tuple(f"n{i}" for i in range(n)), w)
+        for metric in METRICS.values():
+            assert metric(g).tobytes() == np.zeros(n).tobytes()

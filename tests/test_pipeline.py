@@ -763,9 +763,15 @@ class TestStaleArtifacts:
          ": bias must be a number, got 'x'"),
         ("graph", "filter_bank", lambda d: d.update(node_names=["a"]),
          ": node_names has 1 entries, expected 6"),
+        # a numeric check that fails on a damaged field is a schema fault
+        # of the file (exit 2), not a numeric failure of the run (exit 3)
+        ("evaluate", "model",
+         lambda d: d.update(reference_mean=(-np.array(d["reference_mean"]))
+                            .tolist()),
+         ": matrix is not positive definite"),
     ], ids=["weights_object", "node_names_null", "filter_bank_list",
             "no_bias", "no_node_names", "no_selected_ids", "no_accuracy",
-            "bias_string", "one_node_name"])
+            "bias_string", "one_node_name", "reference_negated"])
     def test_malformed_json_names_the_file(self, completed_run, tmp_path,
                                            capsys, stage, artifact, edit,
                                            message):
@@ -777,6 +783,19 @@ class TestStaleArtifacts:
         assert main([stage, "--config", config]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: stage {stage}: {path}{message}")
+
+    @pytest.mark.parametrize("stage, artifact", [
+        ("graph", "selected_trials"), ("evaluate", "model")])
+    def test_json_bytes_not_utf8_name_the_file(self, completed_run, tmp_path,
+                                               capsys, stage, artifact):
+        out, config = artifacts_copy(completed_run[0], tmp_path)
+        path = out / ARTIFACTS[artifact]
+        path.write_bytes(path.read_bytes() + b"\xff")
+        assert main([stage, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: stage {stage}: {path} is not valid JSON: 'utf-8' codec "
+            f"can't decode byte 0xff"), err
 
     def test_graph_needs_selected_trials_of_each_class(self, completed_run,
                                                        tmp_path, capsys):
@@ -815,6 +834,40 @@ class TestStaleArtifacts:
         assert main(["report", "--config", config]) == 2
         assert (f"error: stage report: {path} has no selected:class1 rows "
                 f"for ['strength']" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row.rsplit(",", 1)[0], "not enough values to unpack"),
+        (lambda row: row + ",x",
+         "too many values to unpack"),
+        (lambda row: ",".join(
+            "x" if i == 2 else field
+            for i, field in enumerate(row.split(","))),
+         "could not convert string to float: 'x'"),
+    ], ids=["three_columns", "five_columns", "value_x"])
+    def test_report_names_a_damaged_metric_row(self, completed_run,
+                                               tmp_path, capsys, edit,
+                                               message):
+        out, config = artifacts_copy(completed_run[0], tmp_path)
+        path = out / ARTIFACTS["node_metrics"]
+        lines = path.read_text().splitlines()
+        lines[5] = edit(lines[5])
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage report: {path}, line 6: "), err
+        assert message in err
+
+    def test_select_names_a_short_per_trial_row(self, completed_run,
+                                                tmp_path, capsys):
+        out, config = artifacts_copy(completed_run[0], tmp_path)
+        path = out / ARTIFACTS["eval_per_trial"]
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["select", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage select: {path}: "), err
+        assert "requires 4 columns but 3 were found at row 3" in err
 
     def test_report_rejects_rows_of_other_nodes(self, completed_run,
                                                 tmp_path, capsys):
