@@ -20,7 +20,10 @@ from . import pipeline as pl
 
 def _config_options() -> argparse.ArgumentParser:
     """The options of every stage subcommand and `run`, on a parent parser
-    built once per `build_parser`."""
+    built once per `build_parser`. Besides the paths, an option may only
+    override a value that the artifact it shapes records; the split, the
+    filters, the dataset kind and the band mode come from the config
+    alone, since several stages read them."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--manifest", help="override the config manifest path")
@@ -31,12 +34,6 @@ def _config_options() -> argparse.ArgumentParser:
     p.add_argument("--k-folds", type=int, help="override the fold count")
     p.add_argument("--threshold", dest="posterior_threshold", type=float,
                    help="override the posterior threshold")
-    p.add_argument("--n-train", type=int, help="override the train split size")
-    p.add_argument("--n-filters", type=int, help="override the filter count")
-    p.add_argument("--band-mode", choices=pl.BAND_MODES,
-                   help="override the band mode")
-    p.add_argument("--dataset-kind", choices=pl.DATASET_KINDS,
-                   help="override the dataset kind")
     return p
 
 
@@ -72,13 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-train", type=int)
     p.add_argument("--session-shift", type=float)
 
+    # the design defaults are those of the errp dataset kind
+    design, ((low, high),), _ = pl.DATASET_KINDS["errp"]
     p = sub.add_parser("filter-response",
                        help="Export a designed filter's magnitude response.")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--family", choices=FAMILIES, default="butterworth")
-    p.add_argument("--order", type=int, default=5)
-    p.add_argument("--low", type=float, default=0.1)
-    p.add_argument("--high", type=float, default=10.0)
+    p.add_argument("--family", choices=FAMILIES, default=design["family"])
+    p.add_argument("--order", type=int, default=design["order"])
+    p.add_argument("--low", type=float, default=low)
+    p.add_argument("--high", type=float, default=high)
     p.add_argument("--fs", type=float, default=200.0)
     p.add_argument("--ripple", type=float,
                    default=FilterSpec.passband_ripple_db)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -56,18 +57,15 @@ from .filters import (FilterSpec, _check_window, apply_filter,
                       design_bandpass, epoch_bounds, extract_epoch)
 from .graphs import METRICS, build_graph, node_metrics, separability
 
-DATASET_KINDS = ("errp", "motor_imagery")
 BAND_MODES = ("single", "concat")
 
-# dataset-kind defaults: (FilterSpec design, bands), (onset_s, duration_s)
-_KIND_FILTERS = {
-    "errp": ({"family": "butterworth", "order": 5}, [(0.1, 10.0)]),
+# dataset kind -> its FilterSpec design, its bands (single mode keeps the
+# first) and its (onset_s, duration_s) epoch
+DATASET_KINDS = {
+    "errp": ({"family": "butterworth", "order": 5}, ((0.1, 10.0),),
+             (0.0, 1.0)),
     "motor_imagery": ({"family": "elliptic", "order": 6},
-                      [(8.0, 12.0), (16.0, 24.0)]),
-}
-_KIND_EPOCHS = {
-    "errp": (0.0, 1.0),
-    "motor_imagery": (0.0, 3.5),
+                      ((8.0, 12.0), (16.0, 24.0)), (0.0, 3.5)),
 }
 
 ARTIFACTS = {
@@ -167,14 +165,15 @@ class PipelineConfig:
     def __post_init__(self):
         if self.dataset_kind not in DATASET_KINDS:
             raise ValueError(
-                f"dataset_kind must be one of {DATASET_KINDS}, "
+                f"dataset_kind must be one of {tuple(DATASET_KINDS)}, "
                 f"got {self.dataset_kind!r}")
         if self.band_mode not in BAND_MODES:
             raise ValueError(
                 f"band_mode must be one of {BAND_MODES}, got {self.band_mode!r}")
-        if self.band_mode == "concat" and self.dataset_kind == "errp":
-            raise ValueError("band_mode 'concat' requires dataset_kind "
-                             "'motor_imagery' (errp has a single band)")
+        if (self.band_mode == "concat"
+                and len(DATASET_KINDS[self.dataset_kind][1]) < 2):
+            raise ValueError(f"band_mode 'concat' joins several bands, but "
+                             f"dataset_kind {self.dataset_kind!r} has one")
         with _prefix_errors("config key 'k_folds'"):
             _check_k_folds(self.k_folds)
         # an unbounded channel count checks all but the recording's limit
@@ -221,7 +220,7 @@ class PipelineConfig:
         return cfg
 
     def filter_specs(self, sampling_rate_hz: float) -> list[FilterSpec]:
-        design, bands = _KIND_FILTERS[self.dataset_kind]
+        design, bands, _ = DATASET_KINDS[self.dataset_kind]
         design = {**design, **(self.filter_override or {})}
         if "band_hz" in design:
             bands = [design.pop("band_hz")]
@@ -233,7 +232,7 @@ class PipelineConfig:
     def epoch_window(self) -> tuple[float, float]:
         if self.epoch_override is not None:
             return self.epoch_override
-        return _KIND_EPOCHS[self.dataset_kind]
+        return DATASET_KINDS[self.dataset_kind][2]
 
     def resolved_n_train(self, n_total: int) -> int:
         if self.n_train is not None:
@@ -475,15 +474,26 @@ def stage_evaluate(cfg: PipelineConfig,
 
 
 def _load_report(cfg: PipelineConfig) -> EvalReport:
+    """The evaluation report: aggregates from its JSON, per-trial columns
+    from its table, which must hold one row per trial the JSON counts."""
     with _artifact(cfg, "eval_report") as d:
         aggregates = [_number(d[key], key)
                       for key in ("accuracy", "precision", "recall")]
+        n_trials = _integer(d["n_trials"], "n_trials")
     path = cfg.out_path("eval_per_trial")
     try:
-        table = np.loadtxt(path, _PER_TRIAL_COLUMNS, delimiter=",",
-                           skiprows=1, ndmin=1)
+        # a table without rows is refused below, not warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, _PER_TRIAL_COLUMNS, delimiter=",",
+                               skiprows=1, ndmin=1)
     except ValueError as e:
         raise SchemaError(f"{path}: {e}") from e
+    if len(table) != n_trials:
+        raise SchemaError(
+            f"{path} lists {len(table)} trials, but "
+            f"{cfg.out_path('eval_report')} has n_trials {n_trials}; "
+            f"rerun evaluate")
     return EvalReport(*aggregates,
                       *(table[name] for name in _PER_TRIAL_COLUMNS.names))
 
@@ -517,9 +527,15 @@ def _load_test_covariances(cfg: PipelineConfig, n_trials: int,
                            n_filters: int) -> np.ndarray:
     """The test trials' projected covariances that evaluate kept, checked
     against the per-trial table's length and the filter bank's size. A
-    stale artifact is a SchemaError naming it."""
+    stale or unreadable artifact is a SchemaError naming it."""
     path = cfg.out_path("test_covariances")
-    covs = np.load(path, allow_pickle=False)
+    try:
+        covs = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as e:
+        raise SchemaError(f"{path}: {e}") from e
+    if covs.dtype != np.float64:
+        raise SchemaError(f"{path} holds {covs.dtype} values, not float64; "
+                          f"rerun evaluate")
     if covs.ndim != 3 or len(covs) != n_trials:
         raise SchemaError(
             f"{path} holds an array of shape {covs.shape}, but "
@@ -604,11 +620,14 @@ def _load_node_metrics(cfg: PipelineConfig
     values: dict[tuple[str, str], list[tuple[str, float]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
-        next(rows, None)
         try:
+            next(rows, None)
             for node, metric, value, graph in rows:
                 values.setdefault((graph, metric), []).append(
                     (node, float(value)))
+        except UnicodeDecodeError as e:
+            # the text is decoded a block at a time, not a line
+            raise SchemaError(f"{path}: {e}") from e
         except ValueError as e:
             raise SchemaError(f"{path}, line {rows.line_num}: {e}") from e
     tables, nodes = {}, None

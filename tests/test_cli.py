@@ -1,6 +1,7 @@
 """Exit codes and artifact side effects of the command line interface."""
 
 import json
+import re
 import shutil
 
 import numpy as np
@@ -11,7 +12,12 @@ from relconn.cli import main
 from relconn.data import TrialSet, save_trialset
 from relconn.filters import FilterSpec, design_bandpass, write_response_csv
 from relconn.fixtures import FixtureSpec
-from relconn.pipeline import ARTIFACTS, stages
+from relconn.pipeline import ARTIFACTS, PipelineConfig, stages
+
+
+# the options of every stage subcommand and of run
+KEPT_OPTIONS = ("--config", "--manifest", "--out", "--seed", "--lambda",
+                "--k-folds", "--threshold")
 
 
 def write_config(path, manifest, out_dir, **extra):
@@ -102,6 +108,14 @@ class TestFilterResponseCommand:
         assert lines[0] == "frequency_hz,magnitude_db"
         assert len(lines) == 65
 
+    def test_defaults_design_the_errp_band_pass(self, tmp_path):
+        out = tmp_path / "resp.csv"
+        assert main(["filter-response", "--out", str(out)]) == 0
+        ref = tmp_path / "ref.csv"
+        (spec,) = PipelineConfig("errp", "m", "o").filter_specs(200.0)
+        write_response_csv(design_bandpass(spec), ref)
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_bad_design_is_validation_error(self, tmp_path, capsys):
         code = main(["filter-response", "--out", str(tmp_path / "x.csv"),
                      "--low", "80", "--high", "120", "--fs", "200"])
@@ -160,6 +174,14 @@ class TestRunCommand:
             assert name in text
             assert stage.__doc__.splitlines()[0] in text
 
+    @pytest.mark.parametrize("command", [*stages(), "run"])
+    def test_help_lists_only_the_kept_options(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert options == {"--help", *KEPT_OPTIONS}
+
     def test_lambda_override_lands_in_model(self, dataset, tmp_path):
         out_dir = tmp_path / "out"
         cfg = write_config(tmp_path / "cfg.json", dataset, out_dir)
@@ -191,6 +213,35 @@ class TestRunCommand:
         name = "80_separability.json"
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
+
+
+class TestRemovedOptions:
+    """The split, the filter count, the dataset kind and the band mode are
+    read by several stages, which must agree on them, so no option sets
+    them for one stage alone."""
+
+    @pytest.fixture(scope="class")
+    def completed(self, dataset, tmp_path_factory):
+        root = tmp_path_factory.mktemp("removed_options")
+        cfg = write_config(root / "cfg.json", dataset, root / "out")
+        assert main(["run", "--config", str(cfg)]) == 0
+        return cfg, root / "out"
+
+    @pytest.mark.parametrize("stage, option, value", [
+        ("evaluate", "--n-train", "5"),
+        ("cv", "--n-filters", "4"),
+        ("evaluate", "--band-mode", "concat"),
+        ("fit-csp", "--dataset-kind", "motor_imagery"),
+    ])
+    def test_refused_before_any_artifact_changes(self, completed, capsys,
+                                                 stage, option, value):
+        cfg, out = completed
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(SystemExit) as exit_info:
+            main([stage, "--config", str(cfg), option, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestExitCodes:

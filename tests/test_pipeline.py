@@ -744,6 +744,53 @@ class TestStaleArtifacts:
         assert (f"error: stage graph: {path} {message}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("fault, message", [
+        ("empty", ": No data left in file"),
+        ("half", ": Failed to read all data for array"),
+        ("json", ": This file contains pickled (object) data"),
+        ("float32", " holds float32 values, not float64; rerun evaluate"),
+    ])
+    def test_graph_names_an_unreadable_covariance_file(
+            self, completed_run, tmp_path, capsys, fault, message):
+        out, config = artifacts_copy(completed_run[0], tmp_path)
+        path = out / ARTIFACTS["test_covariances"]
+        data = path.read_bytes()
+        if fault == "float32":
+            np.save(path, np.load(path).astype(np.float32))
+        else:
+            path.write_bytes({"empty": b"", "half": data[:len(data) // 2],
+                              "json": (out / ARTIFACTS["eval_report"])
+                              .read_bytes()}[fault])
+        assert main(["graph", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: stage graph: {path}{message}")
+
+    @pytest.mark.parametrize("n_rows", [0, 4])
+    def test_select_refuses_a_per_trial_table_of_other_length(
+            self, completed_run, tmp_path, capsys, recwarn, n_rows):
+        # a table cut short is not read as fewer trials, and a table
+        # without rows lets out no numpy warning
+        out, config = artifacts_copy(completed_run[0], tmp_path)
+        path = out / ARTIFACTS["eval_per_trial"]
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1 + n_rows]))
+        assert main(["select", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: stage select: {path} lists {n_rows} trials, but "
+            f"{out / ARTIFACTS['eval_report']} has n_trials "
+            f"{len(lines) - 1}; rerun evaluate\n")
+        assert not recwarn.list
+
+    def test_report_names_a_metric_table_not_utf8(self, completed_run,
+                                                  tmp_path, capsys):
+        out, config = artifacts_copy(completed_run[0], tmp_path)
+        path = out / ARTIFACTS["node_metrics"]
+        path.write_bytes(path.read_bytes() + b"\xff")
+        assert main(["report", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: stage report: {path}: 'utf-8' codec can't decode byte "
+            f"0xff")
+
     @pytest.mark.parametrize("stage, artifact, edit, message", [
         ("evaluate", "model", lambda d: d.update(weights={"a": 1}),
          ": float() argument must be"),
