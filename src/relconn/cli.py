@@ -112,7 +112,7 @@ def _run_command(args: argparse.Namespace) -> None:
     if args.command == "run":
         paths = pl.run_pipeline(cfg).values()
     else:
-        paths = pl.stages()[args.command](cfg)
+        paths = pl.stages()[args.command](pl.Plan(cfg))
     for path in paths:
         print(path)
 

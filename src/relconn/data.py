@@ -515,6 +515,6 @@ def split_rows(n_total: int, n_train: int) -> tuple[slice, slice]:
 
 
 def split_train_test(ts, n_train: int):
-    """Split a TrialSet or ScatterSet by `split_rows`."""
+    """A TrialSet's or ScatterSet's (train, test) sides, by `split_rows`."""
     train, test = split_rows(len(ts), n_train)
     return ts.subset(train), ts.subset(test)

@@ -12,23 +12,25 @@ the stages from one side of the train/test split, that side's manifest
 rows only, and are read from file a chunk at a time (`data.read_chunks`
 gives the rule): each chunk is reduced before the next is read, so a stage
 holds one chunk of raw samples, never a side.
-`fit-csp`, `train` and `cv` work on the training side's `ScatterSet`;
-`evaluate` reads the test rows chunk by chunk, projects each chunk
+
+Every stage takes a `Plan`: the config resolved against the manifest,
+each part on first use. Resolving it checks, before any sample is read,
+every config value that the manifest settles, naming the config key.
+`fit-csp`, `train` and `cv` work on the plan's training `ScatterSet`;
+`evaluate` reads the plan's test rows chunk by chunk, projects each chunk
 through the fitted filter bank and preprocesses the n_filters projected
-signals of each trial instead of its channels. A stage run on its own
-reads its side; `run_pipeline` reads the manifest
-once, preprocesses the training side once, and hands every stage that
-`ScatterSet` and the test side's manifest rows. Before any sample is
-read, the band and epoch are checked against the manifest's sampling rate
-and trial length, and the test side's trial files by size; a training
-trial file's size is checked as its chunk is read. Band-passing is
-causal and per trial, so a trial's scatter matrix comes out bit for bit
-the same either way.
+signals of each trial instead of its channels. `run_pipeline` hands one
+plan to every stage, so the manifest is read and the training side
+preprocessed once; a stage run on its own makes its own plan and resolves
+only what it reads. Band-passing is causal and per trial, so a trial's
+scatter matrix comes out bit for bit the same either way.
 
 `evaluate` keeps the test trials' projected covariances
 (`40_test_covariances.npy`), so `select`, `graph` and `report` read
-artifacts only and rerun at a new threshold without the recording.
-`graph` run on its own still checks the whole manifest and the split.
+artifacts only and rerun at a new threshold without the recording;
+`graph` also checks the artifacts against the plan's test rows, and
+`select` and `report` leave the plan unresolved. A stage that reads
+`10_filter_bank.json` refuses it if it was fitted on another n_train.
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ import warnings
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .classify import (TslrModel, EvalReport, _check_k_folds,
                        _check_threshold, cross_validate, evaluate,
-                       select_relevant, train)
+                       select_relevant, stratified_folds, train)
 from .csp import (SpatialFilterBank, _check_n_filters, _shrunk_covariances,
                   fit_csp, project_trials, select_channels)
 from .data import (Manifest, ScatterSet, TrialSet, _derived, _integer,
@@ -145,8 +148,10 @@ class PipelineConfig:
     filter_override (FilterSpec fields but the sampling rate) and
     epoch_override replace the dataset-kind defaults; single band mode
     keeps one band whether or not the filter is overridden. Every value is
-    checked here, but the band's Nyquist limit and the epoch's fit in a
-    trial, which need the recording.
+    checked here but against the manifest, which `Plan` does: n_train
+    against the trial count, the band against Nyquist, the epoch against
+    the trial length, n_filters against the channel count and k_folds
+    against the training side's class counts.
     """
 
     dataset_kind: str
@@ -233,11 +238,6 @@ class PipelineConfig:
         if self.epoch_override is not None:
             return self.epoch_override
         return DATASET_KINDS[self.dataset_kind][2]
-
-    def resolved_n_train(self, n_total: int) -> int:
-        if self.n_train is not None:
-            return self.n_train
-        return default_n_train(n_total)
 
     def out_path(self, artifact: str) -> Path:
         return Path(self.out_dir) / ARTIFACTS[artifact]
@@ -333,41 +333,50 @@ def preprocess(cfg: PipelineConfig, trials: TrialSet | Manifest,
                       trials.ids, names)
 
 
-# the training side's scatter matrices, and the test side's manifest rows
-Split = tuple[ScatterSet, Manifest]
-_TRAIN, _TEST = 0, 1
+class Plan:
+    """A config resolved against its manifest, each field on first use
+    and once; making a plan reads nothing. Stages read the manifest only
+    through their plan."""
 
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
 
-def _side_rows(cfg: PipelineConfig, manifest: Manifest, side: int) -> Manifest:
-    """The manifest rows of one side of the (train, test) split."""
-    return manifest.subset(
-        split_rows(len(manifest), cfg.resolved_n_train(len(manifest)))[side])
+    @cached_property
+    def manifest(self) -> Manifest:
+        return read_manifest(self.cfg.manifest)
 
+    @cached_property
+    def sides(self) -> tuple[Manifest, Manifest]:
+        """The manifest's (train, test) rows, cut once every config value
+        that the manifest settles is checked against it, naming the key."""
+        cfg, m = self.cfg, self.manifest
+        # split_rows names n_train itself; a config's n_train is >= 1
+        train, test = split_rows(len(m), cfg.n_train or default_n_train(len(m)))
+        with _prefix_errors("config key 'filter'"):
+            cfg.filter_specs(m.sampling_rate_hz)
+        with _prefix_errors("config key 'epoch'"):
+            epoch_bounds(m, *cfg.epoch_window())
+        with _prefix_errors("config key 'n_filters'"):
+            _check_n_filters(cfg.n_filters, m.n_channels)
+        # the folds can be dealt only if each class has k_folds trials
+        with _prefix_errors("config key 'k_folds'"):
+            stratified_folds(m.labels[train], cfg.k_folds, cfg.seed)
+        return m.subset(train), m.subset(test)
 
-def _side(cfg: PipelineConfig, split: Split | None, side: int,
-          manifest: Manifest | None = None) -> ScatterSet | Manifest:
-    """One side of the (train, test) split: taken from `split` when one is
-    given, else from that side's manifest rows only, with `manifest` as
-    read already or read from the config's path.
+    @property
+    def n_train(self) -> int:
+        return len(self.sides[0])
 
-    The training side is preprocessed from its trial files
-    (`preprocess`). The test side stays as its manifest rows, which
-    evaluate preprocesses the same way. Its file sizes
-    (`data.check_trial_files`), band and epoch are checked here, before any
-    sample is read, so that `run` fails before any stage writes and
-    evaluate before it reads the model.
-    """
-    if split is not None:
-        return split[side]
-    if manifest is None:
-        manifest = read_manifest(cfg.manifest)
-    rows = _side_rows(cfg, manifest, side)
-    if side == _TRAIN:
-        return preprocess(cfg, rows)
-    check_trial_files(rows)
-    cfg.filter_specs(rows.sampling_rate_hz)
-    epoch_bounds(rows, *cfg.epoch_window())
-    return rows
+    @cached_property
+    def train_set(self) -> ScatterSet:
+        """The training rows, preprocessed from their trial files."""
+        return preprocess(self.cfg, self.sides[0])
+
+    @cached_property
+    def test_files(self) -> Manifest:
+        """The test rows, once each trial file's size is checked."""
+        check_trial_files(self.sides[1])
+        return self.sides[1]
 
 
 def _unique_node_names(picks) -> list[str]:
@@ -380,14 +389,13 @@ def _unique_node_names(picks) -> list[str]:
     return names
 
 
-def stage_fit_csp(cfg: PipelineConfig,
-                  split: Split | None = None) -> list[Path]:
+def stage_fit_csp(plan: Plan) -> list[Path]:
     """Fit spatial filters on the training split.
 
     Writes the filter bank and the per-filter selected channels.
     """
     with _prefix_errors("stage fit-csp"):
-        train_set = _side(cfg, split, _TRAIN)
+        cfg, train_set = plan.cfg, plan.train_set
         bank = fit_csp(train_set, cfg.n_filters)
         picks = select_channels(bank, train_set.channel_names)
         paths = [cfg.out_path("filter_bank"), cfg.out_path("selected_channels")]
@@ -403,27 +411,31 @@ def stage_fit_csp(cfg: PipelineConfig,
         return paths
 
 
-def _load_bank(cfg: PipelineConfig
-               ) -> tuple[SpatialFilterBank, tuple[str, ...]]:
-    """The filter bank and one node name per filter."""
-    with _artifact(cfg, "filter_bank") as d:
+def _load_bank(plan: Plan) -> tuple[SpatialFilterBank, tuple[str, ...]]:
+    """The filter bank and one node name per filter. A bank fitted on
+    another n_train than the plan's is refused, naming the file."""
+    n_train = plan.n_train
+    with _artifact(plan.cfg, "filter_bank") as d:
+        fitted = _integer(d["n_train"], "n_train")
+        if fitted != n_train:
+            raise ValueError(f"records n_train {fitted}, but the config "
+                             f"gives {n_train}; rerun fit-csp")
         bank = SpatialFilterBank.from_dict(d["filter_bank"])
         return bank, _names(d["node_names"], "node_names", bank.n_filters)
 
 
-def stage_train(cfg: PipelineConfig,
-                split: Split | None = None) -> list[Path]:
+def stage_train(plan: Plan) -> list[Path]:
     """Train the tangent-space model on the training split."""
     with _prefix_errors("stage train"):
-        train_set = _side(cfg, split, _TRAIN)
-        bank, _ = _load_bank(cfg)
+        cfg, train_set = plan.cfg, plan.train_set
+        bank, _ = _load_bank(plan)
         model = train(train_set, bank, cfg.lam)
         path = cfg.out_path("model")
         _write_json(path, model.to_dict())
         return [path]
 
 
-def stage_cv(cfg: PipelineConfig, split: Split | None = None) -> list[Path]:
+def stage_cv(plan: Plan) -> list[Path]:
     """Cross-validate on the training split.
 
     Stratified k folds; filters, reference and weights are refit inside
@@ -431,7 +443,7 @@ def stage_cv(cfg: PipelineConfig, split: Split | None = None) -> list[Path]:
     (`classify.cross_validate`).
     """
     with _prefix_errors("stage cv"):
-        train_set = _side(cfg, split, _TRAIN)
+        cfg, train_set = plan.cfg, plan.train_set
         mean, std = cross_validate(train_set, cfg.k_folds, cfg.n_filters,
                                    cfg.seed, cfg.lam)
         path = cfg.out_path("cv_summary")
@@ -446,15 +458,17 @@ def stage_cv(cfg: PipelineConfig, split: Split | None = None) -> list[Path]:
         return [path]
 
 
-def stage_evaluate(cfg: PipelineConfig,
-                   split: Split | None = None) -> list[Path]:
+def stage_evaluate(plan: Plan) -> list[Path]:
     """Score the model on the held-out split.
 
     Writes the aggregates, the per-trial outcome table and the test
     trials' projected covariances in the table's row order.
     """
     with _prefix_errors("stage evaluate"):
-        test_rows = _side(cfg, split, _TEST)
+        cfg, test_rows = plan.cfg, plan.test_files
+        # the model was trained with the bank, on the bank's training
+        # side: a bank of another n_train than the plan's refuses both
+        _load_bank(plan)
         with _artifact(cfg, "model") as d:
             model = TslrModel.from_dict(d)
         # the raw trials are projected through the bank before they are
@@ -498,13 +512,13 @@ def _load_report(cfg: PipelineConfig) -> EvalReport:
                       *(table[name] for name in _PER_TRIAL_COLUMNS.names))
 
 
-def stage_select(cfg: PipelineConfig,
-                 split: Split | None = None) -> list[Path]:
+def stage_select(plan: Plan) -> list[Path]:
     """Pick the confident, correctly classified held-out trials.
 
     Both classes must keep at least one trial, or no graph can be built.
     """
     with _prefix_errors("stage select"):
+        cfg = plan.cfg
         report = _load_report(cfg)
         ids = select_relevant(report, cfg.posterior_threshold)
         selected_labels = report.true_labels[np.isin(report.trial_ids, ids)]
@@ -548,22 +562,18 @@ def _load_test_covariances(cfg: PipelineConfig, n_trials: int,
     return covs
 
 
-def stage_graph(cfg: PipelineConfig,
-                split: Split | None = None) -> list[Path]:
+def stage_graph(plan: Plan) -> list[Path]:
     """Build connectivity graphs and node metrics.
 
     One graph per class from all held-out trials and one from the selected
     subset, then the node-metric table. The graphs average the projected
     covariances that evaluate kept; no trial file is opened. The test
-    trials' ids, labels and class names come from the split when one is
-    given, else from the manifest, which is then checked whole.
+    trials' ids, labels and class names come from the plan's test rows,
+    which the per-trial table must list and the selected ids come from.
     """
     with _prefix_errors("stage graph"):
-        # run on its own, graph checks the manifest and the split before
-        # it reads any artifact
-        test = (split[_TEST] if split is not None
-                else _side_rows(cfg, read_manifest(cfg.manifest), _TEST))
-        bank, node_names = _load_bank(cfg)
+        cfg, (_, test) = plan.cfg, plan.sides
+        bank, node_names = _load_bank(plan)
         report = _load_report(cfg)
         if not (np.array_equal(report.trial_ids, test.ids)
                 and np.array_equal(report.true_labels, test.labels)):
@@ -575,6 +585,15 @@ def stage_graph(cfg: PipelineConfig,
         with _artifact(cfg, "selected_trials") as d:
             selected = [_integer(v, "each entry of selected_ids")
                         for v in d["selected_ids"]]
+            test_ids, seen = set(report.trial_ids.tolist()), set()
+            for tid in selected:
+                if tid not in test_ids:
+                    raise ValueError(f"selected_ids lists {tid}, which is "
+                                     f"not a test trial id; rerun select")
+                if tid in seen:
+                    raise ValueError(f"selected_ids lists {tid} twice; "
+                                     f"rerun select")
+                seen.add(tid)
 
         is_selected = np.isin(report.trial_ids, selected)
         paths = []
@@ -648,10 +667,10 @@ def _load_node_metrics(cfg: PipelineConfig
     return tables
 
 
-def stage_report(cfg: PipelineConfig,
-                 split: Split | None = None) -> list[Path]:
+def stage_report(plan: Plan) -> list[Path]:
     """Compare graph-metric separability before and after selection."""
     with _prefix_errors("stage report"):
+        cfg = plan.cfg
         tables = _load_node_metrics(cfg)
         metrics = {c: separability(tables[f"{c}:class0"],
                                    tables[f"{c}:class1"])
@@ -669,19 +688,15 @@ def stage_report(cfg: PipelineConfig,
         return [path]
 
 
-def stages() -> dict[str, Callable[..., list[Path]]]:
+def stages() -> dict[str, Callable[[Plan], list[Path]]]:
     """Stage name -> stage function, in run order.
 
-    Every stage takes the config and, optionally, the (train, test)
-    split: the training trials' `ScatterSet` and the test side's manifest
-    rows, which evaluate reads. When no split is given, a stage that reads
-    trials reads only its side of it (`_side`): fit-csp, train and cv the
-    training rows, evaluate the test rows.
-    Select, graph and report read artifacts only; graph also checks the
-    test trials' ids and labels against the split's, or, run on its own,
-    the manifest and the split. Each returns the paths it wrote. The map is
-    built on every call, so it holds whatever function each name is bound
-    to at that time.
+    Every stage takes a `Plan` and reads from it only what it needs:
+    fit-csp, train and cv the training side's scatter matrices, evaluate
+    the test rows. Select, graph and report read artifacts only; graph
+    also checks the test trials' ids and labels against the plan's test
+    rows. Each returns the paths it wrote. The map is built on every call,
+    so it holds whatever function each name is bound to at that time.
     """
     return {"fit-csp": stage_fit_csp, "train": stage_train, "cv": stage_cv,
             "evaluate": stage_evaluate, "select": stage_select,
@@ -689,20 +704,18 @@ def stages() -> dict[str, Callable[..., list[Path]]]:
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
-    """Run every stage in order.
+    """Run every stage in order, on one plan.
 
-    The manifest is read once. The training side is preprocessed from it
-    once and the test side's rows checked, by the code a stage run on its
-    own uses, before any stage runs; both are shared by all stages.
-    Returns artifact name -> path, in `ARTIFACTS` order.
+    Before any stage runs, the plan preprocesses the training side and
+    checks the test side's trial files, so a run that fails on its data
+    writes nothing. Returns artifact name -> path, in `ARTIFACTS` order.
     """
-    # each side's errors name the first stage that reads that side, as
-    # when the stage runs on its own
+    plan = Plan(cfg)
+    # errors name the first stage that reads each side, as on its own
     with _prefix_errors("stage fit-csp"):
-        manifest = read_manifest(cfg.manifest)
-        train_set = _side(cfg, None, _TRAIN, manifest)
+        plan.train_set
     with _prefix_errors("stage evaluate"):
-        split = (train_set, _side(cfg, None, _TEST, manifest))
+        plan.test_files
     for stage in stages().values():
-        stage(cfg, split)
+        stage(plan)
     return {name: cfg.out_path(name) for name in ARTIFACTS}

@@ -32,8 +32,8 @@ from relconn.geometry import (ReferencePoint, SpdMatrix,
 from relconn.graphs import (ConnectivityGraph, assign_modules,
                             clustering_coefficient, local_efficiency,
                             node_strength, participation_coefficient)
-from relconn.pipeline import (PipelineConfig, run_pipeline, stage_evaluate,
-                              stage_fit_csp, stage_train)
+from relconn.pipeline import (PipelineConfig, Plan, run_pipeline,
+                              stage_evaluate, stage_fit_csp, stage_train)
 
 
 def random_spd(rng, n, log_range=1.5):
@@ -415,9 +415,9 @@ class TestRealRecordingGate:
         for i, manifest in enumerate(manifests):
             cfg = PipelineConfig("motor_imagery", str(manifest),
                                  str(tmp_path / f"subject{i}"))
-            stage_fit_csp(cfg)
-            stage_train(cfg)
-            stage_evaluate(cfg)
+            stage_fit_csp(Plan(cfg))
+            stage_train(Plan(cfg))
+            stage_evaluate(Plan(cfg))
             report = json.loads(cfg.out_path("eval_report").read_text())
             accuracies.append(report["accuracy"])
         mean = float(np.mean(accuracies))

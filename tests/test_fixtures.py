@@ -11,7 +11,7 @@ from relconn.data import load_trialset, save_trialset
 from relconn.fixtures import (FixtureSpec, _background_covariance,
                               _class_covariances, _session_couplings,
                               generate_fixture, synthesize_trialset)
-from relconn.pipeline import PipelineConfig
+from relconn.pipeline import PipelineConfig, Plan
 
 
 def class0_mean_covariance(ts):
@@ -56,13 +56,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="n_train"):
             FixtureSpec(n_per_class=10, n_train=20).resolved_n_train()
 
-    def test_default_split_matches_pipeline(self):
+    def test_default_split_matches_pipeline(self, tmp_path):
         # the truth's n_train (and so the session boundary) is the split a
-        # config without n_train makes
-        cfg = PipelineConfig("errp", "manifest.json", "out")
+        # config without n_train makes; the plan reads only the manifest
+        manifest = tmp_path / "manifest.json"
+        cfg = PipelineConfig("errp", str(manifest), "out", k_folds=2)
         for n_total in range(6, 61, 2):
+            manifest.write_text(json.dumps({
+                "channels": 6, "samples": 200,
+                "channel_names": [f"c{i}" for i in range(6)],
+                "sampling_rate_hz": 200.0, "class_names": ["a", "b"],
+                "trials": [{"id": i, "label": i % 2, "file": f"{i}.bin"}
+                           for i in range(n_total)]}))
             spec = FixtureSpec(n_per_class=n_total // 2)
-            assert spec.resolved_n_train() == cfg.resolved_n_train(n_total)
+            assert spec.resolved_n_train() == Plan(cfg).n_train
 
     def test_to_dict_serializes_infinite_snr(self):
         d = FixtureSpec(snr=math.inf).to_dict()

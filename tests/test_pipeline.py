@@ -21,7 +21,7 @@ from relconn.data import TrialSet, load_trialset, read_manifest, save_trialset
 from relconn.errors import DataError, SchemaError
 from relconn.filters import apply_filter, design_bandpass, extract_epoch
 from relconn.fixtures import FixtureSpec, generate_fixture
-from relconn.pipeline import (ARTIFACTS, PipelineConfig, preprocess,
+from relconn.pipeline import (ARTIFACTS, PipelineConfig, Plan, preprocess,
                               run_pipeline, stage_cv, stage_evaluate,
                               stage_fit_csp, stage_graph, stage_report,
                               stage_select, stage_train)
@@ -225,8 +225,7 @@ class TestPreprocess:
         assert extract_epoch(ts, 0.1, 0.2).samples.shape[2] < ts.n_samples
         assert np.array_equal(out.matrices, whole)
 
-    @pytest.mark.parametrize("side", [pipeline._TRAIN, pipeline._TEST],
-                             ids=["train", "test"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["train", "test"])
     def test_chunks_do_not_change_the_result(self, dataset, monkeypatch,
                                              side):
         # 23 training and 9 test trials: neither side is a multiple of 5.
@@ -236,7 +235,7 @@ class TestPreprocess:
         # loaded whole and preprocessed at once
         manifest, _ = dataset
         cfg = make_config(manifest, "unused", n_train=23)
-        rows = pipeline._side_rows(cfg, read_manifest(manifest), side)
+        rows = Plan(cfg).sides[side]
         ts = load_trialset(rows)
         whole = preprocess(cfg, ts)
         read = []
@@ -247,7 +246,7 @@ class TestPreprocess:
             return chunk
 
         monkeypatch.setattr(relconn.data, "load_trialset", recording_load)
-        five = [5, 5, 5, 5, 3] if side == pipeline._TRAIN else [5, 4]
+        five = [5, 5, 5, 5, 3] if side == 0 else [5, 4]
         for budget, reads in ((5 * rows.trial_bytes, five),
                               (rows.trial_bytes - 1, [1] * len(rows)),
                               ((len(rows) + 1) * rows.trial_bytes,
@@ -307,7 +306,7 @@ class TestPreprocess:
             FixtureSpec(n_per_class=200, duration_s=2.0), seed=3,
             out_dir=tmp_path / "data")
         cfg = make_config(manifest, tmp_path / "out", n_train=None)
-        raw_side = cfg.resolved_n_train(400) * 6 * 400 * 8
+        raw_side = Plan(cfg).n_train * 6 * 400 * 8
         # scipy is imported on first use; its modules are not the run's
         import scipy.linalg  # noqa: F401
         import scipy.signal  # noqa: F401
@@ -378,7 +377,7 @@ class TestProjectBeforeBandPass:
         if how == "run":
             run_pipeline(cfg)
         else:
-            stage_evaluate(cfg)
+            stage_evaluate(Plan(cfg))
         assert {tid: widths[tid] for tid in test_ids} == {
             tid: {4} for tid in test_ids}
         assert all(widths[tid] == {10} for tid in set(widths) - test_ids)
@@ -578,11 +577,12 @@ class TestRunDeterminism:
 class TestStageIsolation:
     @pytest.mark.parametrize("name", list(ARTIFACTS))
     def test_stage_rerun_rebuilds_artifact(self, completed_run, name):
-        # the full run hands its preprocessed split to the stages; a stage
-        # run on its own loads for itself and must write the same bytes
+        # the full run hands one plan to every stage; a stage run on its
+        # own, with its own plan, loads for itself and must write the
+        # same bytes
         cfg, blobs = completed_run
         cfg.out_path(name).unlink()
-        WRITER[name](cfg)
+        WRITER[name](Plan(cfg))
         assert artifact_bytes(cfg) == blobs
 
     def test_model_ignores_test_split_labels(self, dataset, tmp_path):
@@ -602,8 +602,8 @@ class TestStageIsolation:
         cfg_a = make_config(manifest, out_a)
         cfg_b = make_config(flipped_manifest, out_b)
         for cfg in (cfg_a, cfg_b):
-            stage_fit_csp(cfg)
-            stage_train(cfg)
+            stage_fit_csp(Plan(cfg))
+            stage_train(Plan(cfg))
         assert (cfg_a.out_path("filter_bank").read_bytes()
                 == cfg_b.out_path("filter_bank").read_bytes())
         assert (cfg_a.out_path("model").read_bytes()
@@ -665,20 +665,25 @@ class TestSideOnlyLoad:
             for name, writer in WRITER.items():
                 if writer is stage:
                     other.out_path(name).unlink()
-            stage(other)
+            stage(Plan(other))
         assert artifact_bytes(other) == blobs
 
     def test_threshold_reruns_need_no_trial_file(self, completed_run,
                                                  tmp_path):
-        # select, graph and report read artifacts only
+        # select, graph and report read artifacts only, and graph the
+        # manifest; with the manifest gone too, select and report still
+        # rebuild every byte
         cfg, blobs = completed_run
         other = without_trial_files(cfg, slice(None), tmp_path)
-        for stage in (stage_select, stage_graph, stage_report):
-            for name, writer in WRITER.items():
-                if writer is stage:
-                    other.out_path(name).unlink()
-            stage(other)
-        assert artifact_bytes(other) == blobs
+        for stages in ((stage_select, stage_graph, stage_report),
+                       (stage_select, stage_report)):
+            for stage in stages:
+                for name, writer in WRITER.items():
+                    if writer is stage:
+                        other.out_path(name).unlink()
+                stage(Plan(other))
+            assert artifact_bytes(other) == blobs
+            Path(other.manifest).unlink(missing_ok=True)
 
     @pytest.mark.parametrize("stage", ["fit-csp", "train", "cv", "evaluate",
                                        "graph"])
@@ -728,6 +733,44 @@ def artifacts_copy(cfg, root, n_train=None):
 class TestStaleArtifacts:
     """A stage that reads another stage's artifact exits 2 naming it when
     the artifact no longer fits."""
+
+    @pytest.mark.parametrize("stage", ["evaluate", "graph"])
+    def test_n_train_drift_names_the_filter_bank(self, completed_run,
+                                                 tmp_path, capsys, stage):
+        # the bank, and so the model, were fitted on 22 training trials; a
+        # config of 16 would score 6 of them as test trials
+        cfg, blobs = completed_run
+        out, config = artifacts_copy(cfg, tmp_path, n_train=16)
+        assert main([stage, "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: stage {stage}: {out / ARTIFACTS['filter_bank']}: "
+            f"records n_train 22, but the config gives 16; rerun fit-csp\n")
+        for name, blob in blobs.items():
+            assert (out / ARTIFACTS[name]).read_bytes() == blob, name
+
+    @pytest.mark.parametrize("extra, message", [
+        (0, "lists 0, which is not a test trial id"),
+        (99999, "lists 99999, which is not a test trial id"),
+        (None, "twice"),
+    ], ids=["training_id", "unknown_id", "repeat"])
+    def test_graph_refuses_a_selected_id_of_no_test_trial(
+            self, completed_run, tmp_path, capsys, extra, message):
+        cfg, blobs = completed_run
+        out, config = artifacts_copy(cfg, tmp_path)
+        path = out / ARTIFACTS["selected_trials"]
+        d = json.loads(path.read_text())
+        if extra is None:
+            extra = d["selected_ids"][-1]
+            message = f"lists {extra} twice"
+        d["selected_ids"].append(extra)
+        path.write_text(json.dumps(d))
+        assert main(["graph", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: stage graph: {path}: selected_ids {message}; rerun "
+            f"select\n")
+        for name, blob in blobs.items():
+            if name != "selected_trials":
+                assert (out / ARTIFACTS[name]).read_bytes() == blob, name
 
     @pytest.mark.parametrize("fault, message", [
         ("row_short", "holds an array of shape (9, 6, 6), but "),
@@ -861,11 +904,17 @@ class TestStaleArtifacts:
 
     def test_graph_rejects_a_table_of_other_trials(self, completed_run,
                                                    tmp_path, capsys):
-        # with one more test row, the manifest's test rows are not the
-        # ones evaluate scored
+        # with a test row's label flipped, the manifest's test rows are
+        # not the ones evaluate scored; graph opens no trial file, so the
+        # manifest is copied alone
         cfg, _ = completed_run
-        out, config = artifacts_copy(cfg, tmp_path, n_train=cfg.n_train - 1)
-        assert main(["graph", "--config", config]) == 2
+        out, config = artifacts_copy(cfg, tmp_path)
+        d = json.loads(Path(cfg.manifest).read_text())
+        d["trials"][25]["label"] ^= 1
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(d))
+        assert main(["graph", "--config", config,
+                     "--manifest", str(manifest)]) == 2
         assert (f"error: stage graph: {out / ARTIFACTS['eval_per_trial']} "
                 f"does not list the manifest's test trials"
                 in capsys.readouterr().err)
@@ -948,18 +997,64 @@ class TestWideIds:
         assert set(selected) <= set(test_ids)
 
 
+class TestUpFrontRefusals:
+    """A config value that the manifest settles is refused, naming its
+    key, before any trial file is opened or any artifact written."""
+
+    def test_k_folds_beyond_the_smallest_class(self, tmp_path, capsys):
+        # 6 trials per class: the default split trains on 4 of each, too
+        # few for the default 10 folds
+        manifest, _ = generate_fixture(FixtureSpec(n_per_class=6), seed=3,
+                                       out_dir=tmp_path / "data")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"manifest": str(manifest),
+                                      "out_dir": str(tmp_path / "out")}))
+        for command in ("run", "fit-csp", "evaluate"):
+            assert main([command, "--config", str(config)]) == 2
+            stage = "fit-csp" if command == "run" else command
+            assert capsys.readouterr().err == (
+                f"error: stage {stage}: config key 'k_folds': class counts "
+                f"[4, 4] cannot stratify into 10 folds; every fold needs "
+                f"both classes\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_n_filters_beyond_the_channel_count(self, dataset, tmp_path,
+                                                monkeypatch, capsys):
+        manifest, _ = dataset
+        opened = []
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        # a module global named open shadows the builtin inside data.py
+        monkeypatch.setattr(relconn.data, "open", recording_open,
+                            raising=False)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "manifest": str(manifest), "out_dir": str(tmp_path / "out"),
+            "n_train": 22, "k_folds": 3, "n_filters": 8,
+            "epoch": [0.0, 0.5]}))
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage fit-csp: config key 'n_filters': n_filters=8 "
+            "exceeds channel count 6\n")
+        assert [f for f in opened if Path(f).suffix == ".bin"] == []
+        assert not (tmp_path / "out").exists()
+
+
 class TestStageErrors:
     def test_stage_name_prefixes_errors(self, dataset, tmp_path):
         manifest, _ = dataset
         cfg = make_config(manifest, tmp_path / "out", n_filters=8)
         with pytest.raises(ValueError, match="^stage fit-csp:"):
-            stage_fit_csp(cfg)
+            stage_fit_csp(Plan(cfg))
 
     def test_missing_upstream_artifact(self, dataset, tmp_path):
         manifest, _ = dataset
         cfg = make_config(manifest, tmp_path / "empty")
         with pytest.raises(FileNotFoundError):
-            stage_train(cfg)
+            stage_train(Plan(cfg))
 
 
 def test_readme_library_use_runs(tmp_path):
