@@ -18,9 +18,8 @@ samples of one trial as little-endian float64, row-major, channels x samples.
 `read_manifest` checks every manifest row without opening a trial file,
 and `Manifest.subset` picks rows. `check_trial_files` checks the size of
 each file of some rows without opening one, and `load_trialset` reads them
-into one `TrialSet`. `read_chunks`, the one chunker, hands over a
-`TrialSet`'s or a manifest's rows' trials a chunk at a time; its
-docstring gives the chunk rule.
+into one `TrialSet`. `read_chunks`, the one chunker, hands over some
+rows' trials a chunk at a time; its docstring gives the chunk rule.
 Datasets are written trial by trial, each file as its trial comes
 (`save_trialset`, and `fixtures.generate_fixture` as it draws them).
 """
@@ -402,38 +401,24 @@ def check_trial_files(m: Manifest) -> None:
             raise _size_error(m, tid, name, size)
 
 
-def load_trialset(manifest) -> TrialSet:
-    """Load a trial set from a JSON manifest, or from some of its rows.
+def load_trialset(m: Manifest) -> TrialSet:
+    """Load the trials of a manifest's rows into one trial set.
 
-    Every manifest row is checked (`read_manifest`), but only the given
-    rows' trial files are read. So a missing, resized or non-finite trial
-    file outside them is not reported.
-
-    Parameters
-    ----------
-    manifest : str, Path or Manifest
-        Path to the manifest, whose trials are all loaded, or a manifest
-        `read_manifest` already read and checked, or the rows of one that
-        `Manifest.subset` picked. Trial file paths are resolved relative
-        to it.
-
-    Returns
-    -------
-    TrialSet
+    `m` is a manifest `read_manifest` read and checked, or the rows of one
+    that `Manifest.subset` picked; only their trial files are read, so a
+    missing, resized or non-finite trial file outside them is not reported.
+    Trial file paths are resolved relative to the manifest's directory.
 
     Raises
     ------
     FileNotFoundError
-        If the manifest or a trial file of its rows is missing.
+        If a trial file of the rows is missing.
     SchemaError
-        On any manifest fault `read_manifest` names, or a trial file of
-        its rows whose size does not match the channels x samples geometry
-        declared at the manifest top level.
+        If a trial file of the rows has another size than the channels x
+        samples geometry declared at the manifest top level.
     DataError
         If there are no rows or a trial holds non-finite values.
     """
-    m = (manifest if isinstance(manifest, Manifest)
-         else read_manifest(manifest))
     samples = np.empty((len(m), m.n_channels, m.n_samples), dtype="<f8")
     for i, (tid, name) in enumerate(zip(m.ids, m.files)):
         # read straight into the file's row of the stack, with no copy
@@ -446,19 +431,17 @@ def load_trialset(manifest) -> TrialSet:
                     m.sampling_rate_hz, m.class_names)
 
 
-def read_chunks(trials: TrialSet | Manifest) -> Iterator[TrialSet]:
-    """A trial set's trials, or a manifest's rows' trials, in row order,
-    as many at a time as fit in `CHUNK_BYTES` of raw float64 samples, and
-    at least one. Each chunk is cut with `subset`; a manifest's chunk is
-    then read, and validated, by `load_trialset` only when the one before
-    it has been taken, so at most one chunk of raw samples is held at a
-    time, however many trials there are and however wide. This is the
-    chunk rule every reader of trial files follows. Errors are
-    `load_trialset`'s, for the first faulty chunk."""
-    step = max(1, CHUNK_BYTES // (trials.n_channels * trials.n_samples * 8))
-    for start in range(0, len(trials), step):
-        chunk = trials.subset(slice(start, start + step))
-        yield load_trialset(chunk) if isinstance(chunk, Manifest) else chunk
+def read_chunks(rows: Manifest) -> Iterator[TrialSet]:
+    """A manifest's rows' trials, in row order, as many at a time as fit
+    in `CHUNK_BYTES` of raw float64 samples, and at least one. Each chunk
+    is cut with `subset`, then read, and validated, by `load_trialset` only
+    when the one before it has been taken, so at most one chunk of raw
+    samples is held at a time, however many trials there are and however
+    wide. This is the chunk rule every reader of trial files follows.
+    Errors are `load_trialset`'s, for the first faulty chunk."""
+    step = max(1, CHUNK_BYTES // rows.trial_bytes)
+    for start in range(0, len(rows), step):
+        yield load_trialset(rows.subset(slice(start, start + step)))
 
 
 def _write_trials(out_dir, trials: Iterable[tuple[int, int, np.ndarray]],

@@ -29,18 +29,21 @@ scatter matrix comes out bit for bit the same either way.
 (`40_test_covariances.npy`), so `select`, `graph` and `report` read
 artifacts only and rerun at a new threshold without the recording;
 `graph` also checks the artifacts against the plan's test rows, and
-`select` and `report` leave the plan unresolved. A stage that reads
-`10_filter_bank.json` refuses it if it was fitted on another n_train.
+`select` and `report` leave the plan unresolved. `fit-csp` records the
+plan's resolution in `10_filter_bank.json` (`Plan.record`), and a stage
+that reads the bank refuses it, naming the config key, if that record or
+the bank's filter count differs from its own plan's.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import warnings
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -51,8 +54,8 @@ from .classify import (TslrModel, EvalReport, _check_k_folds,
                        select_relevant, stratified_folds, train)
 from .csp import (SpatialFilterBank, _check_n_filters, _shrunk_covariances,
                   fit_csp, project_trials, select_channels)
-from .data import (Manifest, ScatterSet, TrialSet, _derived, _integer,
-                   _names, _number, _read_json, _write_json,
+from .data import (Manifest, ScatterSet, _derived, _integer, _names,
+                   _number, _read_json, _write_json,
                    check_trial_files, default_n_train, read_chunks,
                    read_manifest, split_rows)
 from .errors import SchemaError
@@ -149,9 +152,9 @@ class PipelineConfig:
     epoch_override replace the dataset-kind defaults; single band mode
     keeps one band whether or not the filter is overridden. Every value is
     checked here but against the manifest, which `Plan` does: n_train
-    against the trial count, the band against Nyquist, the epoch against
-    the trial length, n_filters against the channel count and k_folds
-    against the training side's class counts.
+    against the trial count and the test side's classes, the band against
+    Nyquist, the epoch against the trial length, n_filters against the
+    channel count and k_folds against the training side's class counts.
     """
 
     dataset_kind: str
@@ -283,18 +286,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
                              for v in row])
 
 
-def preprocess(cfg: PipelineConfig, trials: TrialSet | Manifest,
+def preprocess(plan: Plan, rows: Manifest,
                bank: SpatialFilterBank | None = None) -> ScatterSet:
-    """Band-pass every trial, cut the epoch window and keep each trial's
-    scatter matrix x x'.
+    """Band-pass the trials of some rows of the plan's manifest with the
+    plan's filters, cut its epoch and keep each trial's scatter matrix x x'.
 
-    `trials` is a `TrialSet` in memory, or a manifest's rows, whose trial
-    files are then read, and checked by size, as they are needed. Either
-    way `data.read_chunks` hands the trials over a chunk at a time, and
-    each chunk is reduced to its rows of the scatter stack before the next
-    is taken, so besides the stack at most one chunk of raw samples and
-    its filter outputs is held. With no trials the stack is empty, and
-    `ScatterSet` rejects it (DataError).
+    `data.read_chunks` reads the rows' trial files, and checks them by
+    size, a chunk at a time, and each chunk is reduced to its rows of the
+    scatter stack before the next is read, so besides the stack at most one
+    chunk of raw samples and its filter outputs is held. With no rows the
+    stack is empty, and `ScatterSet` rejects it (DataError).
     With a `bank`, each chunk's raw trials are first projected through it
     (`csp.project_trials`), and the stack holds the n_filters x n_filters
     scatter matrices of the projected signals.
@@ -303,40 +304,39 @@ def preprocess(cfg: PipelineConfig, trials: TrialSet | Manifest,
     the epoch and are not filtered. In concat mode the band outputs are
     joined along time; the scatter matrix of the joined signal is the sum
     of the per-band scatter matrices, so that sum is what is kept, without
-    building the join. The band and the epoch are checked against the
-    trials' sampling rate and length before any chunk is taken.
+    building the join. The plan checks the band and the epoch against the
+    manifest before any chunk is read.
     """
-    filts = [design_bandpass(s)
-             for s in cfg.filter_specs(trials.sampling_rate_hz)]
-    onset, duration = cfg.epoch_window()
-    start, stop = epoch_bounds(trials, onset, duration)
-    n = trials.n_channels if bank is None else bank.n_filters
-    scatter = np.zeros((len(trials), n, n))
+    filts = [design_bandpass(s) for s in plan.specs]
+    start, stop = plan.epoch
+    onset, duration = plan.cfg.epoch_window()
+    n = rows.n_channels if bank is None else bank.n_filters
+    scatter = np.zeros((len(rows), n, n))
     # with no chunk, ScatterSet rejects the empty stack before it checks
     # these names against it
-    names = trials.channel_names
+    names = rows.channel_names
     done = 0
-    for chunk in read_chunks(trials):
+    for chunk in read_chunks(rows):
         if bank is not None:
             chunk = project_trials(bank, chunk)
         names = chunk.channel_names
         head = _derived(chunk, samples=chunk.samples[..., :stop])
-        rows = scatter[done:done + len(chunk)]
+        out = scatter[done:done + len(chunk)]
         done += len(chunk)
         for filt in filts:
             x = extract_epoch(apply_filter(filt, head), onset, duration).samples
-            rows += x @ np.swapaxes(x, 1, 2)
+            out += x @ np.swapaxes(x, 1, 2)
         # let this chunk's samples and filter output go before the next
         # chunk is read
         del chunk, head, x
-    return ScatterSet(scatter, len(filts) * (stop - start), trials.labels,
-                      trials.ids, names)
+    return ScatterSet(scatter, len(filts) * (stop - start), rows.labels,
+                      rows.ids, names)
 
 
 class Plan:
     """A config resolved against its manifest, each field on first use
-    and once; making a plan reads nothing. Stages read the manifest only
-    through their plan."""
+    and once; making a plan reads nothing. Stages read the manifest, the
+    filter specs and the epoch only through their plan."""
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
@@ -346,31 +346,53 @@ class Plan:
         return read_manifest(self.cfg.manifest)
 
     @cached_property
+    def specs(self) -> list[FilterSpec]:
+        """The config's filter specs at the manifest's sampling rate."""
+        with _prefix_errors("config key 'filter'"):
+            return self.cfg.filter_specs(self.manifest.sampling_rate_hz)
+
+    @cached_property
+    def epoch(self) -> tuple[int, int]:
+        """The config's epoch as samples [start, stop) of the manifest's
+        trials."""
+        with _prefix_errors("config key 'epoch'"):
+            return epoch_bounds(self.manifest, *self.cfg.epoch_window())
+
+    @cached_property
     def sides(self) -> tuple[Manifest, Manifest]:
         """The manifest's (train, test) rows, cut once every config value
         that the manifest settles is checked against it, naming the key."""
         cfg, m = self.cfg, self.manifest
         # split_rows names n_train itself; a config's n_train is >= 1
         train, test = split_rows(len(m), cfg.n_train or default_n_train(len(m)))
-        with _prefix_errors("config key 'filter'"):
-            cfg.filter_specs(m.sampling_rate_hz)
-        with _prefix_errors("config key 'epoch'"):
-            epoch_bounds(m, *cfg.epoch_window())
+        # resolving them checks the band and the epoch, naming their keys
+        self.specs, self.epoch
         with _prefix_errors("config key 'n_filters'"):
             _check_n_filters(cfg.n_filters, m.n_channels)
         # the folds can be dealt only if each class has k_folds trials
         with _prefix_errors("config key 'k_folds'"):
             stratified_folds(m.labels[train], cfg.k_folds, cfg.seed)
+        # evaluate scores both classes, and graph builds a graph of each
+        counts = np.bincount(m.labels[test], minlength=2).tolist()
+        if min(counts) == 0:
+            raise ValueError(f"config key 'n_train': the test side's class "
+                             f"counts are {counts}; each class needs a "
+                             f"test trial")
         return m.subset(train), m.subset(test)
 
-    @property
-    def n_train(self) -> int:
-        return len(self.sides[0])
+    def record(self) -> dict:
+        """What fit-csp records in `10_filter_bank.json` and every stage
+        that reads the bank compares with its own plan: n_train, each
+        filter spec's fields and the epoch in samples, as JSON values."""
+        return {"n_train": len(self.sides[0]),
+                "filter": [{**asdict(s), "band_hz": list(s.band_hz)}
+                           for s in self.specs],
+                "epoch": list(self.epoch)}
 
     @cached_property
     def train_set(self) -> ScatterSet:
         """The training rows, preprocessed from their trial files."""
-        return preprocess(self.cfg, self.sides[0])
+        return preprocess(self, self.sides[0])
 
     @cached_property
     def test_files(self) -> Manifest:
@@ -403,7 +425,7 @@ def stage_fit_csp(plan: Plan) -> list[Path]:
             "filter_bank": bank.to_dict(),
             "selected_channels": [[idx, name] for idx, name in picks],
             "node_names": _unique_node_names(picks),
-            "n_train": len(train_set),
+            **plan.record(),
         })
         _write_csv(paths[1],
                    ["filter_index", "channel_index", "channel_name"],
@@ -412,23 +434,27 @@ def stage_fit_csp(plan: Plan) -> list[Path]:
 
 
 def _load_bank(plan: Plan) -> tuple[SpatialFilterBank, tuple[str, ...]]:
-    """The filter bank and one node name per filter. A bank fitted on
-    another n_train than the plan's is refused, naming the file."""
-    n_train = plan.n_train
+    """The filter bank and one node name per filter. A bank whose record
+    (`Plan.record`) or filter count differs from the plan's is refused,
+    naming the file and the config key."""
+    given = {**plan.record(), "n_filters": plan.cfg.n_filters}
     with _artifact(plan.cfg, "filter_bank") as d:
-        fitted = _integer(d["n_train"], "n_train")
-        if fitted != n_train:
-            raise ValueError(f"records n_train {fitted}, but the config "
-                             f"gives {n_train}; rerun fit-csp")
         bank = SpatialFilterBank.from_dict(d["filter_bank"])
+        fitted = {**d, "n_filters": bank.n_filters}
+        for key, value in given.items():
+            if fitted[key] != value:
+                raise ValueError(
+                    f"records {key} {json.dumps(fitted[key], sort_keys=True)}"
+                    f", but the config gives "
+                    f"{json.dumps(value, sort_keys=True)}; rerun fit-csp")
         return bank, _names(d["node_names"], "node_names", bank.n_filters)
 
 
 def stage_train(plan: Plan) -> list[Path]:
     """Train the tangent-space model on the training split."""
     with _prefix_errors("stage train"):
-        cfg, train_set = plan.cfg, plan.train_set
         bank, _ = _load_bank(plan)
+        cfg, train_set = plan.cfg, plan.train_set
         model = train(train_set, bank, cfg.lam)
         path = cfg.out_path("model")
         _write_json(path, model.to_dict())
@@ -453,6 +479,7 @@ def stage_cv(plan: Plan) -> list[Path]:
             "std_accuracy": std,
             "seed": cfg.seed,
             "lambda": cfg.lam,
+            "n_filters": cfg.n_filters,
             "n_trials": len(train_set),
         })
         return [path]
@@ -467,7 +494,7 @@ def stage_evaluate(plan: Plan) -> list[Path]:
     with _prefix_errors("stage evaluate"):
         cfg, test_rows = plan.cfg, plan.test_files
         # the model was trained with the bank, on the bank's training
-        # side: a bank of another n_train than the plan's refuses both
+        # side: a bank fitted on another resolution refuses both
         _load_bank(plan)
         with _artifact(cfg, "model") as d:
             model = TslrModel.from_dict(d)
@@ -475,7 +502,7 @@ def stage_evaluate(plan: Plan) -> list[Path]:
         # band-passed, so n_filters signals per trial are filtered, not
         # every channel; the covariances then match `trial_covariances`
         # of the preprocessed trials only to rounding
-        projected = preprocess(cfg, test_rows, model.filter_bank)
+        projected = preprocess(plan, test_rows, model.filter_bank)
         covs = _shrunk_covariances(projected, projected.matrices)
         report = evaluate(model, projected, covs)
         paths = [cfg.out_path("eval_report"), cfg.out_path("eval_per_trial"),

@@ -71,7 +71,7 @@ class TestTrialSet:
         (tmp_path / "trials" / "trial_00001.bin").write_bytes(
             np.zeros((4, 8)).tobytes())
         with pytest.raises(SchemaError, match="trial 1"):
-            load_trialset(manifest)
+            load_trialset(read_manifest(manifest))
         with pytest.raises(SchemaError, match="channel_names"):
             TrialSet(np.zeros((2, 3, 4)), [0, 1], [0, 1], ("a", "b"), 100.0)
 
@@ -80,7 +80,7 @@ class TestTrialSet:
         (tmp_path / "trials" / "trial_00001.bin").write_bytes(
             np.zeros((3, 9)).tobytes())
         with pytest.raises(SchemaError, match="trial 1"):
-            load_trialset(manifest)
+            load_trialset(read_manifest(manifest))
 
     def test_duplicate_ids(self):
         with pytest.raises(SchemaError, match="duplicate trial id 5"):
@@ -227,7 +227,7 @@ class TestManifestRoundTrip:
         ts = make_set(seed=3)
         manifest = save_trialset(ts, tmp_path)
         assert manifest.name == MANIFEST_NAME
-        back = load_trialset(manifest)
+        back = load_trialset(read_manifest(manifest))
         assert back.channel_names == ts.channel_names
         assert back.sampling_rate_hz == ts.sampling_rate_hz
         assert back.class_names == ts.class_names
@@ -242,20 +242,20 @@ class TestManifestRoundTrip:
         del d["sampling_rate_hz"]
         manifest.write_text(json.dumps(d))
         with pytest.raises(SchemaError, match="sampling_rate_hz"):
-            load_trialset(manifest)
+            load_trialset(read_manifest(manifest))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / MANIFEST_NAME
         path.write_text("{not json")
         with pytest.raises(SchemaError, match="not valid JSON"):
-            load_trialset(path)
+            load_trialset(read_manifest(path))
 
     def test_truncated_trial_file(self, tmp_path):
         manifest = save_trialset(make_set(), tmp_path)
         victim = tmp_path / "trials" / "trial_00002.bin"
         victim.write_bytes(victim.read_bytes()[:-8])
         with pytest.raises(SchemaError, match="trial 2"):
-            load_trialset(manifest)
+            load_trialset(read_manifest(manifest))
 
     @pytest.mark.parametrize("change", [3, -3, 8])
     def test_partial_value_is_a_size_mismatch(self, tmp_path, change):
@@ -267,7 +267,7 @@ class TestManifestRoundTrip:
         victim.write_bytes(raw + b"\0" * change if change > 0
                            else raw[:change])
         with pytest.raises(SchemaError) as err:
-            load_trialset(manifest)
+            load_trialset(read_manifest(manifest))
         assert str(err.value) == (
             f"trial 2: file trials/trial_00002.bin holds {192 + change} "
             f"bytes, expected 3x8=24 float64 values, 192 bytes")
@@ -276,7 +276,7 @@ class TestManifestRoundTrip:
         manifest = save_trialset(make_set(), tmp_path)
         (tmp_path / "trials" / "trial_00001.bin").unlink()
         with pytest.raises(FileNotFoundError):
-            load_trialset(manifest)
+            load_trialset(read_manifest(manifest))
 
     def test_channel_name_count_mismatch(self, tmp_path):
         manifest = save_trialset(make_set(), tmp_path)
@@ -284,7 +284,7 @@ class TestManifestRoundTrip:
         d["channel_names"] = d["channel_names"][:-1]
         manifest.write_text(json.dumps(d))
         with pytest.raises(SchemaError, match="channel_names"):
-            load_trialset(manifest)
+            load_trialset(read_manifest(manifest))
 
     @pytest.mark.parametrize("field, value", [
         ("label", 1.7), ("id", 2.5), ("label", "1"), ("label", True),
@@ -299,7 +299,7 @@ class TestManifestRoundTrip:
             d[field] = value
         manifest.write_text(json.dumps(d))
         with pytest.raises(SchemaError, match=f"'{field}' must be an integer"):
-            load_trialset(manifest)
+            load_trialset(read_manifest(manifest))
 
     def test_integral_float_fields_accepted(self, tmp_path):
         ts = make_set()
@@ -308,7 +308,7 @@ class TestManifestRoundTrip:
         d["channels"] = float(d["channels"])
         d["trials"][1]["label"] = 1.0
         manifest.write_text(json.dumps(d))
-        assert load_trialset(manifest).labels.tolist() == ts.labels.tolist()
+        assert load_trialset(read_manifest(manifest)).labels.tolist() == ts.labels.tolist()
 
     def test_trial_row_missing_key(self, tmp_path):
         manifest = save_trialset(make_set(), tmp_path)
@@ -316,7 +316,7 @@ class TestManifestRoundTrip:
         del d["trials"][0]["label"]
         manifest.write_text(json.dumps(d))
         with pytest.raises(SchemaError, match="label"):
-            load_trialset(manifest)
+            load_trialset(read_manifest(manifest))
 
 
 class TestRowSelection:
@@ -329,7 +329,7 @@ class TestRowSelection:
     ], ids=["slice", "step", "index", "mask"])
     def test_equals_subset_of_full_load(self, tmp_path, rows):
         manifest = save_trialset(make_set(seed=5), tmp_path)
-        full = load_trialset(manifest)
+        full = load_trialset(read_manifest(manifest))
         part = load_trialset(read_manifest(manifest).subset(rows))
         expected = full.subset(rows)
         assert part.ids.tolist() == expected.ids.tolist()
@@ -519,11 +519,11 @@ class TestManifestFuzz:
             manifest.write_text(json.dumps(d))
 
             if expect is None:
-                back = load_trialset(manifest)
+                back = load_trialset(read_manifest(manifest))
                 assert np.array_equal(back.samples, ts.samples)
                 assert back.labels.tolist() == ts.labels.tolist()
                 assert back.ids.tolist() == [r["id"] for r in rows]
                 return
             with pytest.raises((SchemaError, DataError)) as err:
-                load_trialset(manifest)
+                load_trialset(read_manifest(manifest))
             assert expect in str(err.value)

@@ -5,13 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from filter_oracle import butterworth_magnitude, elliptic_magnitude_fn
-from relconn.data import TrialSet
+from relconn.data import TrialSet, save_trialset
 from relconn.errors import FilterDesignError, NumericError
 from relconn.filters import (FilterSpec, SosFilter, apply_filter,
                              design_bandpass, extract_epoch,
                              frequency_response, magnitude_db, response_grid,
                              write_response_csv)
-from relconn.pipeline import PipelineConfig, preprocess
+from relconn.pipeline import PipelineConfig, Plan, preprocess
 
 FS = 512.0
 
@@ -201,14 +201,16 @@ class TestEpoch:
 
 
 class TestConcat:
-    def test_joins_along_time(self):
+    def test_joins_along_time(self, tmp_path):
         # concat mode keeps, per trial, the scatter matrix of its band
         # outputs joined along time: one scatter over both bands' samples
         x = np.random.default_rng(4).standard_normal((3, 2, 256))
         ts = stack(*x, ids=[5, 8, 2])
-        cfg = PipelineConfig("motor_imagery", "unused", "unused",
-                             band_mode="concat", epoch_override=(0.1, 0.25))
-        out = preprocess(cfg, ts)
+        cfg = PipelineConfig("motor_imagery", str(save_trialset(ts, tmp_path)),
+                             "unused", band_mode="concat",
+                             epoch_override=(0.1, 0.25))
+        plan = Plan(cfg)
+        out = preprocess(plan, plan.manifest)
         bands = [extract_epoch(apply_filter(design_bandpass(spec), ts),
                                0.1, 0.25).samples
                  for spec in cfg.filter_specs(FS)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from relconn.data import load_trialset, save_trialset
+from relconn.data import load_trialset, read_manifest, save_trialset
 from relconn.fixtures import (FixtureSpec, _background_covariance,
                               _class_covariances, _session_couplings,
                               generate_fixture, synthesize_trialset)
@@ -69,7 +69,7 @@ class TestSpecValidation:
                 "trials": [{"id": i, "label": i % 2, "file": f"{i}.bin"}
                            for i in range(n_total)]}))
             spec = FixtureSpec(n_per_class=n_total // 2)
-            assert spec.resolved_n_train() == Plan(cfg).n_train
+            assert spec.resolved_n_train() == len(Plan(cfg).sides[0])
 
     def test_to_dict_serializes_infinite_snr(self):
         d = FixtureSpec(snr=math.inf).to_dict()
@@ -179,7 +179,7 @@ class TestGenerateFixture:
         assert truth["seed"] == 3
         assert truth["n_train"] == spec.resolved_n_train()
         assert truth["spec"]["n_per_class"] == 6
-        ts = load_trialset(manifest)
+        ts = load_trialset(read_manifest(manifest))
         assert len(ts) == 12
         expected, _ = synthesize_trialset(spec, 3)
         assert np.array_equal(ts.samples, expected.samples)

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import tempfile
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -24,7 +25,7 @@ from relconn.fixtures import FixtureSpec, generate_fixture
 from relconn.pipeline import (ARTIFACTS, PipelineConfig, Plan, preprocess,
                               run_pipeline, stage_cv, stage_evaluate,
                               stage_fit_csp, stage_graph, stage_report,
-                              stage_select, stage_train)
+                              stage_select, stage_train, stages)
 
 # the stage that writes each artifact
 WRITER = {
@@ -179,13 +180,26 @@ class TestFilterDefaults:
         assert all(s.order == 4 for s in specs)
 
 
+def scatter_of(plan, ts):
+    """The scatter stack of trials in memory, all at once: each band's
+    epoch of the whole trials, filtered by the plan's specs, summed."""
+    out = np.zeros((len(ts), ts.n_channels, ts.n_channels))
+    for spec in plan.specs:
+        x = extract_epoch(apply_filter(design_bandpass(spec), ts),
+                          *plan.cfg.epoch_window()).samples
+        out += x @ np.swapaxes(x, 1, 2)
+    return out
+
+
 class TestPreprocess:
     def test_epoch_window_applied(self, dataset):
         manifest, _ = dataset
-        ts = load_trialset(manifest)
         cfg = make_config(manifest, "unused", epoch_override=(0.1, 0.25))
-        out = preprocess(cfg, ts)
+        plan = Plan(cfg)
+        ts = load_trialset(plan.manifest)
+        out = preprocess(plan, plan.manifest)
         assert out.n_samples == int(round(0.25 * 200.0))
+        assert plan.epoch == (20, 70)
         assert len(out) == len(ts)
         assert out.ids.tolist() == ts.ids.tolist()
         assert out.labels.tolist() == ts.labels.tolist()
@@ -197,10 +211,11 @@ class TestPreprocess:
         # the scatter matrix of the bands joined along time is the sum of
         # the per-band scatter matrices
         manifest, _ = dataset
-        ts = load_trialset(manifest)
         cfg = PipelineConfig("motor_imagery", str(manifest), "unused",
                              band_mode="concat", epoch_override=(0.0, 0.4))
-        out = preprocess(cfg, ts)
+        plan = Plan(cfg)
+        ts = load_trialset(plan.manifest)
+        out = preprocess(plan, plan.manifest)
         assert out.n_samples == 2 * int(round(0.4 * 200.0))
         joined = np.concatenate(
             [extract_epoch(apply_filter(design_bandpass(spec), ts),
@@ -213,31 +228,25 @@ class TestPreprocess:
         # the filter is causal, so filtering only up to the epoch's end
         # gives the same epoch as filtering the whole trial
         manifest, _ = dataset
-        ts = load_trialset(manifest)
         cfg = PipelineConfig("motor_imagery", str(manifest), "unused",
                              band_mode="concat", epoch_override=(0.1, 0.2))
-        out = preprocess(cfg, ts)
-        whole = np.zeros_like(out.matrices)
-        for spec in cfg.filter_specs(200.0):
-            x = extract_epoch(apply_filter(design_bandpass(spec), ts),
-                              0.1, 0.2).samples
-            whole += x @ np.swapaxes(x, 1, 2)
+        plan = Plan(cfg)
+        ts = load_trialset(plan.manifest)
+        out = preprocess(plan, plan.manifest)
         assert extract_epoch(ts, 0.1, 0.2).samples.shape[2] < ts.n_samples
-        assert np.array_equal(out.matrices, whole)
+        assert np.array_equal(out.matrices, scatter_of(plan, ts))
 
     @pytest.mark.parametrize("side", [0, 1], ids=["train", "test"])
     def test_chunks_do_not_change_the_result(self, dataset, monkeypatch,
                                              side):
         # 23 training and 9 test trials: neither side is a multiple of 5.
-        # Read from file, or cut from the side in memory, with a budget of
-        # 5 trials' bytes, of less than one trial's or of more than the
-        # side's, a side's scatter stack is bit for bit that of the side
-        # loaded whole and preprocessed at once
+        # Read from file with a budget of 5 trials' bytes, of less than
+        # one trial's or of more than the side's, a side's scatter stack is
+        # bit for bit that of the side loaded whole and band-passed at once
         manifest, _ = dataset
-        cfg = make_config(manifest, "unused", n_train=23)
-        rows = Plan(cfg).sides[side]
-        ts = load_trialset(rows)
-        whole = preprocess(cfg, ts)
+        plan = Plan(make_config(manifest, "unused", n_train=23))
+        rows = plan.sides[side]
+        whole = scatter_of(plan, load_trialset(rows))
         read = []
 
         def recording_load(*args, **kwargs):
@@ -253,12 +262,11 @@ class TestPreprocess:
                                [len(rows)])):
             monkeypatch.setattr(relconn.data, "CHUNK_BYTES", budget)
             read.clear()
-            for got in (preprocess(cfg, rows), preprocess(cfg, ts)):
-                assert np.array_equal(got.matrices, whole.matrices)
-                assert got.n_samples == whole.n_samples
-                assert (got.ids.tolist() == whole.ids.tolist()
-                        == rows.ids.tolist())
-                assert got.labels.tolist() == whole.labels.tolist()
+            got = preprocess(plan, rows)
+            assert np.array_equal(got.matrices, whole)
+            assert got.n_samples == 100
+            assert got.ids.tolist() == rows.ids.tolist()
+            assert got.labels.tolist() == rows.labels.tolist()
             assert read == reads
 
     @pytest.mark.parametrize("bank", [False, True], ids=["plain", "bank"])
@@ -271,9 +279,9 @@ class TestPreprocess:
         manifest, _ = generate_fixture(
             FixtureSpec(n_channels=16, n_per_class=32, duration_s=5.0),
             seed=3, out_dir=tmp_path)
-        rows = read_manifest(manifest)
+        plan = Plan(make_config(manifest, "unused", epoch_override=(0.0, 5.0)))
+        rows = plan.manifest
         assert len(rows) * rows.trial_bytes > 3 * relconn.data.CHUNK_BYTES
-        cfg = make_config(manifest, "unused", epoch_override=(0.0, 5.0))
         bank = (SpatialFilterBank(np.eye(4, 16), np.eye(16, 4),
                                   [0.9, 0.6, 0.3, 0.1]) if bank else None)
         n = rows.n_channels if bank is None else bank.n_filters
@@ -282,7 +290,7 @@ class TestPreprocess:
         import scipy.signal  # noqa: F401
         tracemalloc.start()
         try:
-            preprocess(cfg, rows, bank)
+            preprocess(plan, rows, bank)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -292,11 +300,11 @@ class TestPreprocess:
     def test_no_rows_is_a_data_error(self, dataset, bank):
         # no chunk is read, so the stack is empty and no signal named
         manifest, _ = dataset
-        cfg = make_config(manifest, "unused")
+        plan = Plan(make_config(manifest, "unused"))
         bank = (SpatialFilterBank(np.eye(2, 6), np.eye(6, 2), [0.9, 0.1])
                 if bank else None)
         with pytest.raises(DataError, match="non-empty"):
-            preprocess(cfg, read_manifest(manifest).subset([]), bank)
+            preprocess(plan, plan.manifest.subset([]), bank)
 
     def test_run_holds_less_than_its_raw_training_side(self, tmp_path):
         # trials are read, band-passed and reduced a chunk at a time, so
@@ -306,7 +314,7 @@ class TestPreprocess:
             FixtureSpec(n_per_class=200, duration_s=2.0), seed=3,
             out_dir=tmp_path / "data")
         cfg = make_config(manifest, tmp_path / "out", n_train=None)
-        raw_side = Plan(cfg).n_train * 6 * 400 * 8
+        raw_side = len(Plan(cfg).sides[0]) * 6 * 400 * 8
         # scipy is imported on first use; its modules are not the run's
         import scipy.linalg  # noqa: F401
         import scipy.signal  # noqa: F401
@@ -334,16 +342,20 @@ class TestProjectBeforeBandPass:
         ts = TrialSet(rng.standard_normal((5, n_channels, 60)),
                       [0, 1, 0, 1, 1], 10 + np.arange(5),
                       tuple(f"c{i}" for i in range(n_channels)), 100.0)
-        cfg = (PipelineConfig("motor_imagery", "m.json", "out",
-                              band_mode="concat", epoch_override=(0.1, 0.4))
-               if concat else PipelineConfig("errp", "m.json", "out",
-                                             epoch_override=(0.1, 0.4)))
         bank = SpatialFilterBank(rng.standard_normal((n_filters, n_channels)),
                                  rng.standard_normal((n_channels, n_filters)),
                                  np.linspace(0.9, 0.1, n_filters))
-        projected = preprocess(cfg, ts, bank)
+        with tempfile.TemporaryDirectory() as root:
+            manifest = str(save_trialset(ts, root))
+            cfg = (PipelineConfig("motor_imagery", manifest, "out",
+                                  band_mode="concat",
+                                  epoch_override=(0.1, 0.4))
+                   if concat else PipelineConfig("errp", manifest, "out",
+                                                 epoch_override=(0.1, 0.4)))
+            plan = Plan(cfg)
+            projected = preprocess(plan, plan.manifest, bank)
+            reference = preprocess(plan, plan.manifest)
         covs = _shrunk_covariances(projected, projected.matrices)
-        reference = preprocess(cfg, ts)
         assert projected.n_samples == reference.n_samples
         assert projected.ids.tolist() == ts.ids.tolist()
         assert projected.labels.tolist() == ts.labels.tolist()
@@ -588,7 +600,7 @@ class TestStageIsolation:
     def test_model_ignores_test_split_labels(self, dataset, tmp_path):
         # flipping every held-out label must not change the fitted model
         manifest, _ = dataset
-        ts = load_trialset(manifest)
+        ts = load_trialset(read_manifest(manifest))
 
         flipped_dir = tmp_path / "flipped"
         labels = ts.labels.copy()
@@ -718,15 +730,15 @@ class TestSideOnlyLoad:
         assert f"error: stage {stage}: {message}" in capsys.readouterr().err
 
 
-def artifacts_copy(cfg, root, n_train=None):
-    """A copy of cfg's artifacts under root and a config file naming it:
-    (out_dir, config path)."""
+def artifacts_copy(cfg, root, **edits):
+    """A copy of cfg's artifacts under root and a config file naming it,
+    with the given config keys edited: (out_dir, config path)."""
     out = Path(shutil.copytree(cfg.out_dir, root / "out"))
     config = root / "cfg.json"
     config.write_text(json.dumps({
         "manifest": cfg.manifest, "out_dir": str(out),
-        "n_train": n_train or cfg.n_train, "k_folds": 3,
-        "epoch": [0.0, 0.5]}))
+        "n_train": cfg.n_train, "k_folds": 3, "epoch": [0.0, 0.5],
+        **edits}))
     return out, str(config)
 
 
@@ -734,7 +746,7 @@ class TestStaleArtifacts:
     """A stage that reads another stage's artifact exits 2 naming it when
     the artifact no longer fits."""
 
-    @pytest.mark.parametrize("stage", ["evaluate", "graph"])
+    @pytest.mark.parametrize("stage", ["train", "evaluate", "graph"])
     def test_n_train_drift_names_the_filter_bank(self, completed_run,
                                                  tmp_path, capsys, stage):
         # the bank, and so the model, were fitted on 22 training trials; a
@@ -745,6 +757,32 @@ class TestStaleArtifacts:
         assert capsys.readouterr().err == (
             f"error: stage {stage}: {out / ARTIFACTS['filter_bank']}: "
             f"records n_train 22, but the config gives 16; rerun fit-csp\n")
+        for name, blob in blobs.items():
+            assert (out / ARTIFACTS[name]).read_bytes() == blob, name
+
+    @pytest.mark.parametrize("stage", ["train", "evaluate", "graph"])
+    @pytest.mark.parametrize("key, value, recorded", [
+        ("epoch", [0.0, 0.4], "epoch [0, 100], but the config gives [0, 80]"),
+        ("filter", {"order": 4}, 'filter [{"band_hz": [0.1, 10.0], '
+         '"family": "butterworth", "order": 5, "passband_ripple_db": 1.0, '
+         '"sampling_rate_hz": 200.0, "stopband_atten_db": 50.0}], but the '
+         'config gives [{"band_hz": [0.1, 10.0], "family": "butterworth", '
+         '"order": 4, '),
+        ("n_filters", 4, "n_filters 6, but the config gives 4"),
+    ])
+    def test_resolution_drift_names_the_key_and_the_filter_bank(
+            self, completed_run, tmp_path, capsys, stage, key, value,
+            recorded):
+        # the bank, and so the model and the test covariances, were made
+        # with another band-pass, epoch or filter count than the config's
+        cfg, blobs = completed_run
+        out, config = artifacts_copy(cfg, tmp_path, **{key: value})
+        assert main([stage, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage {stage}: "
+                              f"{out / ARTIFACTS['filter_bank']}: records "
+                              f"{recorded}")
+        assert err.endswith("; rerun fit-csp\n")
         for name, blob in blobs.items():
             assert (out / ARTIFACTS[name]).read_bytes() == blob, name
 
@@ -997,6 +1035,52 @@ class TestWideIds:
         assert set(selected) <= set(test_ids)
 
 
+class TestConfigDrift:
+    """A config edited after a run, then rerun from any stage to the end:
+    each rerun either exits non-zero, or leaves every artifact as a fresh
+    run of one of the two configs writes it."""
+
+    EDITS = {"n_train": 16, "n_filters": 4, "seed": 7, "lambda": 0.05,
+             "k_folds": 4, "posterior_threshold": 0.8, "epoch": [0.0, 0.4],
+             "filter": {"order": 4}}
+
+    def test_no_rerun_mixes_two_configs(self, dataset, tmp_path):
+        manifest, _ = dataset
+        base = {"manifest": str(manifest), "n_train": 22, "k_folds": 3,
+                "epoch": [0.0, 0.5]}
+
+        def run(name, commands, **edits):
+            """Whether each command exits 0, in turn, with a config of the
+            edits writing to tmp_path / name, and what it left there."""
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(
+                {**base, "out_dir": str(tmp_path / name), **edits}))
+            ok = all(main([command, "--config", str(config)]) == 0
+                     for command in commands)
+            return ok, {key: (tmp_path / name / file).read_bytes()
+                        for key, file in ARTIFACTS.items()}
+
+        ok, old = run("base", ["run"])
+        assert ok
+        names = list(stages())
+        mixed, passed = [], 0
+        for key, value in self.EDITS.items():
+            ok, new = run(key, ["run"], **{key: value})
+            assert ok, key
+            for i, start in enumerate(names):
+                shutil.copytree(tmp_path / "base", tmp_path / f"{key}-{start}")
+                ok, got = run(f"{key}-{start}", names[i:], **{key: value})
+                passed += ok
+                if ok and any(got[a] not in (old[a], new[a]) for a in got):
+                    mixed.append((key, start))
+        assert mixed == []
+        # the reruns that read each edited value from an artifact, or
+        # record it, still run: seed, lambda, k_folds and the threshold
+        # from any stage, and every edit from fit-csp and from report,
+        # which reads none of the other four
+        assert passed == 36
+
+
 class TestUpFrontRefusals:
     """A config value that the manifest settles is refused, naming its
     key, before any trial file is opened or any artifact written."""
@@ -1040,6 +1124,27 @@ class TestUpFrontRefusals:
             "error: stage fit-csp: config key 'n_filters': n_filters=8 "
             "exceeds channel count 6\n")
         assert [f for f in opened if Path(f).suffix == ".bin"] == []
+        assert not (tmp_path / "out").exists()
+
+
+    def test_a_test_side_without_a_class(self, dataset, tmp_path, capsys):
+        # sorted by label, the first 22 rows hold all 16 class 0 trials, so
+        # the 10 test trials are all class 1: evaluate could score no class
+        # 0 trial, and graph could build no class 0 graph
+        manifest, _ = dataset
+        data = Path(shutil.copytree(Path(manifest).parent, tmp_path / "data"))
+        d = json.loads((data / "manifest.json").read_text())
+        d["trials"].sort(key=lambda row: row["label"])
+        (data / "manifest.json").write_text(json.dumps(d))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "manifest": str(data / "manifest.json"),
+            "out_dir": str(tmp_path / "out"), "n_train": 22, "k_folds": 3,
+            "epoch": [0.0, 0.5]}))
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage fit-csp: config key 'n_train': the test side's "
+            "class counts are [0, 10]; each class needs a test trial\n")
         assert not (tmp_path / "out").exists()
 
 
