@@ -3,7 +3,8 @@ and pick out the trials it is confident about."""
 
 import numpy as np
 
-from relconn.classify import cross_validate, evaluate, select_relevant, train
+from relconn.classify import (cross_validate, evaluate, select_relevant,
+                              stratified_folds, train)
 from relconn.csp import fit_csp
 from relconn.data import ScatterSet, split_train_test
 from relconn.fixtures import FixtureSpec, synthesize_trialset
@@ -21,8 +22,8 @@ nnz = int(np.count_nonzero(model.weights))
 print(f"\nmodel: {nnz}/{model.weights.size} nonzero weights, "
       f"bias {model.bias:+.3f}, {model.n_iter} iterations")
 
-mean, std = cross_validate(train_set, k=5, n_filters=6, seed=42,
-                           lam=model.lam)
+folds = stratified_folds(train_set.labels, k=5, seed=42)
+mean, std = cross_validate(train_set, folds, n_filters=6, lam=model.lam)
 print(f"5-fold accuracy on the training session: {mean:.1f} +/- {std:.1f}%")
 
 report = evaluate(model, test_set)

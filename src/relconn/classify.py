@@ -160,6 +160,11 @@ class TslrModel:
         if self.filter_bank.n_filters != n:
             raise ValueError(
                 "filter bank size and reference dimension disagree")
+        if not (np.isfinite(w).all() and np.isfinite(self.bias)):
+            raise ValueError("weights and bias must be finite")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(
+                f"lambda must be >= 0 and finite, got {self.lam}")
 
     def to_dict(self) -> dict:
         return {
@@ -329,19 +334,20 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     return [np.flatnonzero(fold_of == f) for f in range(k)]
 
 
-def cross_validate(train_set: ScatterSet, k: int, n_filters: int, seed: int,
-                   lam: float | None = None) -> tuple[float, float]:
-    """Stratified k-fold accuracy (mean, std in percent), with n_filters
-    filters and L1 weight lam (None: `default_lambda`, as in `train`).
+def cross_validate(train_set: ScatterSet, folds: list[np.ndarray],
+                   n_filters: int, lam: float | None = None
+                   ) -> tuple[float, float]:
+    """Accuracy over the folds (mean, std in percent), with n_filters
+    filters and L1 weight lam (None: `default_lambda` of each fold's
+    training size, as in `train`). The folds are row indices that
+    partition the set, as `stratified_folds` deals them.
 
     Every fold refits the spatial filters, the tangent reference and the
     weights on its training trials alone, so no information from a
     held-out fold leaks into its model. The filters come from one pass
     over the folds (`csp.fold_banks`), and each fold projects the scatter
-    stack once and slices that into its training and held-out rows. Fold
-    assignment is deterministic for a given seed.
+    stack once and slices that into its training and held-out rows.
     """
-    folds = stratified_folds(train_set.labels, k, seed)
     accuracies = []
     for held_out, bank in zip(folds, fold_banks(train_set, folds, n_filters)):
         covs = trial_covariances(bank, train_set)

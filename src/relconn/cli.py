@@ -20,32 +20,18 @@ from . import pipeline as pl
 
 def _config_options() -> argparse.ArgumentParser:
     """The options of every stage subcommand and `run`, on a parent parser
-    built once per `build_parser`. Besides the paths, an option may only
-    override a value that the artifact it shapes records; the split, the
-    filters, the dataset kind and the band mode come from the config
-    alone, since several stages read them."""
+    built once per `build_parser`. Besides the config and the paths, the
+    one option is the posterior threshold, which threshold reruns change
+    on every call and which only select reads, recording it in its
+    artifact. Every other run value comes from the config alone, so the
+    stages that read it cannot disagree on it."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--manifest", help="override the config manifest path")
     p.add_argument("--out", dest="out_dir", help="override the output directory")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--lambda", dest="lam", type=float,
-                   help="override the L1 weight")
-    p.add_argument("--k-folds", type=int, help="override the fold count")
     p.add_argument("--threshold", dest="posterior_threshold", type=float,
                    help="override the posterior threshold")
     return p
-
-
-def _load_config(args: argparse.Namespace) -> pl.PipelineConfig:
-    # every option but --config is named after the config field it sets
-    overrides = {key: value for key, value in vars(args).items()
-                 if key not in ("command", "config")}
-    return pl.PipelineConfig.from_file(args.config, **overrides)
-
-
-def _summary(fn) -> str:
-    return fn.__doc__.splitlines()[0]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     config = _config_options()
     for name, fn in [*pl.stages().items(), ("run", pl.run_pipeline)]:
-        sub.add_parser(name, help=_summary(fn), parents=[config])
+        sub.add_parser(name, help=fn.__doc__.splitlines()[0],
+                       parents=[config])
     return parser
 
 
@@ -108,7 +95,10 @@ def _run_command(args: argparse.Namespace) -> None:
         print(args.out)
         return
 
-    cfg = _load_config(args)
+    # every option but --config is named after the config field it sets
+    cfg = pl.PipelineConfig.from_file(args.config, **{
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "config")})
     if args.command == "run":
         paths = pl.run_pipeline(cfg).values()
     else:

@@ -59,7 +59,10 @@ class SpatialFilterBank:
                 f"patterns must have shape ({ch}, {nf}), got {patterns.shape}")
         if eigenvalues.shape != (nf,):
             raise ValueError("one eigenvalue per kept filter is required")
-        if np.any(eigenvalues < -1e-10) or np.any(eigenvalues > 1.0 + 1e-10):
+        if not np.isfinite(w).all() or not np.isfinite(patterns).all():
+            raise ValueError("w and patterns must be finite")
+        # NaN fails both comparisons, so it is refused too
+        if not np.all((eigenvalues >= -1e-10) & (eigenvalues <= 1.0 + 1e-10)):
             raise ValueError("eigenvalues must lie in [0, 1]")
         if np.any(np.diff(eigenvalues) > 1e-12):
             raise ValueError("eigenvalues must be sorted descending")

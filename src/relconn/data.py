@@ -227,10 +227,13 @@ def _read_json(path) -> dict:
 
 def _write_json(path: Path, obj: dict) -> None:
     """Write a JSON object with sorted keys and a trailing newline, so equal
-    objects give equal bytes; creates the parent directory."""
+    objects give equal bytes; creates the parent directory. A NaN or
+    infinite number, which JSON cannot hold, is a ValueError, raised
+    before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def _integer(value, field: str) -> int:
@@ -300,8 +303,9 @@ def read_manifest(manifest_path) -> Manifest:
     SchemaError
         On missing or mistyped manifest fields, non-integer channels,
         samples, trial ids or labels, ids or labels beyond int64, a
-        sampling rate <= 0, channel or class names that do not match their
-        counts, labels outside {0, 1} or duplicate ids.
+        sampling rate that is not positive and finite, channel or class
+        names that do not match their counts, labels outside {0, 1} or
+        duplicate ids.
     """
     manifest_path = Path(manifest_path)
     manifest = _read_json(manifest_path)
@@ -316,8 +320,9 @@ def read_manifest(manifest_path) -> Manifest:
             f"channels and samples must be >= 1, got {n_ch} and {n_sa}")
     rate = _number(manifest["sampling_rate_hz"],
                    "manifest field 'sampling_rate_hz'")
-    if not rate > 0:
-        raise SchemaError(f"sampling_rate_hz must be positive, got {rate}")
+    if not 0 < rate < np.inf:
+        raise SchemaError(f"sampling_rate_hz must be positive and finite, "
+                          f"got {rate}")
     table = manifest["trials"]
     if not isinstance(table, list) or not table:
         raise SchemaError("manifest field 'trials' must be a non-empty list")

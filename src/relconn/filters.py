@@ -196,10 +196,12 @@ def epoch_bounds(ts: TrialSet, onset_s: float,
     return start, stop
 
 
-def extract_epoch(ts: TrialSet, onset_s: float,
-                  duration_s: float) -> TrialSet:
-    """Cut the `epoch_bounds` window out of every trial; returns a view."""
-    start, stop = epoch_bounds(ts, onset_s, duration_s)
+def extract_epoch(ts: TrialSet, start: int, stop: int) -> TrialSet:
+    """Cut samples [start, stop) out of every trial, a range that
+    `epoch_bounds` resolves from seconds; returns a view."""
+    if not 0 <= start < stop <= ts.n_samples:
+        raise ValueError(f"epoch [{start}, {stop}) is not a non-empty range "
+                         f"of the {ts.n_samples} samples per trial")
     return _derived(ts, samples=ts.samples[:, :, start:stop])
 
 

@@ -14,16 +14,16 @@ gives the rule): each chunk is reduced before the next is read, so a stage
 holds one chunk of raw samples, never a side.
 
 Every stage takes a `Plan`: the config resolved against the manifest,
-each part on first use. Resolving it checks, before any sample is read,
-every config value that the manifest settles, naming the config key.
-`fit-csp`, `train` and `cv` work on the plan's training `ScatterSet`;
-`evaluate` reads the plan's test rows chunk by chunk, projects each chunk
-through the fitted filter bank and preprocesses the n_filters projected
-signals of each trial instead of its channels. `run_pipeline` hands one
-plan to every stage, so the manifest is read and the training side
-preprocessed once; a stage run on its own makes its own plan and resolves
-only what it reads. Band-passing is causal and per trial, so a trial's
-scatter matrix comes out bit for bit the same either way.
+each part once. Resolving it checks, before any sample is read, every
+config value that the manifest settles, naming the key, and keeps the
+filter specs, the epoch in samples and the folds. `fit-csp`, `train` and
+`cv` work on the plan's training `ScatterSet`; `evaluate` projects each
+chunk of the plan's test rows through the fitted filter bank and
+preprocesses the n_filters projected signals of each trial instead of its
+channels. `run_pipeline` is the seven stages in order on one plan, so the
+training side is preprocessed once; a stage run alone makes its own plan
+and resolves only what it reads. Band-passing is causal and per trial, so
+a trial's scatter matrix comes out bit for bit the same either way.
 
 `evaluate` keeps the test trials' projected covariances
 (`40_test_covariances.npy`), so `select`, `graph` and `report` read
@@ -38,6 +38,7 @@ the bank's filter count differs from its own plan's.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -304,12 +305,11 @@ def preprocess(plan: Plan, rows: Manifest,
     the epoch and are not filtered. In concat mode the band outputs are
     joined along time; the scatter matrix of the joined signal is the sum
     of the per-band scatter matrices, so that sum is what is kept, without
-    building the join. The plan checks the band and the epoch against the
-    manifest before any chunk is read.
+    building the join. The plan checks the band and resolves the epoch
+    against the manifest, in samples, before any chunk is read.
     """
     filts = [design_bandpass(s) for s in plan.specs]
     start, stop = plan.epoch
-    onset, duration = plan.cfg.epoch_window()
     n = rows.n_channels if bank is None else bank.n_filters
     scatter = np.zeros((len(rows), n, n))
     # with no chunk, ScatterSet rejects the empty stack before it checks
@@ -324,7 +324,7 @@ def preprocess(plan: Plan, rows: Manifest,
         out = scatter[done:done + len(chunk)]
         done += len(chunk)
         for filt in filts:
-            x = extract_epoch(apply_filter(filt, head), onset, duration).samples
+            x = extract_epoch(apply_filter(filt, head), start, stop).samples
             out += x @ np.swapaxes(x, 1, 2)
         # let this chunk's samples and filter output go before the next
         # chunk is read
@@ -336,7 +336,7 @@ def preprocess(plan: Plan, rows: Manifest,
 class Plan:
     """A config resolved against its manifest, each field on first use
     and once; making a plan reads nothing. Stages read the manifest, the
-    filter specs and the epoch only through their plan."""
+    filter specs, the epoch in samples and the folds only through it."""
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
@@ -371,7 +371,8 @@ class Plan:
             _check_n_filters(cfg.n_filters, m.n_channels)
         # the folds can be dealt only if each class has k_folds trials
         with _prefix_errors("config key 'k_folds'"):
-            stratified_folds(m.labels[train], cfg.k_folds, cfg.seed)
+            self._folds = stratified_folds(m.labels[train], cfg.k_folds,
+                                           cfg.seed)
         # evaluate scores both classes, and graph builds a graph of each
         counts = np.bincount(m.labels[test], minlength=2).tolist()
         if min(counts) == 0:
@@ -380,11 +381,25 @@ class Plan:
                              f"test trial")
         return m.subset(train), m.subset(test)
 
+    @property
+    def folds(self) -> list[np.ndarray]:
+        """The training side's folds, as row indices, dealt by `sides`."""
+        self.sides
+        return self._folds
+
     def record(self) -> dict:
         """What fit-csp records in `10_filter_bank.json` and every stage
-        that reads the bank compares with its own plan: n_train, each
-        filter spec's fields and the epoch in samples, as JSON values."""
-        return {"n_train": len(self.sides[0]),
+        that reads the bank compares with its own plan: n_train, the sha256
+        of the training rows of the trial table (ids, labels and files, in
+        row order), each filter spec's fields and the epoch in samples, as
+        JSON values. Only the training rows shape the bank, so only they
+        are digested; two recordings whose training rows list the same ids,
+        labels and files are not told apart, whatever their samples."""
+        train = self.sides[0]
+        rows = [train.ids.tolist(), train.labels.tolist(), train.files]
+        return {"n_train": len(train),
+                "train_trials_sha256": hashlib.sha256(
+                    json.dumps(rows).encode()).hexdigest(),
                 "filter": [{**asdict(s), "band_hz": list(s.band_hz)}
                            for s in self.specs],
                 "epoch": list(self.epoch)}
@@ -464,14 +479,14 @@ def stage_train(plan: Plan) -> list[Path]:
 def stage_cv(plan: Plan) -> list[Path]:
     """Cross-validate on the training split.
 
-    Stratified k folds; filters, reference and weights are refit inside
-    each fold, from the class sums and the scatter stack the folds share
-    (`classify.cross_validate`).
+    On the plan's stratified k folds; filters, reference and weights are
+    refit inside each fold, from the class sums and the scatter stack the
+    folds share (`classify.cross_validate`).
     """
     with _prefix_errors("stage cv"):
         cfg, train_set = plan.cfg, plan.train_set
-        mean, std = cross_validate(train_set, cfg.k_folds, cfg.n_filters,
-                                   cfg.seed, cfg.lam)
+        mean, std = cross_validate(train_set, plan.folds, cfg.n_filters,
+                                   cfg.lam)
         path = cfg.out_path("cv_summary")
         _write_json(path, {
             "k_folds": cfg.k_folds,
@@ -516,10 +531,13 @@ def stage_evaluate(plan: Plan) -> list[Path]:
 
 def _load_report(cfg: PipelineConfig) -> EvalReport:
     """The evaluation report: aggregates from its JSON, per-trial columns
-    from its table, which must hold one row per trial the JSON counts."""
+    from its table, which must hold one row per trial the JSON counts,
+    each with a posterior in [0, 1]."""
     with _artifact(cfg, "eval_report") as d:
         aggregates = [_number(d[key], key)
                       for key in ("accuracy", "precision", "recall")]
+        if not all(map(math.isfinite, aggregates)):
+            raise ValueError(f"aggregates must be finite, got {aggregates}")
         n_trials = _integer(d["n_trials"], "n_trials")
     path = cfg.out_path("eval_per_trial")
     try:
@@ -535,6 +553,13 @@ def _load_report(cfg: PipelineConfig) -> EvalReport:
             f"{path} lists {len(table)} trials, but "
             f"{cfg.out_path('eval_report')} has n_trials {n_trials}; "
             f"rerun evaluate")
+    # NaN fails both comparisons
+    bad = np.flatnonzero(~((table["posterior"] >= 0)
+                           & (table["posterior"] <= 1)))
+    if bad.size:
+        raise SchemaError(
+            f"{path}: trial {table['trial_id'][bad[0]]}: posterior must be "
+            f"in [0, 1], got {table['posterior'][bad[0]]}; rerun evaluate")
     return EvalReport(*aggregates,
                       *(table[name] for name in _PER_TRIAL_COLUMNS.names))
 
@@ -660,8 +685,8 @@ def _load_node_metrics(cfg: PipelineConfig
                        ) -> dict[str, dict[str, np.ndarray]]:
     """Graph ("all:class0", ...) -> metric name -> per-node values, read
     back from the node-metric table; float parsing reads the repr'd values
-    back exactly. Every graph's and every metric's rows must list the same
-    nodes in the same order."""
+    back exactly, and each must be finite. Every graph's and every
+    metric's rows must list the same nodes in the same order."""
     path = cfg.out_path("node_metrics")
     values: dict[tuple[str, str], list[tuple[str, float]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -669,8 +694,10 @@ def _load_node_metrics(cfg: PipelineConfig
         try:
             next(rows, None)
             for node, metric, value, graph in rows:
-                values.setdefault((graph, metric), []).append(
-                    (node, float(value)))
+                x = float(value)
+                if not math.isfinite(x):
+                    raise ValueError(f"value must be finite, got {value}")
+                values.setdefault((graph, metric), []).append((node, x))
         except UnicodeDecodeError as e:
             # the text is decoded a block at a time, not a line
             raise SchemaError(f"{path}: {e}") from e
@@ -733,14 +760,14 @@ def stages() -> dict[str, Callable[[Plan], list[Path]]]:
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     """Run every stage in order, on one plan.
 
-    Before any stage runs, the plan preprocesses the training side and
-    checks the test side's trial files, so a run that fails on its data
-    writes nothing. Returns artifact name -> path, in `ARTIFACTS` order.
+    First the plan's checks and the test files' sizes, which read no
+    sample, so a run refused up front writes nothing; then the stages, as
+    they run alone. Returns artifact name -> path, in `ARTIFACTS` order.
     """
     plan = Plan(cfg)
-    # errors name the first stage that reads each side, as on its own
+    # errors name the first stage that checks each, as on its own
     with _prefix_errors("stage fit-csp"):
-        plan.train_set
+        plan.sides
     with _prefix_errors("stage evaluate"):
         plan.test_files
     for stage in stages().values():

@@ -20,7 +20,8 @@ import pytest
 import filter_oracle
 import graph_oracle
 from relconn.classify import (cross_validate, evaluate, fit_l1_logistic,
-                              logistic_grad, logistic_loss, train)
+                              logistic_grad, logistic_loss, stratified_folds,
+                              train)
 from relconn.csp import class_mean_covariances, fit_csp
 from relconn.data import ScatterSet, TrialSet
 from relconn.filters import (FilterSpec, design_bandpass, frequency_response,
@@ -308,7 +309,8 @@ class TestClassifierGate:
             permuted = labels[rng.permutation(len(labels))]
             shuffled = ScatterSet(base.matrices, base.n_samples, permuted,
                                   base.ids, base.channel_names)
-            mean, _ = cross_validate(shuffled, k=4, n_filters=2, seed=rep)
+            folds = stratified_folds(permuted, 4, seed=rep)
+            mean, _ = cross_validate(shuffled, folds, n_filters=2)
             means.append(mean)
         grand = float(np.mean(means))
         assert 40.0 <= grand <= 60.0

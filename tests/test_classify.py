@@ -476,8 +476,10 @@ class TestCrossValidate:
 
     def test_deterministic_and_sane(self):
         ts = self.make_set()
-        mean_a, std_a = cross_validate(ts, k=3, n_filters=2, seed=42)
-        mean_b, std_b = cross_validate(ts, k=3, n_filters=2, seed=42)
+        mean_a, std_a = cross_validate(
+            ts, stratified_folds(ts.labels, 3, seed=42), n_filters=2)
+        mean_b, std_b = cross_validate(
+            ts, stratified_folds(ts.labels, 3, seed=42), n_filters=2)
         assert mean_a == mean_b and std_a == std_b
         assert 0.0 <= mean_a <= 100.0 and std_a >= 0.0
         # the classes are cleanly separable, so folds should score high
@@ -494,8 +496,9 @@ class TestCrossValidate:
         cases += [(self.fixture_set(seed), dict(k=5, n_filters=4, lam=0.02))
                   for seed in (1, 2, 3)]
         for ts, kwargs in cases:
-            assert (cross_validate(ts, seed=42, **kwargs)
-                    == refit_cross_validate(ts, seed=42, **kwargs))
+            folds = stratified_folds(ts.labels, kwargs.pop("k"), seed=42)
+            assert (cross_validate(ts, folds, **kwargs)
+                    == refit_cross_validate(ts, folds, **kwargs))
 
     def test_fold_banks_match_fit_per_fold(self):
         for seed in (1, 2, 3):
@@ -519,14 +522,15 @@ class TestCrossValidate:
         # two trials per class and two folds leave one per class to fit on
         ts = labeled_set([0, 1, 0, 1])
         with pytest.raises(ValueError, match="class 0 has 1 trials"):
-            cross_validate(ts, k=2, n_filters=2, seed=42)
+            cross_validate(ts, stratified_folds(ts.labels, 2, seed=42),
+                           n_filters=2)
 
 
-def refit_cross_validate(train_set, k, n_filters, seed, lam=None):
+def refit_cross_validate(train_set, folds, n_filters, lam=None):
     """Cross-validation as a fresh fit per fold: the fold's trials are
     copied out, and filters, reference and weights are fit on the copy."""
     accuracies = []
-    for held_out in stratified_folds(train_set.labels, k, seed):
+    for held_out in folds:
         fold_train = train_set.subset(
             np.delete(np.arange(len(train_set)), held_out))
         bank = fit_csp(fold_train, n_filters)

@@ -16,8 +16,7 @@ from relconn.pipeline import ARTIFACTS, PipelineConfig, stages
 
 
 # the options of every stage subcommand and of run
-KEPT_OPTIONS = ("--config", "--manifest", "--out", "--seed", "--lambda",
-                "--k-folds", "--threshold")
+KEPT_OPTIONS = ("--config", "--manifest", "--out", "--threshold")
 
 
 def write_config(path, manifest, out_dir, **extra):
@@ -182,15 +181,6 @@ class TestRunCommand:
         options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
         assert options == {"--help", *KEPT_OPTIONS}
 
-    def test_lambda_override_lands_in_model(self, dataset, tmp_path):
-        out_dir = tmp_path / "out"
-        cfg = write_config(tmp_path / "cfg.json", dataset, out_dir)
-        assert main(["fit-csp", "--config", str(cfg)]) == 0
-        assert main(["train", "--config", str(cfg),
-                     "--lambda", "0.5"]) == 0
-        model = json.loads((out_dir / "20_model.json").read_text())
-        assert model["lambda"] == 0.5
-
     def test_threshold_override_is_not_kept_for_the_next_call(
             self, dataset, tmp_path):
         # calls in one process: a call without --threshold writes the
@@ -216,9 +206,10 @@ class TestRunCommand:
 
 
 class TestRemovedOptions:
-    """The split, the filter count, the dataset kind and the band mode are
-    read by several stages, which must agree on them, so no option sets
-    them for one stage alone."""
+    """The split, the filter count, the dataset kind, the band mode, the
+    seed, the L1 weight and the fold count are read by several stages,
+    which must agree on them, so no option sets them for one stage
+    alone."""
 
     @pytest.fixture(scope="class")
     def completed(self, dataset, tmp_path_factory):
@@ -232,6 +223,10 @@ class TestRemovedOptions:
         ("cv", "--n-filters", "4"),
         ("evaluate", "--band-mode", "concat"),
         ("fit-csp", "--dataset-kind", "motor_imagery"),
+        ("cv", "--seed", "7"),
+        ("train", "--lambda", "0.05"),
+        ("cv", "--k-folds", "11"),
+        ("run", "--seed", "7"),
     ])
     def test_refused_before_any_artifact_changes(self, completed, capsys,
                                                  stage, option, value):
@@ -288,6 +283,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: stage fit-csp: trial row 3: field 'id' must fit in "
             f"int64, got {2 ** 70}\n")
+
+    def test_unbounded_sampling_rate_exits_two(self, dataset, tmp_path,
+                                                capsys):
+        # 1e999 is a valid JSON number, which reads as inf
+        data = tmp_path / "data"
+        shutil.copytree(dataset.parent, data)
+        d = json.loads((data / "manifest.json").read_text())
+        d["sampling_rate_hz"] = "RATE"
+        (data / "manifest.json").write_text(
+            json.dumps(d).replace('"RATE"', "1e999"))
+        cfg = write_config(tmp_path / "cfg.json", data / "manifest.json",
+                           tmp_path / "out")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage fit-csp: sampling_rate_hz must be positive and "
+            "finite, got inf\n")
+        assert not (tmp_path / "out").exists()
 
     def test_zero_power_training_trial_fails_lone_cv(self, dataset, tmp_path,
                                                      capsys):
@@ -456,13 +468,6 @@ class TestExitCodes:
             return
         assert code == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_lambda_override_checked_up_front(self, dataset, tmp_path,
-                                              capsys):
-        cfg = write_config(tmp_path / "cfg.json", dataset, tmp_path / "out")
-        assert main(["fit-csp", "--config", str(cfg), "--lambda", "inf"]) == 2
-        assert "lambda must be > 0 and finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_overflow_exits_three(self, dataset, tmp_path, capsys):

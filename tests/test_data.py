@@ -1,6 +1,7 @@
 """Trial containers, manifest IO, and the train/test split."""
 
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -13,8 +14,8 @@ from numpy.testing import assert_allclose
 from relconn.classify import TslrModel
 from relconn.csp import SpatialFilterBank
 from relconn.data import (_MANIFEST_KEYS, MANIFEST_NAME, ScatterSet, TrialSet,
-                          load_trialset, read_manifest, save_trialset,
-                          split_rows, split_train_test)
+                          _write_json, load_trialset, read_manifest,
+                          save_trialset, split_rows, split_train_test)
 from relconn.errors import DataError, SchemaError
 from relconn.filters import FilterSpec, SosFilter
 from relconn.geometry import ReferencePoint, SpdMatrix
@@ -244,6 +245,14 @@ class TestManifestRoundTrip:
         with pytest.raises(SchemaError, match="sampling_rate_hz"):
             load_trialset(read_manifest(manifest))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_number_is_not_written(self, tmp_path, value):
+        # JSON has no NaN or Infinity, so no file may hold one
+        path = tmp_path / "out" / "a.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_json(path, {"a": [1.0, value]})
+        assert not path.exists()
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / MANIFEST_NAME
         path.write_text("{not json")
@@ -382,6 +391,8 @@ class TestRowSelection:
         ("class_names", ["a"], "class_names has 1 entries, expected 2"),
         ("channel_names", ["a"], "channel_names has 1 entries, expected 3"),
         ("sampling_rate_hz", -1.0, "sampling_rate_hz must be positive"),
+        ("sampling_rate_hz", math.inf,
+         "sampling_rate_hz must be positive and finite, got inf"),
     ])
     def test_manifest_alone_checks_names_and_rate(self, tmp_path, field,
                                                   value, match):

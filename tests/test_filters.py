@@ -8,7 +8,7 @@ from filter_oracle import butterworth_magnitude, elliptic_magnitude_fn
 from relconn.data import TrialSet, save_trialset
 from relconn.errors import FilterDesignError, NumericError
 from relconn.filters import (FilterSpec, SosFilter, apply_filter,
-                             design_bandpass, extract_epoch,
+                             design_bandpass, epoch_bounds, extract_epoch,
                              frequency_response, magnitude_db, response_grid,
                              write_response_csv)
 from relconn.pipeline import PipelineConfig, Plan, preprocess
@@ -174,30 +174,42 @@ class TestApply:
 class TestEpoch:
     def test_window_indices(self):
         samples = np.arange(20, dtype=float)[None, :]
-        out = extract_epoch(stack(samples, fs=10.0), 0.5, 1.0)
+        ts = stack(samples, fs=10.0)
         # start = round(0.5 * 10) = 5, length = round(1.0 * 10) = 10
+        assert epoch_bounds(ts, 0.5, 1.0) == (5, 15)
+        out = extract_epoch(ts, 5, 15)
         assert out.samples[0, 0].tolist() == list(range(5, 15))
 
     def test_rounding(self):
         samples = np.arange(10, dtype=float)[None, :]
         ts = stack(samples, 2.0 * samples, fs=10.0)
-        out = extract_epoch(ts, 0.24, 0.26)
         # round(2.4) = 2, round(2.6) = 3
+        assert epoch_bounds(ts, 0.24, 0.26) == (2, 5)
+        out = extract_epoch(ts, 2, 5)
         assert out.samples[:, 0].tolist() == [[2.0, 3.0, 4.0], [4.0, 6.0, 8.0]]
         # a view of the input, with the set's metadata
         assert np.shares_memory(out.samples, ts.samples)
         assert out.ids.tolist() == [0, 1] and out.sampling_rate_hz == 10.0
 
     def test_window_past_end(self):
+        ts = stack(np.zeros((1, 10)), fs=10.0)
         with pytest.raises(ValueError, match="exceeds"):
-            extract_epoch(stack(np.zeros((1, 10)), fs=10.0), 0.5, 1.0)
+            epoch_bounds(ts, 0.5, 1.0)
+        with pytest.raises(ValueError, match="not a non-empty range of the "
+                                             "10 samples"):
+            extract_epoch(ts, 5, 15)
 
     def test_bad_arguments(self):
         t = stack(np.zeros((1, 10)), fs=10.0)
         with pytest.raises(ValueError, match="duration_s"):
-            extract_epoch(t, 0.0, 0.0)
+            epoch_bounds(t, 0.0, 0.0)
         with pytest.raises(ValueError, match="onset_s"):
-            extract_epoch(t, -0.1, 1.0)
+            epoch_bounds(t, -0.1, 1.0)
+        with pytest.raises(ValueError, match="empty at this sampling rate"):
+            epoch_bounds(t, 0.0, 0.04)
+        for start, stop in ((0, 0), (3, 2), (-1, 5)):
+            with pytest.raises(ValueError, match="not a non-empty range"):
+                extract_epoch(t, start, stop)
 
 
 class TestConcat:
@@ -212,7 +224,7 @@ class TestConcat:
         plan = Plan(cfg)
         out = preprocess(plan, plan.manifest)
         bands = [extract_epoch(apply_filter(design_bandpass(spec), ts),
-                               0.1, 0.25).samples
+                               *plan.epoch).samples
                  for spec in cfg.filter_specs(FS)]
         assert len(bands) == 2
         joined = np.concatenate(bands, axis=2)

@@ -1,6 +1,7 @@
 """Pipeline stages: artifact determinism, stage isolation, leakage guards."""
 
 import json
+import math
 import shutil
 import tempfile
 import tracemalloc
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import relconn.classify
 import relconn.data
+import relconn.filters
 from relconn import pipeline
 from relconn.cli import main
 from relconn.csp import (SpatialFilterBank, _shrunk_covariances,
@@ -186,7 +189,7 @@ def scatter_of(plan, ts):
     out = np.zeros((len(ts), ts.n_channels, ts.n_channels))
     for spec in plan.specs:
         x = extract_epoch(apply_filter(design_bandpass(spec), ts),
-                          *plan.cfg.epoch_window()).samples
+                          *plan.epoch).samples
         out += x @ np.swapaxes(x, 1, 2)
     return out
 
@@ -204,7 +207,7 @@ class TestPreprocess:
         assert out.ids.tolist() == ts.ids.tolist()
         assert out.labels.tolist() == ts.labels.tolist()
         (filt,) = [design_bandpass(s) for s in cfg.filter_specs(200.0)]
-        x = extract_epoch(apply_filter(filt, ts), 0.1, 0.25).samples
+        x = extract_epoch(apply_filter(filt, ts), 20, 70).samples
         assert np.array_equal(out.matrices, x @ np.swapaxes(x, 1, 2))
 
     def test_concat_mode_joins_bands(self, dataset):
@@ -219,7 +222,7 @@ class TestPreprocess:
         assert out.n_samples == 2 * int(round(0.4 * 200.0))
         joined = np.concatenate(
             [extract_epoch(apply_filter(design_bandpass(spec), ts),
-                           0.0, 0.4).samples
+                           0, 80).samples
              for spec in cfg.filter_specs(200.0)], axis=2)
         assert_allclose(out.matrices, joined @ np.swapaxes(joined, 1, 2),
                         rtol=1e-12)
@@ -233,7 +236,7 @@ class TestPreprocess:
         plan = Plan(cfg)
         ts = load_trialset(plan.manifest)
         out = preprocess(plan, plan.manifest)
-        assert extract_epoch(ts, 0.1, 0.2).samples.shape[2] < ts.n_samples
+        assert plan.epoch == (20, 60) and 60 < ts.n_samples
         assert np.array_equal(out.matrices, scatter_of(plan, ts))
 
     @pytest.mark.parametrize("side", [0, 1], ids=["train", "test"])
@@ -897,9 +900,29 @@ class TestStaleArtifacts:
          lambda d: d.update(reference_mean=(-np.array(d["reference_mean"]))
                             .tolist()),
          ": matrix is not positive definite"),
+        # JSON has no NaN, but Python's json module reads and writes one
+        ("evaluate", "model", lambda d: d.update(bias=math.nan),
+         ": weights and bias must be finite"),
+        ("evaluate", "model", lambda d: d["weights"].__setitem__(0, math.nan),
+         ": weights and bias must be finite"),
+        ("evaluate", "model", lambda d: d.update({"lambda": -1.0}),
+         ": lambda must be >= 0 and finite, got -1.0"),
+        ("train", "filter_bank",
+         lambda d: d["filter_bank"]["w"][0].__setitem__(0, math.nan),
+         ": w and patterns must be finite"),
+        ("graph", "filter_bank",
+         lambda d: d["filter_bank"]["w"][0].__setitem__(0, math.nan),
+         ": w and patterns must be finite"),
+        ("graph", "filter_bank",
+         lambda d: d["filter_bank"]["eigenvalues"].__setitem__(0, math.nan),
+         ": eigenvalues must lie in [0, 1]"),
+        ("select", "eval_report", lambda d: d.update(accuracy=math.nan),
+         ": aggregates must be finite, got [nan, "),
     ], ids=["weights_object", "node_names_null", "filter_bank_list",
             "no_bias", "no_node_names", "no_selected_ids", "no_accuracy",
-            "bias_string", "one_node_name", "reference_negated"])
+            "bias_string", "one_node_name", "reference_negated", "bias_nan",
+            "weight_nan", "lambda_negative", "bank_w_nan_train",
+            "bank_w_nan_graph", "eigenvalue_nan", "accuracy_nan"])
     def test_malformed_json_names_the_file(self, completed_run, tmp_path,
                                            capsys, stage, artifact, edit,
                                            message):
@@ -977,7 +1000,16 @@ class TestStaleArtifacts:
             "x" if i == 2 else field
             for i, field in enumerate(row.split(","))),
          "could not convert string to float: 'x'"),
-    ], ids=["three_columns", "five_columns", "value_x"])
+        (lambda row: ",".join(
+            "nan" if i == 2 else field
+            for i, field in enumerate(row.split(","))),
+         "value must be finite, got nan"),
+        (lambda row: ",".join(
+            "-inf" if i == 2 else field
+            for i, field in enumerate(row.split(","))),
+         "value must be finite, got -inf"),
+    ], ids=["three_columns", "five_columns", "value_x", "value_nan",
+            "value_inf"])
     def test_report_names_a_damaged_metric_row(self, completed_run,
                                                tmp_path, capsys, edit,
                                                message):
@@ -1002,6 +1034,20 @@ class TestStaleArtifacts:
         err = capsys.readouterr().err
         assert err.startswith(f"error: stage select: {path}: "), err
         assert "requires 4 columns but 3 were found at row 3" in err
+
+    @pytest.mark.parametrize("posterior", ["nan", "2.0", "-0.5"])
+    def test_select_refuses_a_posterior_outside_0_1(
+            self, completed_run, tmp_path, capsys, posterior):
+        out, config = artifacts_copy(completed_run[0], tmp_path)
+        path = out / ARTIFACTS["eval_per_trial"]
+        lines = path.read_text().splitlines()
+        tid = lines[3].split(",")[0]
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + posterior
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["select", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: stage select: {path}: trial {tid}: posterior must be in "
+            f"[0, 1], got {float(posterior)}; rerun evaluate\n")
 
     def test_report_rejects_rows_of_other_nodes(self, completed_run,
                                                 tmp_path, capsys):
@@ -1048,6 +1094,11 @@ class TestConfigDrift:
         manifest, _ = dataset
         base = {"manifest": str(manifest), "n_train": 22, "k_folds": 3,
                 "epoch": [0.0, 0.5]}
+        # a recording of the same shape, drawn from another seed
+        other, _ = generate_fixture(FixtureSpec(n_per_class=16,
+                                                duration_s=0.5),
+                                    seed=4, out_dir=tmp_path / "seed4")
+        edits = {**self.EDITS, "manifest": str(other)}
 
         def run(name, commands, **edits):
             """Whether each command exits 0, in turn, with a config of the
@@ -1064,7 +1115,7 @@ class TestConfigDrift:
         assert ok
         names = list(stages())
         mixed, passed = [], 0
-        for key, value in self.EDITS.items():
+        for key, value in edits.items():
             ok, new = run(key, ["run"], **{key: value})
             assert ok, key
             for i, start in enumerate(names):
@@ -1077,8 +1128,8 @@ class TestConfigDrift:
         # the reruns that read each edited value from an artifact, or
         # record it, still run: seed, lambda, k_folds and the threshold
         # from any stage, and every edit from fit-csp and from report,
-        # which reads none of the other four
-        assert passed == 36
+        # which reads none of the other five
+        assert passed == 38
 
 
 class TestUpFrontRefusals:
@@ -1146,6 +1197,50 @@ class TestUpFrontRefusals:
             "error: stage fit-csp: config key 'n_train': the test side's "
             "class counts are [0, 10]; each class needs a test trial\n")
         assert not (tmp_path / "out").exists()
+
+
+class TestOneResolution:
+    """A run resolves each run value once, in its plan, and its stages do
+    as they do alone."""
+
+    def test_folds_dealt_and_epoch_resolved_once(self, dataset, tmp_path,
+                                                 monkeypatch):
+        manifest, _ = dataset
+        calls = Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        # every module that binds each name
+        for module in (relconn.classify, pipeline):
+            counted(module, "stratified_folds")
+        for module in (relconn.filters, pipeline):
+            counted(module, "epoch_bounds")
+        run_pipeline(make_config(manifest, tmp_path / "out"))
+        assert calls == {"stratified_folds": 1, "epoch_bounds": 1}
+
+    def test_run_reads_no_sample_before_fit_csp(self, dataset, tmp_path,
+                                                monkeypatch):
+        manifest, _ = dataset
+        events = []
+        real_load, real_fit = relconn.data.load_trialset, stage_fit_csp
+
+        def load(rows):
+            events.append("load")
+            return real_load(rows)
+
+        def fit(plan):
+            events.append("fit-csp")
+            return real_fit(plan)
+        monkeypatch.setattr(relconn.data, "load_trialset", load)
+        monkeypatch.setattr(pipeline, "stage_fit_csp", fit)
+        run_pipeline(make_config(manifest, tmp_path / "out"))
+        assert events[0] == "fit-csp" and "load" in events
 
 
 class TestStageErrors:
