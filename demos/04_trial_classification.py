@@ -5,7 +5,7 @@ import numpy as np
 
 from relconn.classify import (cross_validate, evaluate, select_relevant,
                               stratified_folds, train)
-from relconn.csp import fit_csp
+from relconn.csp import fit_csp, trial_covariances
 from relconn.data import ScatterSet, split_train_test
 from relconn.fixtures import FixtureSpec, synthesize_trialset
 
@@ -26,7 +26,10 @@ folds = stratified_folds(train_set.labels, k=5, seed=42)
 mean, std = cross_validate(train_set, folds, n_filters=6, lam=model.lam)
 print(f"5-fold accuracy on the training session: {mean:.1f} +/- {std:.1f}%")
 
-report = evaluate(model, test_set)
+# the model holds no filter bank: it scores covariances projected through
+# the bank it was trained on
+report = evaluate(model, trial_covariances(bank, test_set), test_set.labels,
+                  test_set.ids)
 print(f"held-out accuracy {report.accuracy:.1f}%, "
       f"precision {report.precision:.1f}%, recall {report.recall:.1f}%")
 

@@ -4,7 +4,8 @@ Training projects each trial's channel scatter matrix through a spatial
 filter bank into a shrunk sample covariance, maps the covariances to the
 tangent space at their LogEuclidean mean, and fits a sparse logistic model
 by proximal gradient descent (soft-thresholding) with a backtracking line
-search.
+search. The model keeps no copy of the bank: `evaluate` scores covariances
+projected through the bank it was trained on, which the caller holds.
 
 Features are standardized per dimension before the solver runs; the learned
 coefficients are folded back so the stored model operates on raw tangent
@@ -137,15 +138,15 @@ class TslrModel:
 
     weights and bias act on raw tangent vectors (standardization is folded
     in after fitting). reference is the LogEuclidean mean of the training
-    covariances with its cached inverse square root; filter_bank is the
-    spatial filter bank the covariances came from.
+    covariances with its cached inverse square root, one row and column
+    per filter of the bank the covariances came from; the model holds no
+    bank.
     """
 
     weights: np.ndarray
     bias: float
     lam: float
     reference: ReferencePoint
-    filter_bank: SpatialFilterBank
     n_iter: int = 0
     optimality_gap: float = 0.0
 
@@ -157,9 +158,6 @@ class TslrModel:
             raise ValueError(
                 f"weights must have length {expected} for a {n}x{n} "
                 f"reference, got shape {w.shape}")
-        if self.filter_bank.n_filters != n:
-            raise ValueError(
-                "filter bank size and reference dimension disagree")
         if not (np.isfinite(w).all() and np.isfinite(self.bias)):
             raise ValueError("weights and bias must be finite")
         if not 0 <= self.lam < np.inf:
@@ -172,7 +170,6 @@ class TslrModel:
             "bias": self.bias,
             "lambda": self.lam,
             "reference_mean": self.reference.mean.values.tolist(),
-            "filter_bank": self.filter_bank.to_dict(),
             "n_iter": self.n_iter,
             "optimality_gap": self.optimality_gap,
         }
@@ -182,7 +179,6 @@ class TslrModel:
         ref = ReferencePoint.from_mean(SpdMatrix(d["reference_mean"]))
         return cls(d["weights"], _number(d["bias"], "bias"),
                    _number(d["lambda"], "lambda"), ref,
-                   SpatialFilterBank.from_dict(d["filter_bank"]),
                    _integer(d["n_iter"], "n_iter"),
                    _number(d["optimality_gap"], "optimality_gap"))
 
@@ -193,27 +189,14 @@ def default_lambda(n_train: int) -> float:
 
 def train(train_set: ScatterSet, bank: SpatialFilterBank,
           lam: float | None = None) -> TslrModel:
-    """Fit the tangent-space model on a training set.
-
-    Parameters
-    ----------
-    train_set : ScatterSet
-        Two-class training trials (both classes present).
-    bank : SpatialFilterBank
-        Fitted spatial filters for these channels.
-    lam : float, optional
-        L1 weight; defaults to 0.1 / n_train.
-
-    Returns
-    -------
-    TslrModel
-    """
-    return _fit(trial_covariances(bank, train_set), train_set.labels, bank,
-                lam)
+    """Fit the tangent-space model on two-class training trials projected
+    through `bank`, the spatial filters fitted for their channels, with
+    L1 weight `lam` (None: `default_lambda` of the trial count)."""
+    return _fit(trial_covariances(bank, train_set), train_set.labels, lam)
 
 
-def _fit(covs: np.ndarray, labels: np.ndarray, bank: SpatialFilterBank,
-         lam: float | None) -> TslrModel:
+def _fit(covs: np.ndarray, labels: np.ndarray, lam: float | None
+         ) -> TslrModel:
     """`train` on the trials' projected covariances
     `trial_covariances(bank, ...)`, already computed."""
     if set(labels.tolist()) != {0, 1}:
@@ -232,7 +215,7 @@ def _fit(covs: np.ndarray, labels: np.ndarray, bank: SpatialFilterBank,
     # fold the standardization into the stored coefficients
     w_raw = fit.w / sd
     b_raw = fit.b - float(w_raw @ mu)
-    return TslrModel(w_raw, b_raw, lam, ref, bank, fit.n_iter, fit.gap)
+    return TslrModel(w_raw, b_raw, lam, ref, fit.n_iter, fit.gap)
 
 
 @dataclass(frozen=True)
@@ -258,28 +241,24 @@ class EvalReport:
                         self.posteriors.tolist()))
 
 
-def evaluate(model: TslrModel, test_set: ScatterSet,
-             covs: np.ndarray | None = None) -> EvalReport:
-    """Score a model on held-out trials.
-
-    covs, when given, are the trials' projected covariances
-    `trial_covariances(model.filter_bank, test_set)`, already computed.
-    Posteriors are class-1 probabilities; a posterior of exactly 0.5
-    predicts class 1. Precision is 0 when nothing is predicted positive.
+def evaluate(model: TslrModel, covs: np.ndarray, labels: np.ndarray,
+             ids: np.ndarray) -> EvalReport:
+    """Score a model on held-out trials: their covariances projected
+    through the bank the model was trained on (`csp.trial_covariances`),
+    labels and ids, one entry per trial in the same order. Posteriors are
+    class-1 probabilities; a posterior of exactly 0.5 predicts class 1.
+    Precision is 0 when nothing is predicted positive.
     """
-    if covs is None:
-        covs = trial_covariances(model.filter_bank, test_set)
     z = tangent_map(model.reference, covs) @ model.weights + model.bias
     posteriors = np.clip(sigmoid(z), 1e-15, 1.0 - 1e-15)
-    true = test_set.labels
     pred = (posteriors >= 0.5).astype(int)
-    tp = int(np.sum((pred == 1) & (true == 1)))
-    fp = int(np.sum((pred == 1) & (true == 0)))
-    fn = int(np.sum((pred == 0) & (true == 1)))
-    accuracy = 100.0 * float(np.mean(pred == true))
+    tp = int(np.sum((pred == 1) & (labels == 1)))
+    fp = int(np.sum((pred == 1) & (labels == 0)))
+    fn = int(np.sum((pred == 0) & (labels == 1)))
+    accuracy = 100.0 * float(np.mean(pred == labels))
     precision = 100.0 * tp / (tp + fp) if tp + fp else 0.0
     recall = 100.0 * tp / (tp + fn) if tp + fn else 0.0
-    return EvalReport(accuracy, precision, recall, test_set.ids, true, pred,
+    return EvalReport(accuracy, precision, recall, ids, labels, pred,
                       posteriors)
 
 
@@ -353,8 +332,9 @@ def cross_validate(train_set: ScatterSet, folds: list[np.ndarray],
         covs = trial_covariances(bank, train_set)
         fit_rows = np.ones(len(train_set), dtype=bool)
         fit_rows[held_out] = False
-        model = _fit(covs[fit_rows], train_set.labels[fit_rows], bank, lam)
-        report = evaluate(model, train_set.subset(held_out), covs[held_out])
+        model = _fit(covs[fit_rows], train_set.labels[fit_rows], lam)
+        report = evaluate(model, covs[held_out], train_set.labels[held_out],
+                          train_set.ids[held_out])
         accuracies.append(report.accuracy)
     acc = np.array(accuracies)
     return float(acc.mean()), float(acc.std())

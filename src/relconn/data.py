@@ -212,14 +212,16 @@ class ScatterSet(_TrialStack):
                    ts.channel_names)
 
 
-def _read_json(path) -> dict:
-    """The JSON object a file holds; invalid JSON or UTF-8, or another JSON
-    value, is a SchemaError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            value = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise SchemaError(f"{path} is not valid JSON: {e}") from e
+def _read_json(path, raw: bytes | None = None) -> dict:
+    """The JSON object a file holds, or its bytes `raw` if already read;
+    invalid JSON or UTF-8, or another JSON value, is a SchemaError naming
+    the file."""
+    if raw is None:
+        raw = Path(path).read_bytes()
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise SchemaError(f"{path} is not valid JSON: {e}") from e
     if not isinstance(value, dict):
         raise SchemaError(f"{path} must hold a JSON object")
     return value

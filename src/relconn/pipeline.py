@@ -32,7 +32,9 @@ artifacts only and rerun at a new threshold without the recording;
 `select` and `report` leave the plan unresolved. `fit-csp` records the
 plan's resolution in `10_filter_bank.json` (`Plan.record`), and a stage
 that reads the bank refuses it, naming the config key, if that record or
-the bank's filter count differs from its own plan's.
+the bank's filter count differs from its own plan's. The bank has that one
+home: `20_model.json` names it by the sha256 of its bytes, and `evaluate`
+refuses a model trained on another bank, naming `20_model.json`.
 """
 
 from __future__ import annotations
@@ -262,13 +264,13 @@ def _prefix_errors(label: str):
 
 
 @contextmanager
-def _artifact(cfg: PipelineConfig, name: str):
-    """The JSON object an earlier stage wrote as artifact `name`, to read
-    fields from: a missing field, or a value of the wrong type or length,
-    or one that fails a numeric check (a matrix that is not positive
-    definite), is a SchemaError naming the file."""
+def _artifact(cfg: PipelineConfig, name: str, raw: bytes | None = None):
+    """The JSON object an earlier stage wrote as artifact `name` (or its
+    bytes `raw`), to read fields from: a missing field, or a value of the
+    wrong type or length, or one that fails a numeric check (a matrix that
+    is not positive definite), is a SchemaError naming the file."""
     path = cfg.out_path(name)
-    d = _read_json(path)
+    d = _read_json(path, raw)
     try:
         yield d
     except KeyError as e:
@@ -448,12 +450,13 @@ def stage_fit_csp(plan: Plan) -> list[Path]:
         return paths
 
 
-def _load_bank(plan: Plan) -> tuple[SpatialFilterBank, tuple[str, ...]]:
-    """The filter bank and one node name per filter. A bank whose record
-    (`Plan.record`) or filter count differs from the plan's is refused,
-    naming the file and the config key."""
+def _load_bank(plan: Plan) -> tuple[SpatialFilterBank, tuple[str, ...], str]:
+    """The filter bank, one node name per filter and the sha256 of the
+    file's bytes, read once. A bank whose record (`Plan.record`) or filter
+    count differs from the plan's is refused, naming the key."""
     given = {**plan.record(), "n_filters": plan.cfg.n_filters}
-    with _artifact(plan.cfg, "filter_bank") as d:
+    raw = plan.cfg.out_path("filter_bank").read_bytes()
+    with _artifact(plan.cfg, "filter_bank", raw) as d:
         bank = SpatialFilterBank.from_dict(d["filter_bank"])
         fitted = {**d, "n_filters": bank.n_filters}
         for key, value in given.items():
@@ -462,17 +465,19 @@ def _load_bank(plan: Plan) -> tuple[SpatialFilterBank, tuple[str, ...]]:
                     f"records {key} {json.dumps(fitted[key], sort_keys=True)}"
                     f", but the config gives "
                     f"{json.dumps(value, sort_keys=True)}; rerun fit-csp")
-        return bank, _names(d["node_names"], "node_names", bank.n_filters)
+        return (bank, _names(d["node_names"], "node_names", bank.n_filters),
+                hashlib.sha256(raw).hexdigest())
 
 
 def stage_train(plan: Plan) -> list[Path]:
-    """Train the tangent-space model on the training split."""
+    """Train the tangent-space model on the training split. The model
+    names its bank by the sha256 of `10_filter_bank.json`'s bytes."""
     with _prefix_errors("stage train"):
-        bank, _ = _load_bank(plan)
+        bank, _, digest = _load_bank(plan)
         cfg, train_set = plan.cfg, plan.train_set
         model = train(train_set, bank, cfg.lam)
         path = cfg.out_path("model")
-        _write_json(path, model.to_dict())
+        _write_json(path, {**model.to_dict(), "filter_bank_sha256": digest})
         return [path]
 
 
@@ -504,22 +509,30 @@ def stage_evaluate(plan: Plan) -> list[Path]:
     """Score the model on the held-out split.
 
     Writes the aggregates, the per-trial outcome table and the test
-    trials' projected covariances in the table's row order.
+    trials' projected covariances in the table's row order. A model
+    trained on another bank (digest or filter count) than
+    `10_filter_bank.json` is refused before any test sample is read.
     """
     with _prefix_errors("stage evaluate"):
         cfg, test_rows = plan.cfg, plan.test_files
-        # the model was trained with the bank, on the bank's training
-        # side: a bank fitted on another resolution refuses both
-        _load_bank(plan)
+        # a bank of another resolution is refused first, naming the key
+        bank, _, digest = _load_bank(plan)
         with _artifact(cfg, "model") as d:
             model = TslrModel.from_dict(d)
+            trained = (d["filter_bank_sha256"], model.reference.dim)
+            if trained != (digest, bank.n_filters):
+                raise ValueError(
+                    f"was trained on a bank with sha256 {trained[0]} and "
+                    f"{trained[1]} filters, but {cfg.out_path('filter_bank')}"
+                    f" has sha256 {digest} and {bank.n_filters} filters; "
+                    f"rerun train")
         # the raw trials are projected through the bank before they are
         # band-passed, so n_filters signals per trial are filtered, not
         # every channel; the covariances then match `trial_covariances`
         # of the preprocessed trials only to rounding
-        projected = preprocess(plan, test_rows, model.filter_bank)
+        projected = preprocess(plan, test_rows, bank)
         covs = _shrunk_covariances(projected, projected.matrices)
-        report = evaluate(model, projected, covs)
+        report = evaluate(model, covs, projected.labels, projected.ids)
         paths = [cfg.out_path("eval_report"), cfg.out_path("eval_per_trial"),
                  cfg.out_path("test_covariances")]
         _write_json(paths[0], report.to_dict())
@@ -532,7 +545,7 @@ def stage_evaluate(plan: Plan) -> list[Path]:
 def _load_report(cfg: PipelineConfig) -> EvalReport:
     """The evaluation report: aggregates from its JSON, per-trial columns
     from its table, which must hold one row per trial the JSON counts,
-    each with a posterior in [0, 1]."""
+    each with labels 0 or 1 and a posterior in [0, 1]."""
     with _artifact(cfg, "eval_report") as d:
         aggregates = [_number(d[key], key)
                       for key in ("accuracy", "precision", "recall")]
@@ -553,13 +566,18 @@ def _load_report(cfg: PipelineConfig) -> EvalReport:
             f"{path} lists {len(table)} trials, but "
             f"{cfg.out_path('eval_report')} has n_trials {n_trials}; "
             f"rerun evaluate")
-    # NaN fails both comparisons
-    bad = np.flatnonzero(~((table["posterior"] >= 0)
-                           & (table["posterior"] <= 1)))
-    if bad.size:
-        raise SchemaError(
-            f"{path}: trial {table['trial_id'][bad[0]]}: posterior must be "
-            f"in [0, 1], got {table['posterior'][bad[0]]}; rerun evaluate")
+    p = table["posterior"]
+    for name, allowed, ok in (
+            ("true_label", "0 or 1", np.isin(table["true_label"], (0, 1))),
+            ("predicted_label", "0 or 1",
+             np.isin(table["predicted_label"], (0, 1))),
+            # NaN fails both comparisons
+            ("posterior", "in [0, 1]", (p >= 0) & (p <= 1))):
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise SchemaError(
+                f"{path}: trial {table['trial_id'][bad[0]]}: {name} must be "
+                f"{allowed}, got {table[name][bad[0]]}; rerun evaluate")
     return EvalReport(*aggregates,
                       *(table[name] for name in _PER_TRIAL_COLUMNS.names))
 
@@ -625,7 +643,7 @@ def stage_graph(plan: Plan) -> list[Path]:
     """
     with _prefix_errors("stage graph"):
         cfg, (_, test) = plan.cfg, plan.sides
-        bank, node_names = _load_bank(plan)
+        bank, node_names, _ = _load_bank(plan)
         report = _load_report(cfg)
         if not (np.array_equal(report.trial_ids, test.ids)
                 and np.array_equal(report.true_labels, test.labels)):

@@ -22,7 +22,7 @@ import graph_oracle
 from relconn.classify import (cross_validate, evaluate, fit_l1_logistic,
                               logistic_grad, logistic_loss, stratified_folds,
                               train)
-from relconn.csp import class_mean_covariances, fit_csp
+from relconn.csp import class_mean_covariances, fit_csp, trial_covariances
 from relconn.data import ScatterSet, TrialSet
 from relconn.filters import (FilterSpec, design_bandpass, frequency_response,
                              magnitude_db)
@@ -289,7 +289,8 @@ class TestClassifierGate:
         test_set = make(80, 200)
         bank = fit_csp(train_set, n_filters=n)
         model = train(train_set, bank)
-        report = evaluate(model, test_set)
+        report = evaluate(model, trial_covariances(bank, test_set),
+                          test_set.labels, test_set.ids)
         assert report.accuracy >= 95.0
         assert time.monotonic() - t0 < 60.0
         print(f"PASS classifier held-out accuracy: {report.accuracy:.1f}%")

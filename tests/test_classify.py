@@ -11,7 +11,8 @@ from relconn.classify import (EvalReport, TslrModel, _grad, _kkt_gap,
                               logistic_grad, logistic_loss,
                               select_relevant, sigmoid, soft_threshold,
                               stratified_folds, train)
-from relconn.csp import SpatialFilterBank, fit_csp, fold_banks
+from relconn.csp import (SpatialFilterBank, fit_csp, fold_banks,
+                         trial_covariances)
 from relconn.data import ScatterSet, TrialSet
 from relconn.errors import ConvergenceError, StratificationError
 from relconn.fixtures import FixtureSpec, synthesize_trialset
@@ -326,7 +327,14 @@ def identity_bank(n=2):
 
 def bias_only_model(bias):
     ref = ReferencePoint.from_mean(SpdMatrix(np.eye(2)))
-    return TslrModel(np.zeros(3), bias, 0.1, ref, identity_bank())
+    return TslrModel(np.zeros(3), bias, 0.1, ref)
+
+
+def score(model, test_set, bank=None):
+    """`evaluate` on the set's covariances projected through bank (the
+    identity by default)."""
+    covs = trial_covariances(bank or identity_bank(), test_set)
+    return evaluate(model, covs, test_set.labels, test_set.ids)
 
 
 def scatter_set(samples, labels, ids=None):
@@ -344,7 +352,7 @@ class TestEvaluate:
     def test_percent_metrics_all_positive(self):
         # bias ln 9 gives posterior 0.9 everywhere, so everything is
         # predicted class 1: accuracy 75, precision 75, recall 100
-        report = evaluate(bias_only_model(np.log(9.0)),
+        report = score(bias_only_model(np.log(9.0)),
                           labeled_set([1, 1, 0, 1]))
         assert report.accuracy == pytest.approx(75.0)
         assert report.precision == pytest.approx(75.0)
@@ -355,14 +363,14 @@ class TestEvaluate:
         assert report.true_labels.tolist() == [1, 1, 0, 1]
 
     def test_percent_metrics_all_negative(self):
-        report = evaluate(bias_only_model(-np.log(9.0)),
-                          labeled_set([1, 1, 0, 1]))
+        report = score(bias_only_model(-np.log(9.0)),
+                       labeled_set([1, 1, 0, 1]))
         assert report.accuracy == pytest.approx(25.0)
         assert report.precision == 0.0
         assert report.recall == 0.0
 
     def test_posterior_half_predicts_class_one(self):
-        report = evaluate(bias_only_model(0.0), labeled_set([0, 1]))
+        report = score(bias_only_model(0.0), labeled_set([0, 1]))
         assert report.predicted_labels.tolist() == [1, 1]
 
 
@@ -403,7 +411,7 @@ class TestTrainPredict:
         train_set = self.make_sets(seed=8)
         test_set = self.make_sets(seed=9)
         model = train(train_set, identity_bank())
-        report = evaluate(model, test_set)
+        report = score(model, test_set)
         assert report.accuracy >= 90.0
 
     def test_requires_both_classes(self):
@@ -420,13 +428,13 @@ class TestTrainPredict:
         model = train(self.make_sets(), identity_bank())
         back = TslrModel.from_dict(model.to_dict())
         test_set = labeled_set([0, 1] * 5, seed=10)
-        assert_allclose(evaluate(back, test_set).posteriors,
-                        evaluate(model, test_set).posteriors,
+        assert_allclose(score(back, test_set).posteriors,
+                        score(model, test_set).posteriors,
                         rtol=0.0, atol=1e-12)
 
     def test_probabilities_clipped(self):
         for bias in (1e4, -1e4):
-            p = evaluate(bias_only_model(bias), labeled_set([0, 1])).posteriors
+            p = score(bias_only_model(bias), labeled_set([0, 1])).posteriors
             assert np.all((0.0 < p) & (p < 1.0))
 
 
@@ -535,6 +543,7 @@ def refit_cross_validate(train_set, folds, n_filters, lam=None):
             np.delete(np.arange(len(train_set)), held_out))
         bank = fit_csp(fold_train, n_filters)
         model = train(fold_train, bank, lam)
-        accuracies.append(evaluate(model, train_set.subset(held_out)).accuracy)
+        accuracies.append(
+            score(model, train_set.subset(held_out), bank).accuracy)
     acc = np.array(accuracies)
     return float(acc.mean()), float(acc.std())

@@ -161,9 +161,7 @@ KEPT_FIELDS = {
     "TslrModel": (
         {"weights": np.zeros(3)},
         lambda a: TslrModel(a["weights"], 0.0, 0.1,
-                            ReferencePoint.from_mean(SpdMatrix(np.eye(2))),
-                            SpatialFilterBank(np.eye(2), np.eye(2),
-                                              np.array([0.75, 0.25])))),
+                            ReferencePoint.from_mean(SpdMatrix(np.eye(2))))),
 }
 
 

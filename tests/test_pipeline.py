@@ -1,5 +1,6 @@
 """Pipeline stages: artifact determinism, stage isolation, leakage guards."""
 
+import hashlib
 import json
 import math
 import shutil
@@ -562,6 +563,14 @@ class TestRunDeterminism:
         run_pipeline(other)
         assert artifact_bytes(other) == blobs
 
+    def test_model_names_its_bank_by_digest(self, completed_run):
+        # the bank has one home: the model holds its digest, not a copy
+        _, blobs = completed_run
+        model = json.loads(blobs["model"])
+        assert "filter_bank" not in model
+        assert model["filter_bank_sha256"] == hashlib.sha256(
+            blobs["filter_bank"]).hexdigest()
+
     def test_no_timestamps_in_json(self, completed_run):
         cfg, blobs = completed_run
         for name, blob in blobs.items():
@@ -789,6 +798,32 @@ class TestStaleArtifacts:
         for name, blob in blobs.items():
             assert (out / ARTIFACTS[name]).read_bytes() == blob, name
 
+    def test_evaluate_refuses_a_model_of_another_bank(
+            self, completed_run, tmp_path, capsys, monkeypatch):
+        # fit-csp rerun at n_train 16 refits the bank, but the model was
+        # trained on the bank of 22 trials: scored against 16, 6 of its
+        # test trials would be its own training trials
+        cfg, blobs = completed_run
+        out, config = artifacts_copy(cfg, tmp_path, n_train=16)
+        assert main(["fit-csp", "--config", config]) == 0
+        bank = out / ARTIFACTS["filter_bank"]
+        assert bank.read_bytes() != blobs["filter_bank"]
+        capsys.readouterr()
+
+        def load(rows):
+            raise AssertionError("a trial file was read")
+        monkeypatch.setattr(relconn.data, "load_trialset", load)
+        assert main(["evaluate", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: stage evaluate: {out / ARTIFACTS['model']}: was trained "
+            f"on a bank with sha256 "
+            f"{hashlib.sha256(blobs['filter_bank']).hexdigest()} and 6 "
+            f"filters, but {bank} has sha256 "
+            f"{hashlib.sha256(bank.read_bytes()).hexdigest()} and 6 filters; "
+            f"rerun train\n")
+        for name in ("eval_report", "eval_per_trial", "test_covariances"):
+            assert (out / ARTIFACTS[name]).read_bytes() == blobs[name], name
+
     @pytest.mark.parametrize("extra, message", [
         (0, "lists 0, which is not a test trial id"),
         (99999, "lists 99999, which is not a test trial id"),
@@ -907,6 +942,11 @@ class TestStaleArtifacts:
          ": weights and bias must be finite"),
         ("evaluate", "model", lambda d: d.update({"lambda": -1.0}),
          ": lambda must be >= 0 and finite, got -1.0"),
+        # a model that fits itself, but not the bank's 6 filters
+        ("evaluate", "model",
+         lambda d: d.update(reference_mean=np.eye(4).tolist(),
+                            weights=[0.0] * 10),
+         ": was trained on a bank with sha256 "),
         ("train", "filter_bank",
          lambda d: d["filter_bank"]["w"][0].__setitem__(0, math.nan),
          ": w and patterns must be finite"),
@@ -921,8 +961,9 @@ class TestStaleArtifacts:
     ], ids=["weights_object", "node_names_null", "filter_bank_list",
             "no_bias", "no_node_names", "no_selected_ids", "no_accuracy",
             "bias_string", "one_node_name", "reference_negated", "bias_nan",
-            "weight_nan", "lambda_negative", "bank_w_nan_train",
-            "bank_w_nan_graph", "eigenvalue_nan", "accuracy_nan"])
+            "weight_nan", "lambda_negative", "reference_4x4",
+            "bank_w_nan_train", "bank_w_nan_graph", "eigenvalue_nan",
+            "accuracy_nan"])
     def test_malformed_json_names_the_file(self, completed_run, tmp_path,
                                            capsys, stage, artifact, edit,
                                            message):
@@ -1049,6 +1090,25 @@ class TestStaleArtifacts:
             f"error: stage select: {path}: trial {tid}: posterior must be in "
             f"[0, 1], got {float(posterior)}; rerun evaluate\n")
 
+    @pytest.mark.parametrize("label", ["5", "-1"])
+    @pytest.mark.parametrize("column", [1, 2],
+                             ids=["true_label", "predicted_label"])
+    def test_select_refuses_a_label_other_than_0_1(
+            self, completed_run, tmp_path, capsys, column, label):
+        out, config = artifacts_copy(completed_run[0], tmp_path)
+        path = out / ARTIFACTS["eval_per_trial"]
+        lines = path.read_text().splitlines()
+        name, row = lines[0].split(",")[column], lines[1].split(",")
+        row[column] = label
+        lines[1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["select", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: stage select: {path}: trial {row[0]}: {name} must be 0 "
+            f"or 1, got {label}; rerun evaluate\n")
+        assert ((out / ARTIFACTS["selected_trials"]).read_bytes()
+                == completed_run[1]["selected_trials"])
+
     def test_report_rejects_rows_of_other_nodes(self, completed_run,
                                                 tmp_path, capsys):
         # one graph's strength rows name other nodes than its other rows
@@ -1082,9 +1142,10 @@ class TestWideIds:
 
 
 class TestConfigDrift:
-    """A config edited after a run, then rerun from any stage to the end:
-    each rerun either exits non-zero, or leaves every artifact as a fresh
-    run of one of the two configs writes it."""
+    """A config edited after a run, then rerun from any stage to the end,
+    or fit-csp then evaluate to the end (train and cv skipped): each rerun
+    either exits non-zero, or leaves every artifact as a fresh run of one
+    of the two configs writes it."""
 
     EDITS = {"n_train": 16, "n_filters": 4, "seed": 7, "lambda": 0.05,
              "k_folds": 4, "posterior_threshold": 0.8, "epoch": [0.0, 0.4],
@@ -1114,14 +1175,19 @@ class TestConfigDrift:
         ok, old = run("base", ["run"])
         assert ok
         names = list(stages())
-        mixed, passed = [], 0
+        sequences = {start: names[i:] for i, start in enumerate(names)}
+        sequences["skip-train"] = ["fit-csp", *names[names.index("evaluate"):]]
+        mixed, passed, skipped = [], 0, []
         for key, value in edits.items():
             ok, new = run(key, ["run"], **{key: value})
             assert ok, key
-            for i, start in enumerate(names):
+            for start, commands in sequences.items():
                 shutil.copytree(tmp_path / "base", tmp_path / f"{key}-{start}")
-                ok, got = run(f"{key}-{start}", names[i:], **{key: value})
-                passed += ok
+                ok, got = run(f"{key}-{start}", commands, **{key: value})
+                if start == "skip-train":
+                    skipped += [key] * ok
+                else:
+                    passed += ok
                 if ok and any(got[a] not in (old[a], new[a]) for a in got):
                     mixed.append((key, start))
         assert mixed == []
@@ -1130,6 +1196,9 @@ class TestConfigDrift:
         # from any stage, and every edit from fit-csp and from report,
         # which reads none of the other five
         assert passed == 38
+        # skipping train runs only where the refitted bank keeps its bytes,
+        # so the model still names it: the edits the bank does not record
+        assert skipped == ["seed", "lambda", "k_folds", "posterior_threshold"]
 
 
 class TestUpFrontRefusals:
