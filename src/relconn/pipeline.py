@@ -16,11 +16,12 @@ holds one chunk of raw samples, never a side.
 Every stage takes a `Plan`: the config resolved against the manifest,
 each part once. Resolving it checks, before any sample is read, every
 config value that the manifest settles, naming the key, and keeps the
-filter specs, the epoch in samples and the folds. `fit-csp`, `train` and
-`cv` work on the plan's training `ScatterSet`; `evaluate` projects each
+filter specs, the epoch in samples and the folds. `fit-csp` and `train`
+work on the plan's training `ScatterSet`, and `train` writes the model
+and its cross-validated accuracy from one pass; `evaluate` projects each
 chunk of the plan's test rows through the fitted filter bank and
 preprocesses the n_filters projected signals of each trial instead of its
-channels. `run_pipeline` is the seven stages in order on one plan, so the
+channels. `run_pipeline` is the six stages in order on one plan, so the
 training side is preprocessed once; a stage run alone makes its own plan
 and resolves only what it reads. Band-passing is causal and per trial, so
 a trial's scatter matrix comes out bit for bit the same either way.
@@ -33,8 +34,9 @@ artifacts only and rerun at a new threshold without the recording;
 plan's resolution in `10_filter_bank.json` (`Plan.record`), and a stage
 that reads the bank refuses it, naming the config key, if that record or
 the bank's filter count differs from its own plan's. The bank has that one
-home: `20_model.json` names it by the sha256 of its bytes, and `evaluate`
-refuses a model trained on another bank, naming `20_model.json`.
+home: `20_model.json` and `40_eval_report.json` name it by the sha256 of
+its bytes, and `evaluate` and `graph` refuse a model trained, or test
+covariances scored, through another bank, naming the file.
 """
 
 from __future__ import annotations
@@ -470,30 +472,25 @@ def _load_bank(plan: Plan) -> tuple[SpatialFilterBank, tuple[str, ...], str]:
 
 
 def stage_train(plan: Plan) -> list[Path]:
-    """Train the tangent-space model on the training split. The model
-    names its bank by the sha256 of `10_filter_bank.json`'s bytes."""
+    """Train and cross-validate the tangent-space model on the training split.
+
+    The model names its bank by the sha256 of `10_filter_bank.json`'s
+    bytes. Cross-validation runs at the model's lambda on the plan's
+    stratified k folds; filters, reference and weights are refit inside
+    each fold, from the class sums and the scatter stack the folds share
+    (`classify.cross_validate`). Both are computed before either is
+    written, so a failing fold leaves the old pair in place.
+    """
     with _prefix_errors("stage train"):
         bank, _, digest = _load_bank(plan)
         cfg, train_set = plan.cfg, plan.train_set
         model = train(train_set, bank, cfg.lam)
-        path = cfg.out_path("model")
-        _write_json(path, {**model.to_dict(), "filter_bank_sha256": digest})
-        return [path]
-
-
-def stage_cv(plan: Plan) -> list[Path]:
-    """Cross-validate on the training split.
-
-    On the plan's stratified k folds; filters, reference and weights are
-    refit inside each fold, from the class sums and the scatter stack the
-    folds share (`classify.cross_validate`).
-    """
-    with _prefix_errors("stage cv"):
-        cfg, train_set = plan.cfg, plan.train_set
         mean, std = cross_validate(train_set, plan.folds, cfg.n_filters,
                                    cfg.lam)
-        path = cfg.out_path("cv_summary")
-        _write_json(path, {
+        paths = [cfg.out_path("model"), cfg.out_path("cv_summary")]
+        _write_json(paths[0], {**model.to_dict(),
+                               "filter_bank_sha256": digest})
+        _write_json(paths[1], {
             "k_folds": cfg.k_folds,
             "mean_accuracy": mean,
             "std_accuracy": std,
@@ -502,16 +499,17 @@ def stage_cv(plan: Plan) -> list[Path]:
             "n_filters": cfg.n_filters,
             "n_trials": len(train_set),
         })
-        return [path]
+        return paths
 
 
 def stage_evaluate(plan: Plan) -> list[Path]:
     """Score the model on the held-out split.
 
-    Writes the aggregates, the per-trial outcome table and the test
-    trials' projected covariances in the table's row order. A model
-    trained on another bank (digest or filter count) than
-    `10_filter_bank.json` is refused before any test sample is read.
+    Writes the aggregates and the sha256 of the bank the trials were
+    projected through, the per-trial outcome table and the test trials'
+    projected covariances in the table's row order. A model trained on
+    another bank (digest or filter count) than `10_filter_bank.json` is
+    refused before any test sample is read.
     """
     with _prefix_errors("stage evaluate"):
         cfg, test_rows = plan.cfg, plan.test_files
@@ -535,23 +533,26 @@ def stage_evaluate(plan: Plan) -> list[Path]:
         report = evaluate(model, covs, projected.labels, projected.ids)
         paths = [cfg.out_path("eval_report"), cfg.out_path("eval_per_trial"),
                  cfg.out_path("test_covariances")]
-        _write_json(paths[0], report.to_dict())
+        _write_json(paths[0], {**report.to_dict(),
+                               "filter_bank_sha256": digest})
         _write_csv(paths[1], list(_PER_TRIAL_COLUMNS.names),
                    report.per_trial_rows())
         np.save(paths[2], covs, allow_pickle=False)
         return paths
 
 
-def _load_report(cfg: PipelineConfig) -> EvalReport:
-    """The evaluation report: aggregates from its JSON, per-trial columns
-    from its table, which must hold one row per trial the JSON counts,
-    each with labels 0 or 1 and a posterior in [0, 1]."""
+def _load_report(cfg: PipelineConfig) -> tuple[EvalReport, str]:
+    """The evaluation report and the sha256 of the filter bank its trials
+    were scored through: aggregates and digest from its JSON, per-trial
+    columns from its table, which must hold one row per trial the JSON
+    counts, each with labels 0 or 1 and a posterior in [0, 1]."""
     with _artifact(cfg, "eval_report") as d:
         aggregates = [_number(d[key], key)
                       for key in ("accuracy", "precision", "recall")]
         if not all(map(math.isfinite, aggregates)):
             raise ValueError(f"aggregates must be finite, got {aggregates}")
         n_trials = _integer(d["n_trials"], "n_trials")
+        digest = _text(d["filter_bank_sha256"], "filter_bank_sha256")
     path = cfg.out_path("eval_per_trial")
     try:
         # a table without rows is refused below, not warned about
@@ -578,8 +579,9 @@ def _load_report(cfg: PipelineConfig) -> EvalReport:
             raise SchemaError(
                 f"{path}: trial {table['trial_id'][bad[0]]}: {name} must be "
                 f"{allowed}, got {table[name][bad[0]]}; rerun evaluate")
-    return EvalReport(*aggregates,
-                      *(table[name] for name in _PER_TRIAL_COLUMNS.names))
+    report = EvalReport(*aggregates,
+                        *(table[name] for name in _PER_TRIAL_COLUMNS.names))
+    return report, digest
 
 
 def stage_select(plan: Plan) -> list[Path]:
@@ -589,7 +591,7 @@ def stage_select(plan: Plan) -> list[Path]:
     """
     with _prefix_errors("stage select"):
         cfg = plan.cfg
-        report = _load_report(cfg)
+        report, _ = _load_report(cfg)
         ids = select_relevant(report, cfg.posterior_threshold)
         selected_labels = report.true_labels[np.isin(report.trial_ids, ids)]
         per_class = np.bincount(selected_labels, minlength=2).tolist()
@@ -640,11 +642,18 @@ def stage_graph(plan: Plan) -> list[Path]:
     covariances that evaluate kept; no trial file is opened. The test
     trials' ids, labels and class names come from the plan's test rows,
     which the per-trial table must list and the selected ids come from.
+    Covariances scored through another bank than `10_filter_bank.json`
+    (the sha256 evaluate records) are refused before they are read.
     """
     with _prefix_errors("stage graph"):
         cfg, (_, test) = plan.cfg, plan.sides
-        bank, node_names, _ = _load_bank(plan)
-        report = _load_report(cfg)
+        bank, node_names, digest = _load_bank(plan)
+        report, scored = _load_report(cfg)
+        if scored != digest:
+            raise SchemaError(
+                f"{cfg.out_path('eval_report')} was scored through a bank "
+                f"with sha256 {scored}, but {cfg.out_path('filter_bank')} "
+                f"has sha256 {digest}; rerun evaluate")
         if not (np.array_equal(report.trial_ids, test.ids)
                 and np.array_equal(report.true_labels, test.labels)):
             raise SchemaError(f"{cfg.out_path('eval_per_trial')} does not "
@@ -764,13 +773,14 @@ def stages() -> dict[str, Callable[[Plan], list[Path]]]:
     """Stage name -> stage function, in run order.
 
     Every stage takes a `Plan` and reads from it only what it needs:
-    fit-csp, train and cv the training side's scatter matrices, evaluate
-    the test rows. Select, graph and report read artifacts only; graph
-    also checks the test trials' ids and labels against the plan's test
-    rows. Each returns the paths it wrote. The map is built on every call,
-    so it holds whatever function each name is bound to at that time.
+    fit-csp and train the training side's scatter matrices, evaluate the
+    test rows. Select, graph and report read artifacts only; graph also
+    checks the test trials' ids and labels against the plan's test rows.
+    Train writes the model and its cross-validated accuracy. Each
+    returns the paths it wrote. The map is built on every call, so it
+    holds whatever function each name is bound to at that time.
     """
-    return {"fit-csp": stage_fit_csp, "train": stage_train, "cv": stage_cv,
+    return {"fit-csp": stage_fit_csp, "train": stage_train,
             "evaluate": stage_evaluate, "select": stage_select,
             "graph": stage_graph, "report": stage_report}
 

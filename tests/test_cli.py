@@ -9,10 +9,12 @@ import pytest
 
 from relconn.classify import stratified_folds
 from relconn.cli import main
+from relconn.csp import fold_banks
 from relconn.data import TrialSet, save_trialset
+from relconn.errors import NumericError
 from relconn.filters import FilterSpec, design_bandpass, write_response_csv
 from relconn.fixtures import FixtureSpec
-from relconn.pipeline import ARTIFACTS, PipelineConfig, stages
+from relconn.pipeline import ARTIFACTS, PipelineConfig, Plan, stages
 
 
 # the options of every stage subcommand and of run
@@ -163,6 +165,30 @@ class TestRunCommand:
         assert sorted(written) == sorted(str(out_dir / name)
                                          for name in ARTIFACTS.values())
 
+    def test_lone_train_rewrites_the_cv_summary(self, dataset, tmp_path,
+                                                capsys):
+        # the cross-validated accuracy is the model's: a lambda edit
+        # rerun through train alone rewrites both
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", dataset, out_dir)
+        assert main(["run", "--config", str(cfg)]) == 0
+        edited = write_config(tmp_path / "edited.json", dataset, out_dir,
+                              **{"lambda": 0.05})
+        capsys.readouterr()
+        assert main(["train", "--config", str(edited)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(out_dir / ARTIFACTS[name]) for name in ("model", "cv_summary")]
+        summary = json.loads((out_dir / ARTIFACTS["cv_summary"]).read_text())
+        assert summary["lambda"] == 0.05
+
+    def test_cv_is_no_subcommand(self, dataset, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", dataset, tmp_path / "out")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cv", "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'cv'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_help_lists_every_stage(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["--help"])
@@ -197,8 +223,8 @@ class TestRunCommand:
         cfg_a = write_config(tmp_path / "a.json", dataset, tmp_path / "a")
         cfg_b = write_config(tmp_path / "b.json", dataset, tmp_path / "b")
         assert main(["run", "--config", str(cfg_a)]) == 0
-        for stage in ("fit-csp", "train", "cv", "evaluate", "select",
-                      "graph", "report"):
+        for stage in ("fit-csp", "train", "evaluate", "select", "graph",
+                      "report"):
             assert main([stage, "--config", str(cfg_b)]) == 0
         name = "80_separability.json"
         assert ((tmp_path / "a" / name).read_bytes()
@@ -220,12 +246,12 @@ class TestRemovedOptions:
 
     @pytest.mark.parametrize("stage, option, value", [
         ("evaluate", "--n-train", "5"),
-        ("cv", "--n-filters", "4"),
+        ("train", "--n-filters", "4"),
         ("evaluate", "--band-mode", "concat"),
         ("fit-csp", "--dataset-kind", "motor_imagery"),
-        ("cv", "--seed", "7"),
+        ("train", "--seed", "7"),
         ("train", "--lambda", "0.05"),
-        ("cv", "--k-folds", "11"),
+        ("train", "--k-folds", "11"),
         ("run", "--seed", "7"),
     ])
     def test_refused_before_any_artifact_changes(self, completed, capsys,
@@ -301,34 +327,42 @@ class TestExitCodes:
             "finite, got inf\n")
         assert not (tmp_path / "out").exists()
 
-    def test_zero_power_training_trial_fails_lone_cv(self, dataset, tmp_path,
-                                                     capsys):
-        # cv normalizes every training trial's scatter matrix once, up
-        # front; a silent trial still stops it, by id
+    def test_zero_power_training_trial_names_the_lowest_row(
+            self, dataset, tmp_path, capsys):
+        # cross-validation normalizes every training trial's scatter
+        # matrix once, up front; a silent trial still stops it, by id.
+        # fit-csp stops first on the command line, so the fold path is
+        # called directly
         data = tmp_path / "data"
         shutil.copytree(dataset.parent, data)
         trials = json.loads((data / "manifest.json").read_text())["trials"]
         self.silence(data, trials[5])
         cfg = write_config(tmp_path / "cfg.json", data / "manifest.json",
                            tmp_path / "out")
-        assert main(["cv", "--config", str(cfg)]) == 3
-        assert capsys.readouterr().err == (
-            f"error: stage cv: trial {trials[5]['id']}: zero power; cannot "
-            f"normalize its covariance\n")
+        message = (f"trial {trials[5]['id']}: zero power; cannot normalize "
+                   f"its covariance")
+
+        def fold_path_error():
+            plan = Plan(PipelineConfig.from_file(cfg))
+            with pytest.raises(NumericError) as error:
+                fold_banks(plan.train_set, plan.folds, plan.cfg.n_filters)
+            return str(error.value)
+
+        assert fold_path_error() == message
         # with a second silent trial of the other class, higher up but in
-        # an earlier fold, every stage still names the lower row: naming
-        # the first silent trial fold by fold or class by class would not
+        # an earlier fold, every stage and the fold path still name the
+        # lower row: naming the first silent trial fold by fold or class
+        # by class would not
         labels = np.array([row["label"] for row in trials[:22]])
         fold_of = {row: f for f, rows in enumerate(
             stratified_folds(labels, 3, seed=42)) for row in rows}
         assert labels[5] == 1 and labels[6] == 0 and fold_of[6] < fold_of[5]
         self.silence(data, trials[6])
-        for command, stage in (("fit-csp", "fit-csp"), ("cv", "cv"),
-                               ("run", "fit-csp")):
+        assert fold_path_error() == message
+        for command in ("fit-csp", "run"):
             assert main([command, "--config", str(cfg)]) == 3
             assert capsys.readouterr().err == (
-                f"error: stage {stage}: trial {trials[5]['id']}: zero power; "
-                f"cannot normalize its covariance\n")
+                f"error: stage fit-csp: {message}\n")
 
     @staticmethod
     def silence(data, row):

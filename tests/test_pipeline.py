@@ -27,14 +27,14 @@ from relconn.errors import DataError, SchemaError
 from relconn.filters import apply_filter, design_bandpass, extract_epoch
 from relconn.fixtures import FixtureSpec, generate_fixture
 from relconn.pipeline import (ARTIFACTS, PipelineConfig, Plan, preprocess,
-                              run_pipeline, stage_cv, stage_evaluate,
-                              stage_fit_csp, stage_graph, stage_report,
-                              stage_select, stage_train, stages)
+                              run_pipeline, stage_evaluate, stage_fit_csp,
+                              stage_graph, stage_report, stage_select,
+                              stage_train, stages)
 
 # the stage that writes each artifact
 WRITER = {
     "filter_bank": stage_fit_csp, "selected_channels": stage_fit_csp,
-    "model": stage_train, "cv_summary": stage_cv,
+    "model": stage_train, "cv_summary": stage_train,
     "eval_report": stage_evaluate, "eval_per_trial": stage_evaluate,
     "test_covariances": stage_evaluate,
     "selected_trials": stage_select,
@@ -487,7 +487,8 @@ class TestChannelPermutation:
     fixed order: the band-pass acts per channel, and the CSP filters and
     patterns permute with the channels. So each filter picks the same
     named channel, the projected signals agree to rounding, the cv, eval
-    and selection artifacts keep their bytes, and posteriors, graph
+    and selection artifacts keep their bytes (the eval report but the
+    digest of the bank file, whose bytes permute), and posteriors, graph
     weights (relative to the largest) and separability agree within
     TOL."""
 
@@ -501,9 +502,12 @@ class TestChannelPermutation:
             cfg, tmp_path, lambda x: x[self.PERM],
             lambda m: {**m, "channel_names": [m["channel_names"][i]
                                               for i in self.PERM]})
-        for name in ("cv_summary", "eval_report", "selected_trials"):
+        for name in ("cv_summary", "selected_trials"):
             assert (permuted.out_path(name).read_bytes()
                     == cfg.out_path(name).read_bytes()), name
+        got, want = (read_artifact(c, "eval_report") for c in (permuted, cfg))
+        assert got.pop("filter_bank_sha256") != want.pop("filter_bank_sha256")
+        assert got == want
         bank, got = (read_artifact(c, "filter_bank") for c in (cfg, permuted))
         assert ([name for _, name in got["selected_channels"]]
                 == [name for _, name in bank["selected_channels"]])
@@ -677,7 +681,7 @@ class TestSideOnlyLoad:
 
     @pytest.mark.parametrize("deleted, stages", [
         ("train", (stage_evaluate, stage_graph)),
-        ("test", (stage_fit_csp, stage_train, stage_cv)),
+        ("test", (stage_fit_csp, stage_train)),
     ])
     def test_stage_needs_only_its_side_files(self, completed_run, tmp_path,
                                              deleted, stages):
@@ -709,7 +713,7 @@ class TestSideOnlyLoad:
             assert artifact_bytes(other) == blobs
             Path(other.manifest).unlink(missing_ok=True)
 
-    @pytest.mark.parametrize("stage", ["fit-csp", "train", "cv", "evaluate",
+    @pytest.mark.parametrize("stage", ["fit-csp", "train", "evaluate",
                                        "graph"])
     @pytest.mark.parametrize("fault, message", [
         ("duplicate_id", "duplicate trial id 30"),
@@ -727,7 +731,7 @@ class TestSideOnlyLoad:
             # a training row takes the id of a test row
             d["trials"][0]["id"] = d["trials"][30]["id"]
         elif fault == "unread_label":
-            row = 25 if stage in ("fit-csp", "train", "cv") else 3
+            row = 25 if stage in ("fit-csp", "train") else 3
             d["trials"][row]["label"] = 2
             message = f"trial {row}: {message}"
         else:
@@ -822,6 +826,28 @@ class TestStaleArtifacts:
             f"{hashlib.sha256(bank.read_bytes()).hexdigest()} and 6 filters; "
             f"rerun train\n")
         for name in ("eval_report", "eval_per_trial", "test_covariances"):
+            assert (out / ARTIFACTS[name]).read_bytes() == blobs[name], name
+
+    def test_graph_refuses_covariances_of_another_bank(
+            self, completed_run, tmp_path, capsys):
+        # fit-csp rerun at another epoch refits the bank, but evaluate
+        # scored the test trials through the old one: averaged under the
+        # new bank's node names, they would give graphs of neither config
+        cfg, blobs = completed_run
+        out, config = artifacts_copy(cfg, tmp_path, epoch=[0.0, 0.4])
+        assert main(["fit-csp", "--config", config]) == 0
+        bank = out / ARTIFACTS["filter_bank"]
+        capsys.readouterr()
+        assert main(["graph", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: stage graph: {out / ARTIFACTS['eval_report']} was "
+            f"scored through a bank with sha256 "
+            f"{hashlib.sha256(blobs['filter_bank']).hexdigest()}, but {bank} "
+            f"has sha256 {hashlib.sha256(bank.read_bytes()).hexdigest()}; "
+            f"rerun evaluate\n")
+        for name in ("graph_all_class0", "graph_all_class1",
+                     "graph_selected_class0", "graph_selected_class1",
+                     "node_metrics"):
             assert (out / ARTIFACTS[name]).read_bytes() == blobs[name], name
 
     @pytest.mark.parametrize("extra, message", [
@@ -925,6 +951,8 @@ class TestStaleArtifacts:
          " has no field 'selected_ids'"),
         ("select", "eval_report", lambda d: d.pop("accuracy"),
          " has no field 'accuracy'"),
+        ("graph", "eval_report", lambda d: d.pop("filter_bank_sha256"),
+         " has no field 'filter_bank_sha256'"),
         ("evaluate", "model", lambda d: d.update(bias="x"),
          ": bias must be a number, got 'x'"),
         ("graph", "filter_bank", lambda d: d.update(node_names=["a"]),
@@ -960,6 +988,7 @@ class TestStaleArtifacts:
          ": aggregates must be finite, got [nan, "),
     ], ids=["weights_object", "node_names_null", "filter_bank_list",
             "no_bias", "no_node_names", "no_selected_ids", "no_accuracy",
+            "no_bank_digest",
             "bias_string", "one_node_name", "reference_negated", "bias_nan",
             "weight_nan", "lambda_negative", "reference_4x4",
             "bank_w_nan_train", "bank_w_nan_graph", "eigenvalue_nan",
@@ -1143,9 +1172,15 @@ class TestWideIds:
 
 class TestConfigDrift:
     """A config edited after a run, then rerun from any stage to the end,
-    or fit-csp then evaluate to the end (train and cv skipped): each rerun
+    fit-csp then evaluate to the end (train skipped), or fit-csp then
+    graph and report (train, evaluate and select skipped): each rerun
     either exits non-zero, or leaves every artifact as a fresh run of one
-    of the two configs writes it."""
+    of the two configs writes it, and the model and its cross-validated
+    accuracy as a fresh run of one config writes both."""
+
+    # the run order, spelled out: the rerun from train is a lone train
+    # followed by evaluate to the end
+    STAGES = ("fit-csp", "train", "evaluate", "select", "graph", "report")
 
     EDITS = {"n_train": 16, "n_filters": 4, "seed": 7, "lambda": 0.05,
              "k_folds": 4, "posterior_threshold": 0.8, "epoch": [0.0, 0.4],
@@ -1174,31 +1209,42 @@ class TestConfigDrift:
 
         ok, old = run("base", ["run"])
         assert ok
-        names = list(stages())
+        names = self.STAGES
         sequences = {start: names[i:] for i, start in enumerate(names)}
         sequences["skip-train"] = ["fit-csp", *names[names.index("evaluate"):]]
-        mixed, passed, skipped = [], 0, []
+        sequences["skip-to-graph"] = ["fit-csp", "graph", "report"]
+
+        def pair(blobs):
+            return blobs["model"], blobs["cv_summary"]
+
+        mixed, passed, skipped = [], 0, {"skip-train": [], "skip-to-graph": []}
         for key, value in edits.items():
             ok, new = run(key, ["run"], **{key: value})
             assert ok, key
             for start, commands in sequences.items():
                 shutil.copytree(tmp_path / "base", tmp_path / f"{key}-{start}")
                 ok, got = run(f"{key}-{start}", commands, **{key: value})
-                if start == "skip-train":
-                    skipped += [key] * ok
+                if start in skipped:
+                    skipped[start] += [key] * ok
                 else:
                     passed += ok
-                if ok and any(got[a] not in (old[a], new[a]) for a in got):
+                if ok and (any(got[a] not in (old[a], new[a]) for a in got)
+                           or pair(got) not in (pair(old), pair(new))):
                     mixed.append((key, start))
         assert mixed == []
         # the reruns that read each edited value from an artifact, or
         # record it, still run: seed, lambda, k_folds and the threshold
         # from any stage, and every edit from fit-csp and from report,
         # which reads none of the other five
-        assert passed == 38
-        # skipping train runs only where the refitted bank keeps its bytes,
-        # so the model still names it: the edits the bank does not record
-        assert skipped == ["seed", "lambda", "k_folds", "posterior_threshold"]
+        assert passed == 34
+        # skipping train, or evaluate, runs only where the refitted bank
+        # keeps its bytes, so the model and the test covariances still
+        # name it: the edits the bank does not record
+        unrecorded = ["seed", "lambda", "k_folds", "posterior_threshold"]
+        assert skipped == {"skip-train": unrecorded,
+                           "skip-to-graph": unrecorded}
+        # the order spelled out above is the run's
+        assert tuple(stages()) == names
 
 
 class TestUpFrontRefusals:
